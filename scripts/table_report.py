@@ -2,8 +2,9 @@
 """Reproduce the classification table from the built-in catalog.
 
 For every entry: the holonomy order, whether the group is torsion-free, the
-normaliser closure size (or 'infinite'), the R-infinity verdict, and the
-spectrum (computed exactly for finite normalisers, annotated otherwise).
+normaliser closure size (or 'infinite', or 'absent' without normaliser
+data), the R-infinity verdict, and the spectrum (computed exactly for a
+decided verdict, annotated otherwise).
 
 Usage: python scripts/table_report.py [--cap N]
 """
@@ -14,13 +15,13 @@ import argparse
 import time
 
 from crysturn.catalog import builtin_catalog
-from crysturn.groups import ClosureCapExceeded, matrix_group_closure
+from crysturn.groups import DEFAULT_CLOSURE_CAP
 from crysturn.reidemeister import RinfStatus, decide_r_infinity, spectrum
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cap", type=int, default=10000)
+    parser.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     args = parser.parse_args()
 
     catalog = builtin_catalog()
@@ -31,27 +32,17 @@ def main() -> None:
     for name in catalog.names():
         entry = catalog.entry(name)
         group = entry.group()
-        try:
-            closure_order = matrix_group_closure(
-                list(group.normaliser_gens or ()), cap=args.cap
-            ).order
-        except (ClosureCapExceeded, ValueError):
-            closure_order = None
         verdict = decide_r_infinity(group, cap=args.cap)
-        if verdict.status is RinfStatus.FAILS:
-            rinf = "no"
-        elif verdict.status is RinfStatus.HOLDS:
-            rinf = "yes"
-        else:
-            rinf = "?"
-        if closure_order is not None:
+        rinf = {RinfStatus.FAILS: "no", RinfStatus.HOLDS: "yes"}.get(verdict.status, "?")
+        if verdict.decided:
+            nf = str(verdict.normaliser_order)
             computed = spectrum(group, cap=args.cap)
             spec = "{" + ", ".join(map(str, computed.finite_values)) + "}"
             if computed.contains_infinity:
                 spec += " + inf"
         else:
+            nf = "absent" if verdict.status is RinfStatus.UNDECIDED_NO_DATA else "infinite"
             spec = f"(annotated: {entry.expected.spectrum})" if entry.expected.spectrum else ""
-        nf = str(closure_order) if closure_order is not None else "infinite"
         tf = "*" if group.is_bieberbach() else ""
         print(f"{name:<14} {group.order:>4} {tf:>3} {nf:>8} {rinf:>7}  {spec}")
     print(f"\n{len(catalog.names())} entries in {time.time() - t0:.1f}s")

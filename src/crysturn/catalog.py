@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Union
 
@@ -46,10 +47,9 @@ from .reidemeister import (
     INFINITE,
     RinfStatus,
     decide_r_infinity,
-    is_always_infinite,
-    find_translation_part,
     reidemeister_set,
     spectrum,
+    witness_words,
 )
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
@@ -260,35 +260,6 @@ class EntryReport:
     details: tuple[str, ...]
 
 
-def _witness_linears(group: CrystGroup, max_word_length: int, want: int) -> list[IntMatrix]:
-    """First few word-search matrices that admit finite Reidemeister numbers."""
-    letters = sorted(
-        {g for g in group.normaliser_gens or ()}
-        | {g.int_inverse() for g in group.normaliser_gens or ()},
-        key=lambda m: m.rows,
-    )
-    found: list[IntMatrix] = []
-    seen = {IntMatrix.identity(group.dimension)}
-    frontier = list(seen)
-    for _ in range(max_word_length):
-        next_frontier = []
-        for cur in frontier:
-            for letter in letters:
-                cand = letter @ cur
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                next_frontier.append(cand)
-                if not is_always_infinite(group, cand) and find_translation_part(
-                    group, cand
-                ) is not None:
-                    found.append(cand)
-                    if len(found) >= want:
-                        return found
-        frontier = next_frontier
-    return found
-
-
 def check_entry(
     entry: CatalogEntry,
     cap: int = DEFAULT_CLOSURE_CAP,
@@ -301,7 +272,8 @@ def check_entry(
     cap, an annotated ``r_infinity: false`` is confirmed by a word-search
     witness, and every Reidemeister number computed from sampled witnesses
     must be a member of the annotated (symbolic) spectrum; the full symbolic
-    value is not re-derived here.
+    value is not re-derived here.  Without normaliser data the annotations
+    cannot be checked and the entry fails.
     """
     details: list[str] = []
     ok = True
@@ -312,16 +284,18 @@ def check_entry(
     details.append(f"|F| = {group.order}, Bieberbach: {group.is_bieberbach()}")
 
     expected = entry.expected
-    finite_normaliser = True
-    try:
-        verdict = decide_r_infinity(group, cap=cap)
-    except ClosureCapExceeded:  # pragma: no cover - decide returns verdicts
-        verdict = None
-    if verdict is not None and verdict.status is RinfStatus.UNDECIDED_INFINITE:
-        finite_normaliser = False
+    if expected.r_infinity is None and expected.spectrum is None:
+        return EntryReport(entry.name, True, tuple(details))
+    if group.normaliser_gens is None:
+        details.append("no normaliser data: normalizer_generators missing, annotations unchecked")
+        return EntryReport(entry.name, False, tuple(details))
+    verdict = decide_r_infinity(group, cap=cap)
+    finite_normaliser = verdict.decided
+    # One word search serves both the witness and the spectrum samples.
+    samples = [] if finite_normaliser else list(islice(witness_words(group, word_length), 3))
 
     if expected.r_infinity is not None:
-        if finite_normaliser and verdict is not None and verdict.decided:
+        if finite_normaliser:
             computed = verdict.status is RinfStatus.HOLDS
             if computed == expected.r_infinity:
                 details.append(f"r_infinity: {computed} (decided)")
@@ -331,8 +305,7 @@ def check_entry(
                     f"r_infinity mismatch: computed {computed}, expected {expected.r_infinity}"
                 )
         elif expected.r_infinity is False:
-            witnesses = _witness_linears(group, word_length, want=1)
-            if witnesses:
+            if samples:
                 details.append("r_infinity: False (witness found by word search)")
             else:
                 ok = False
@@ -354,7 +327,6 @@ def check_entry(
                     f"expected {expected.spectrum}"
                 )
         else:
-            samples = _witness_linears(group, word_length, want=3)
             if not samples:
                 ok = False
                 details.append("no sample automorphisms found for spectrum membership check")

@@ -14,9 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .automorphisms import Automorphism, base_translations, find_translation_part
 from .catalog import (
@@ -54,24 +52,9 @@ class CliUsageError(Exception):
     pass
 
 
-class Undecided(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliUsageError(message)
-
-
-@dataclass
-class CliInvocation:
-    """One parsed invocation: subcommand, group source, options, output mode."""
-
-    command: str
-    source: Optional[str] = None
-    json_mode: bool = False
-    cap: int = DEFAULT_CLOSURE_CAP
-    options: dict = field(default_factory=dict)
 
 
 def _default_cap() -> int:
@@ -108,29 +91,8 @@ def _parse_vector_arg(raw: str):
         raise CliUsageError(f"cannot parse vector {raw!r}: {exc}")
 
 
-def _fmt_count(value) -> str:
-    return "infinity" if value == INFINITE else str(value)
-
-
-def _json_count(value):
-    return "infinity" if value == INFINITE else value
-
-
-def _normaliser_size(group: CrystGroup, cap: int):
-    if group.normaliser_gens is None:
-        return "absent"
-    try:
-        return matrix_group_closure(list(group.normaliser_gens), cap=cap).order
-    except ClosureCapExceeded:
-        return "infinite/over-cap"
-
-
-def _emit(inv: CliInvocation, result: dict, lines: list[str], meta: dict) -> None:
-    if inv.json_mode:
-        print(json.dumps({"result": result, "meta": meta}, ensure_ascii=False, indent=2))
-    else:
-        for line in lines:
-            print(line)
+_ABSENT = "absent"
+_OVER_CAP = "infinite/over-cap"
 
 
 def build_parser() -> _Parser:
@@ -175,158 +137,132 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_validate(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
-    group = load_group(Path(inv.source)) if Path(inv.source).exists() else _resolve_group(inv.source)
+# Each handler takes the parsed arguments, the resolved group and the meta
+# dict, may add ``normaliser_size`` to meta, and returns (exit code, JSON
+# result, text lines).
+
+
+def _cmd_validate(args, group: CrystGroup, meta: dict):
     group.validate()
-    meta = _meta(group, inv, t0)
+    if group.normaliser_gens is None:
+        meta["normaliser_size"] = _ABSENT
+    else:
+        # An empty generator list stands for the trivial normaliser {I}.
+        gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
+        try:
+            meta["normaliser_size"] = matrix_group_closure(gens, cap=args.cap).order
+        except ClosureCapExceeded:
+            meta["normaliser_size"] = _OVER_CAP
     result = {
         "valid": True,
         "dimension": group.dimension,
         "holonomy_order": group.order,
         "bieberbach": group.is_bieberbach(),
     }
-    _emit(inv, result, [
-        f"valid group: {group.name or inv.source}",
+    return EXIT_OK, result, [
+        f"valid group: {meta['group']}",
         f"dimension {group.dimension}, holonomy order {group.order}, "
         f"Bieberbach: {result['bieberbach']}",
-    ], meta)
-    return EXIT_OK
+    ]
 
 
-def _meta(group: CrystGroup, inv: CliInvocation, t0: float) -> dict:
-    return {
-        "group": group.name or inv.source,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
-        "normaliser_size": _normaliser_size(group, inv.cap),
-    }
-
-
-def _cmd_rinf(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
-    group = _resolve_group(inv.source)
-    verdict = decide_r_infinity(group, cap=inv.cap)
-    search_len = inv.options.get("search_words")
-    if verdict.status is RinfStatus.UNDECIDED_INFINITE and search_len:
-        witness = search_r_infinity_witness(group, search_len)
+def _cmd_rinf(args, group: CrystGroup, meta: dict):
+    verdict = decide_r_infinity(group, cap=args.cap)
+    meta["normaliser_size"] = {
+        RinfStatus.UNDECIDED_NO_DATA: _ABSENT,
+        RinfStatus.UNDECIDED_INFINITE: _OVER_CAP,
+    }.get(verdict.status, verdict.normaliser_order)
+    if verdict.status is RinfStatus.UNDECIDED_INFINITE and args.search_words:
+        witness = search_r_infinity_witness(group, args.search_words)
         if witness is not None:
             result = {"r_infinity": False, "witness": [list(r) for r in witness.rows],
                       "via": "word search"}
-            _emit(inv, result, [f"R-infinity: NO, witness D = {witness}"], _meta(group, inv, t0))
-            return EXIT_OK
+            return EXIT_OK, result, [f"R-infinity: NO, witness D = {witness}"]
         result = {"r_infinity": None, "status": verdict.status.value,
-                  "note": f"word search up to length {search_len} found no witness"}
-        _emit(inv, result, [f"undecided: {result['note']}"], _meta(group, inv, t0))
-        return EXIT_UNDECIDED
+                  "note": f"word search up to length {args.search_words} found no witness"}
+        return EXIT_UNDECIDED, result, [f"undecided: {result['note']}"]
     if verdict.status is RinfStatus.FAILS:
         result = {"r_infinity": False, "witness": [list(r) for r in verdict.witness.rows]}
-        _emit(inv, result, [f"R-infinity: NO, witness D = {verdict.witness}"], _meta(group, inv, t0))
-        return EXIT_OK
+        return EXIT_OK, result, [f"R-infinity: NO, witness D = {verdict.witness}"]
     if verdict.status is RinfStatus.HOLDS:
-        result = {"r_infinity": True}
-        _emit(inv, result, ["R-infinity: YES (every automorphism has infinitely many "
-                            "twisted conjugacy classes)"], _meta(group, inv, t0))
-        return EXIT_OK
-    result = {"r_infinity": None, "status": verdict.status.value}
-    _emit(inv, result, [verdict.status.value], _meta(group, inv, t0))
-    return EXIT_UNDECIDED
+        return EXIT_OK, {"r_infinity": True}, [
+            "R-infinity: YES (every automorphism has infinitely many twisted conjugacy classes)"
+        ]
+    return EXIT_UNDECIDED, {"r_infinity": None, "status": verdict.status.value}, [
+        verdict.status.value
+    ]
 
 
-def _cmd_spectrum(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
-    group = _resolve_group(inv.source)
+def _cmd_spectrum(args, group: CrystGroup, meta: dict):
     try:
-        computed = spectrum(group, cap=inv.cap)
+        computed = spectrum(group, cap=args.cap)
     except (NormaliserUnavailable, ClosureCapExceeded) as exc:
-        result = {"spectrum": None, "status": str(exc)}
-        _emit(inv, result, [f"undecided: {exc}"], _meta(group, inv, t0))
-        return EXIT_UNDECIDED
+        meta["normaliser_size"] = _ABSENT if isinstance(exc, NormaliserUnavailable) else _OVER_CAP
+        return EXIT_UNDECIDED, {"spectrum": None, "status": str(exc)}, [f"undecided: {exc}"]
+    meta["normaliser_size"] = computed.normaliser_order
     result = {
         "finite_values": list(computed.finite_values),
         "contains_infinity": computed.contains_infinity,
         "relative_to_supplied_normaliser": computed.normaliser_complete,
     }
-    lines = [
+    return EXIT_OK, result, [
         "finite part: {" + ", ".join(map(str, computed.finite_values)) + "}",
         f"infinity: {'yes' if computed.contains_infinity else 'no'}",
         "(relative to the supplied normaliser generators)",
     ]
-    _emit(inv, result, lines, _meta(group, inv, t0))
-    return EXIT_OK
 
 
-def _cmd_reidnr(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
-    group = _resolve_group(inv.source)
-    linear = _parse_matrix_arg(inv.options["linear"])
-    translation = _parse_vector_arg(inv.options["translation"])
+def _cmd_reidnr(args, group: CrystGroup, meta: dict):
+    linear = _parse_matrix_arg(args.linear)
+    translation = _parse_vector_arg(args.translation)
     try:
         phi = Automorphism(group, translation, linear)
     except ValueError as exc:
         raise GroupValidationError(str(exc)) from exc
     value = reidemeister_number(phi)
-    result = {"reidemeister_number": _json_count(value)}
-    _emit(inv, result, [f"R = {_fmt_count(value)}"], _meta(group, inv, t0))
-    return EXIT_OK
+    shown = "infinity" if value == INFINITE else value
+    return EXIT_OK, {"reidemeister_number": shown}, [f"R = {shown}"]
 
 
-def _cmd_find_d(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
-    group = _resolve_group(inv.source)
-    linear = _parse_matrix_arg(inv.options["linear"])
+def _cmd_find_d(args, group: CrystGroup, meta: dict):
+    linear = _parse_matrix_arg(args.linear)
     try:
         d = find_translation_part(group, linear)
     except ValueError as exc:
         raise GroupValidationError(str(exc)) from exc
     if d is None:
-        result = {"translation": None}
-        lines = ["no translation part exists: no automorphism has this linear part"]
-    else:
-        result = {"translation": [str(x) for x in d]}
-        lines = ["d = " + ",".join(str(x) for x in d)]
-    _emit(inv, result, lines, _meta(group, inv, t0))
-    return EXIT_OK
+        return EXIT_OK, {"translation": None}, [
+            "no translation part exists: no automorphism has this linear part"
+        ]
+    return EXIT_OK, {"translation": [str(x) for x in d]}, ["d = " + ",".join(str(x) for x in d)]
 
 
-def _cmd_delta_base(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
-    group = _resolve_group(inv.source)
+def _cmd_delta_base(args, group: CrystGroup, meta: dict):
     bases = base_translations(group)
     result = {"base_translations": [[str(x) for x in d] for d in bases]}
     lines = [f"{len(bases)} base translation(s):"] + [
         "  " + ",".join(str(x) for x in d) for d in bases
     ]
-    _emit(inv, result, lines, _meta(group, inv, t0))
-    return EXIT_OK
+    return EXIT_OK, result, lines
 
 
-def _cmd_catalog(inv: CliInvocation) -> int:
-    t0 = time.perf_counter()
+def _cmd_catalog(args, meta: dict):
     catalog = builtin_catalog()
-    sub = inv.options["catalog_command"]
-    if sub == "list":
+    if args.catalog_command == "list":
         names = catalog.names()
-        result = {"entries": names}
-        meta = {"count": len(names), "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
-        _emit(inv, result, names, meta)
-        return EXIT_OK
-    if sub == "show":
-        name = inv.options["name"]
-        if name not in catalog:
-            raise CliUsageError(f"no catalog entry named {name!r}")
-        doc = catalog.entry(name).document
-        if inv.json_mode:
-            meta = {"group": name, "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
-            _emit(inv, doc, [], meta)
-        else:
-            print(json.dumps(doc, ensure_ascii=False, indent=2))
-        return EXIT_OK
+        meta["count"] = len(names)
+        return EXIT_OK, {"entries": names}, names
+    if args.catalog_command == "show":
+        if args.name not in catalog:
+            raise CliUsageError(f"no catalog entry named {args.name!r}")
+        meta["group"] = args.name
+        doc = catalog.entry(args.name).document
+        return EXIT_OK, doc, [json.dumps(doc, ensure_ascii=False, indent=2)]
     # check
-    name = inv.options.get("name")
-    names = [name] if name else None
-    if name is not None and name not in catalog:
-        raise CliUsageError(f"no catalog entry named {name!r}")
-    reports = check_catalog(catalog, names=names, cap=inv.cap)
+    if args.name is not None and args.name not in catalog:
+        raise CliUsageError(f"no catalog entry named {args.name!r}")
+    names = [args.name] if args.name else None
+    reports = check_catalog(catalog, names=names, cap=args.cap)
     passed = sum(r.passed for r in reports)
     lines = [
         f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {'; '.join(r.details)}"
@@ -341,46 +277,52 @@ def _cmd_catalog(inv: CliInvocation) -> int:
         "passed": passed,
         "failed": len(reports) - passed,
     }
-    meta = {"elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
-    _emit(inv, result, lines, meta)
-    return EXIT_OK if passed == len(reports) else EXIT_BAD_DATA
+    return (EXIT_OK if passed == len(reports) else EXIT_BAD_DATA), result, lines
 
 
-_COMMANDS = {
+_GROUP_COMMANDS = {
     "validate": _cmd_validate,
     "rinf": _cmd_rinf,
     "spectrum": _cmd_spectrum,
     "reidnr": _cmd_reidnr,
     "find-d": _cmd_find_d,
     "delta-base": _cmd_delta_base,
-    "catalog": _cmd_catalog,
 }
+
+
+def _run(args) -> int:
+    """Resolve the group, run one command, time all of it and emit the output."""
+    t0 = time.perf_counter()
+    if args.command == "catalog":
+        meta: dict = {}
+        code, result, lines = _cmd_catalog(args, meta)
+    else:
+        group = _resolve_group(args.source)
+        # elapsed_ms is filled in last but keeps its place ahead of normaliser_size
+        meta = {"group": group.name or args.source, "elapsed_ms": None}
+        code, result, lines = _GROUP_COMMANDS[args.command](args, group, meta)
+    meta["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+    if args.json:
+        print(json.dumps({"result": result, "meta": meta}, ensure_ascii=False, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cap = args.cap if getattr(args, "cap", None) else _default_cap()
-        inv = CliInvocation(
-            command=args.command,
-            source=getattr(args, "source", None),
-            json_mode=args.json,
-            cap=cap,
-            options={
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("command", "source", "json", "cap")
-            },
-        )
-        return _COMMANDS[inv.command](inv)
+        args.cap = getattr(args, "cap", None) or _default_cap()
+        return _run(args)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GroupFileError, GroupValidationError) as exc:
         print(f"invalid group data: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
-    except (NormaliserUnavailable, ClosureCapExceeded, Undecided) as exc:
+    except (NormaliserUnavailable, ClosureCapExceeded) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except FileNotFoundError as exc:

@@ -416,19 +416,6 @@ def solve_exact(b: IntMatrix, v: Sequence[Scalar]) -> Vec:
     """The unique exact rational solution of b . x = v, for nonsingular b."""
     if not b.is_square:
         raise ValueError("exact solve requires a square matrix")
-    n = b.nrows
-    if len(v) != n:
+    if len(v) != b.nrows:
         raise ValueError("vector length does not match matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(b.rows, v)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    return rat_apply(rational_inverse(b), v)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .automorphisms import (
     Automorphism,
@@ -186,6 +186,7 @@ class RinfStatus(Enum):
 class RinfVerdict:
     status: RinfStatus
     witness: Optional[IntMatrix] = None
+    normaliser_order: Optional[int] = None
 
     @property
     def decided(self) -> bool:
@@ -199,7 +200,8 @@ def decide_r_infinity(group: CrystGroup, cap: int = DEFAULT_CLOSURE_CAP) -> Rinf
     and looks for a matrix that both admits a translation part and passes
     the determinant test; the first such matrix witnesses failure.  Returns
     an undecided verdict instead of guessing when the normaliser data is
-    missing or its closure exceeds the cap.
+    missing or its closure exceeds the cap.  A decided verdict carries the
+    order of the closure it enumerated.
     """
     if group.normaliser_gens is None:
         return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
@@ -211,8 +213,8 @@ def decide_r_infinity(group: CrystGroup, cap: int = DEFAULT_CLOSURE_CAP) -> Rinf
         if is_always_infinite(group, d_mat):
             continue
         if find_translation_part(group, d_mat) is not None:
-            return RinfVerdict(RinfStatus.FAILS, witness=d_mat)
-    return RinfVerdict(RinfStatus.HOLDS)
+            return RinfVerdict(RinfStatus.FAILS, witness=d_mat, normaliser_order=closure.order)
+    return RinfVerdict(RinfStatus.HOLDS, normaliser_order=closure.order)
 
 
 def _normaliser_closure(group: CrystGroup, cap: int) -> PointGroup:
@@ -233,12 +235,14 @@ class ComputedSpectrum:
 
     ``normaliser_complete`` echoes the input-trust caveat: the enumeration
     covered every element generated by the *supplied* normaliser generators,
-    and the result is only as complete as that data.
+    and the result is only as complete as that data.  ``normaliser_order``
+    is the order of that closure.
     """
 
     finite_values: tuple[int, ...]
     contains_infinity: bool
     normaliser_complete: bool
+    normaliser_order: Optional[int] = None
 
     def __post_init__(self):
         if not self.finite_values and not self.contains_infinity:
@@ -265,18 +269,17 @@ def spectrum(group: CrystGroup, cap: int = DEFAULT_CLOSURE_CAP) -> ComputedSpect
         finite_values=tuple(sorted(finite)),
         contains_infinity=has_infinity,
         normaliser_complete=True,
+        normaliser_order=closure.order,
     )
 
 
-def search_r_infinity_witness(
-    group: CrystGroup, max_word_length: int
-) -> Optional[IntMatrix]:
-    """Breadth-first word search for a matrix disproving the R-infinity property.
+def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix]:
+    """Breadth-first words in the normaliser generators and their inverses.
 
-    Tries words in the normaliser generators and their inverses up to the
-    given length and returns the first matrix that admits a translation part
-    and passes the determinant test.  ``None`` is inconclusive, not a proof
-    that the property holds.
+    Yields, in discovery order and up to the given length, each word that
+    admits a translation part and passes the determinant test, i.e. each
+    linear part of automorphisms with finite Reidemeister numbers.  The empty
+    word is skipped: the identity always has R = infinity.
     """
     if group.normaliser_gens is None:
         raise NormaliserUnavailable("word search requires normaliser generators")
@@ -286,10 +289,7 @@ def search_r_infinity_witness(
         key=lambda m: m.rows,
     )
     seen = {IntMatrix.identity(group.dimension)}
-    frontier = [IntMatrix.identity(group.dimension)]
-    for word in frontier:
-        if not is_always_infinite(group, word) and find_translation_part(group, word) is not None:
-            return word
+    frontier = list(seen)
     for _ in range(max_word_length):
         next_frontier = []
         for cur in frontier:
@@ -299,8 +299,18 @@ def search_r_infinity_witness(
                     continue
                 seen.add(cand)
                 next_frontier.append(cand)
-                if not is_always_infinite(group, cand):
-                    if find_translation_part(group, cand) is not None:
-                        return cand
+                if not is_always_infinite(group, cand) and find_translation_part(
+                    group, cand
+                ) is not None:
+                    yield cand
         frontier = next_frontier
-    return None
+
+
+def search_r_infinity_witness(
+    group: CrystGroup, max_word_length: int
+) -> Optional[IntMatrix]:
+    """First word of :func:`witness_words`: a matrix disproving R-infinity.
+
+    ``None`` is inconclusive, not a proof that the property holds.
+    """
+    return next(witness_words(group, max_word_length), None)

@@ -178,3 +178,12 @@ class TestCheckEntry:
 
         report = check_entry(CatalogEntry(name="bad", document=doc))
         assert not report.passed
+
+    def test_missing_normaliser_data_fails(self):
+        from crysturn.catalog import CatalogEntry
+
+        doc = json.loads(json.dumps(builtin_catalog().entry("2/4/1/1/1").document))
+        del doc["normalizer_generators"]
+        report = check_entry(CatalogEntry(name="no-normaliser", document=doc))
+        assert not report.passed
+        assert any("normalizer_generators" in d for d in report.details)

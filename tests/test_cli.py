@@ -38,6 +38,9 @@ class TestRinf:
     def test_undecided_without_search(self, capsys):
         code, out, _ = run(capsys, "rinf", "2/1/1/1/1")
         assert code == EXIT_UNDECIDED
+        code, payload, _ = run_json(capsys, "rinf", "2/1/1/1/1")
+        assert code == EXIT_UNDECIDED
+        assert payload["meta"]["normaliser_size"] == "infinite/over-cap"
 
     def test_word_search_decides(self, capsys):
         code, out, _ = run(capsys, "rinf", "2/1/1/1/1", "--search-words", "2")
@@ -66,6 +69,7 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert payload["result"]["finite_values"] == [2]
         assert payload["result"]["contains_infinity"] is True
+        assert payload["meta"]["normaliser_size"] == 48
 
     def test_undecided_for_infinite_normaliser(self, capsys):
         code, out, _ = run(capsys, "spectrum", "2/1/1/1/1")
@@ -93,6 +97,7 @@ class TestReidnr:
         )
         assert code == EXIT_OK
         assert payload["result"]["reidemeister_number"] == "infinity"
+        assert "normaliser_size" not in payload["meta"]
 
     def test_invalid_automorphism(self, capsys):
         code, _, err = run(
@@ -111,6 +116,9 @@ class TestFindD:
         code, out, _ = run(capsys, "find-d", "2/1/2/1/1", "--D", "[[0,1],[1,2]]")
         assert code == EXIT_OK
         assert out.startswith("d = ")
+        code, payload, _ = run_json(capsys, "find-d", "2/1/2/1/1", "--D", "[[0,1],[1,2]]")
+        assert code == EXIT_OK
+        assert set(payload["meta"]) == {"group", "elapsed_ms"}
 
     def test_absent(self, capsys, tmp_path):
         doc = {
@@ -138,6 +146,7 @@ class TestDeltaBase:
         assert code == EXIT_OK
         got = {tuple(d) for d in payload["result"]["base_translations"]}
         assert got == {("0", "0"), ("0", "1/2"), ("1/2", "0"), ("1/2", "1/2")}
+        assert "normaliser_size" not in payload["meta"]
 
 
 class TestValidate:
@@ -158,6 +167,28 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == EXIT_BAD_DATA
         assert "cocycle" in err
+
+    def test_catalog_entry_meta(self, capsys):
+        code, payload, _ = run_json(capsys, "validate", "klein-bottle")
+        assert code == EXIT_OK
+        assert payload["meta"]["normaliser_size"] == 4
+
+    def test_empty_normaliser_is_trivial(self, capsys, tmp_path):
+        path = tmp_path / "trivial.json"
+        path.write_text(
+            '{"dimension": 2, "generators": [{"translation": ["0","0"], '
+            '"matrix": [[-1,0],[0,-1]]}], "normalizer_generators": []}',
+            encoding="utf-8",
+        )
+        code, payload, _ = run_json(capsys, "validate", str(path))
+        assert code == EXIT_OK
+        assert payload["meta"]["normaliser_size"] == 1
+        code, payload, _ = run_json(capsys, "rinf", str(path))
+        assert code == EXIT_OK
+        assert payload["result"]["r_infinity"] is True
+        assert payload["meta"]["normaliser_size"] == 1
+        code, _, _ = run(capsys, "delta-base", str(path))
+        assert code == EXIT_OK
 
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "rinf", "no/such/entry")

@@ -19,6 +19,7 @@ from crysturn.reidemeister import (
     reidemeister_set,
     search_r_infinity_witness,
     spectrum,
+    witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
 
@@ -123,6 +124,7 @@ class TestDecideRInfinity:
         verdict = decide_r_infinity(z_line)
         assert verdict.status is RinfStatus.FAILS
         assert verdict.witness == IntMatrix.from_rows([[-1]])
+        assert verdict.normaliser_order == 2
 
     def test_infinite_dihedral_holds(self, infinite_dihedral):
         assert decide_r_infinity(infinite_dihedral).status is RinfStatus.HOLDS
@@ -138,7 +140,9 @@ class TestDecideRInfinity:
         assert decide_r_infinity(g).status is RinfStatus.UNDECIDED_NO_DATA
 
     def test_undecided_over_cap(self, z_plane):
-        assert decide_r_infinity(z_plane, cap=50).status is RinfStatus.UNDECIDED_INFINITE
+        verdict = decide_r_infinity(z_plane, cap=50)
+        assert verdict.status is RinfStatus.UNDECIDED_INFINITE
+        assert verdict.normaliser_order is None
 
 
 class TestSpectrum:
@@ -151,6 +155,7 @@ class TestSpectrum:
         got = spectrum(p3_group)
         assert got.finite_values == (4,)
         assert got.contains_infinity
+        assert got.normaliser_order == 12
 
     def test_missing_normaliser(self):
         with pytest.raises(NormaliserUnavailable):
@@ -198,6 +203,14 @@ class TestWitnessSearch:
     def test_requires_data(self):
         with pytest.raises(NormaliserUnavailable):
             search_r_infinity_witness(build_group(1, []), 2)
+
+    def test_witness_is_first_shared_word(self):
+        from crysturn.catalog import builtin_catalog
+
+        g = builtin_catalog().group("2/1/1/1/1")
+        words = list(witness_words(g, 2))
+        assert len(words) > 1
+        assert search_r_infinity_witness(g, 2) == words[0]
 
 
 class TestInvariants:
