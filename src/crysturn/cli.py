@@ -57,14 +57,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _default_cap() -> int:
-    raw = os.environ.get("CRYSTURN_CAP")
-    if raw is None:
-        return DEFAULT_CLOSURE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliUsageError(f"CRYSTURN_CAP must be an integer, got {raw!r}")
+def _closure_cap(args) -> int:
+    """``--cap`` if given, else ``CRYSTURN_CAP``, else the default; at least 1."""
+    cap = getattr(args, "cap", None)
+    if cap is None:
+        raw = os.environ.get("CRYSTURN_CAP", str(DEFAULT_CLOSURE_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise CliUsageError(f"CRYSTURN_CAP must be an integer, got {raw!r}")
+    if cap < 1:
+        raise CliUsageError(f"the closure cap must be at least 1, got {cap}")
+    return cap
 
 
 def _resolve_group(source: str) -> CrystGroup:
@@ -144,15 +148,16 @@ def build_parser() -> _Parser:
 
 def _cmd_validate(args, group: CrystGroup, meta: dict):
     group.validate()
-    if group.normaliser_gens is None:
-        meta["normaliser_size"] = _ABSENT
-    else:
-        # An empty generator list stands for the trivial normaliser {I}.
-        gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
-        try:
-            meta["normaliser_size"] = matrix_group_closure(gens, cap=args.cap).order
-        except ClosureCapExceeded:
-            meta["normaliser_size"] = _OVER_CAP
+    if args.json:  # the closure only feeds meta, which text output never shows
+        if group.normaliser_gens is None:
+            meta["normaliser_size"] = _ABSENT
+        else:
+            # An empty generator list stands for the trivial normaliser {I}.
+            gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
+            try:
+                meta["normaliser_size"] = matrix_group_closure(gens, cap=args.cap).order
+            except ClosureCapExceeded:
+                meta["normaliser_size"] = _OVER_CAP
     result = {
         "valid": True,
         "dimension": group.dimension,
@@ -314,7 +319,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.cap = getattr(args, "cap", None) or _default_cap()
+        args.cap = _closure_cap(args)
         return _run(args)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,13 +5,14 @@ classes; it is a positive integer or infinity.  Infinity is represented by
 ``math.inf`` so counts sort and compare naturally; all finite values stay
 exact ints.
 
-The pipeline: a determinant test decides infinitude outright; the averaging
-formula gives a shortcut for torsion-free groups; the general algorithm
-enumerates lattice coset representatives per holonomy element and merges
-them pairwise with exact arithmetic.  The spectrum of a group whose
-normaliser closure is finite is the union, over every matrix in the
-closure, of the finitely many Reidemeister numbers its automorphisms can
-take.
+The pipeline: a determinant test decides infinitude outright; otherwise
+Burnside's lemma counts the orbits of the holonomy group on the lattice
+classes with one Smith normal form per holonomy pair (A, C) in which C
+fixes the component of A, so the cost does not grow with the determinants.
+The averaging formula (torsion-free groups only) reaches the same numbers
+by another route.  The spectrum of a group whose normaliser closure is
+finite is the union, over every matrix in the closure, of the finitely
+many Reidemeister numbers its automorphisms can take.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from .groups import (
     PointGroup,
     matrix_group_closure,
 )
-from .linalg import (
-    IntMatrix,
-    coset_representatives,
-    is_integral,
-    rat_apply,
-    rational_inverse,
-    vec_add,
-    vec_sub,
-)
+from .linalg import IntMatrix, is_integral, smith_normal_form, vec_add, vec_sub
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
@@ -86,73 +79,52 @@ def averaging_number(phi: Automorphism) -> ReidCount:
     return count
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(i)] = self.find(j)
-
-
 def reidemeister_number(phi: Automorphism) -> ReidCount:
     """Twisted conjugacy class count of a validated automorphism.
 
     Short-circuits to infinity when some I - A.D is singular.  Otherwise
-    candidates (x + a, A) are drawn from coset representatives of
-    im(I - A.D) per holonomy element, then merged: two candidates with
-    holonomy parts A, B coalesce iff some C in the holonomy group satisfies
-    A = C.B.D.C^-1.D^-1 and the associated affine equation has an integral
-    solution.  The merge is a union-find over all candidate pairs.
+    twisting by lattice elements leaves the finite set of classes
+    X = disjoint union over A of (a_A + Z^n) / (I - A.D)Z^n, and the
+    twisted classes are the orbits of the holonomy group F on X.  Burnside's
+    lemma counts them as (1/|F|) times the fixed points summed over C in F.
+    C maps component A to C.A.E^-1 with E = D.C.D^-1, and on a fixed
+    component it sends a_A + z to a_A + z + (C - I).z + c_{A,C}.  So it fixes
+    [Z^n : L] points there when -c_{A,C} lies in
+    L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise; one Smith normal form
+    of [C - I | I - A.D] decides both.  The cost does not depend on the
+    determinants.
     """
     group = phi.group
-    d_mat = phi.linear
-    n = group.dimension
-    ident = IntMatrix.identity(n)
-    pg = group.point_group
-
+    d_mat, d = phi.linear, phi.translation
+    ident = IntMatrix.identity(group.dimension)
     mats = [ident - a @ d_mat for a in group.matrix_parts]
     if any(m.det() == 0 for m in mats):
         return INFINITE
 
-    candidates: list[tuple[int, tuple]] = []
-    for idx, rep in enumerate(group.f_ext):
-        for x in coset_representatives(mats[idx]):
-            candidates.append((idx, vec_add(x, rep.translation)))
-
-    # For each ordered holonomy pair (A, B), the C's with A = C.B.D.C^-1.D^-1.
-    d_inv = d_mat.int_inverse()
-    mergers: dict[tuple[int, int], list[int]] = {}
-    for b_idx, b in enumerate(group.matrix_parts):
-        for c_idx, c in enumerate(group.matrix_parts):
-            c_inv = pg.elements[pg.inv_table[c_idx]]
-            a = c @ b @ d_mat @ c_inv @ d_inv
-            mergers.setdefault((group.holonomy_index(a), b_idx), []).append(c_idx)
-
-    inverses = {idx: rational_inverse(mats[idx]) for idx in range(group.order)}
-    dsu = _UnionFind(len(candidates))
-    for i in range(len(candidates)):
-        a_idx, xa = candidates[i]
-        for j in range(i + 1, len(candidates)):
-            if dsu.find(i) == dsu.find(j):
+    mult, inv = group.point_group.mult_table, group.point_group.inv_table
+    sigma = conjugation_permutation(group, d_mat).sigma
+    total = 0
+    for c_idx, c_rep in enumerate(group.f_ext):
+        e_inv = inv[sigma[c_idx]]
+        shift = c_rep.linear - ident
+        # translation part of phi((a_C, C)) = (d + D.a_C - E.d, E)
+        image = vec_sub(vec_add(d, d_mat.apply(c_rep.translation)),
+                        group.matrix_parts[sigma[c_idx]].apply(d))
+        for a_idx, a_rep in enumerate(group.f_ext):
+            if mult[mult[c_idx][a_idx]][e_inv] != a_idx:
                 continue
-            b_idx, yb = candidates[j]
-            for c_idx in mergers.get((a_idx, b_idx), ()):
-                c_rep = group.f_ext[c_idx]
-                shift = (c_rep.linear @ group.matrix_parts[b_idx] - group.matrix_parts[a_idx]).apply(
-                    phi.translation
-                )
-                w = vec_sub(vec_sub(xa, c_rep.linear.apply(yb)), shift)
-                v = rat_apply(inverses[a_idx], w)
-                if is_integral(vec_sub(v, c_rep.translation)):
-                    dsu.union(i, j)
-                    break
-    return len({dsu.find(i) for i in range(len(candidates))})
+            offset = vec_sub(vec_add(c_rep.translation, shift.apply(a_rep.translation)),
+                             a_rep.linear.apply(image))
+            assert is_integral(offset), "twisted conjugation must keep the lattice coset"
+            snf = smith_normal_form(
+                IntMatrix(tuple(r + s for r, s in zip(shift.rows, mats[a_idx].rows)))
+            )
+            target = snf.p.apply(tuple(-int(x) for x in offset))
+            if all(t % s == 0 for t, s in zip(target, snf.invariant_factors)):
+                total += math.prod(snf.invariant_factors)
+    count, rem = divmod(total, group.order)
+    assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
+    return count
 
 
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:

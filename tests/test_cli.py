@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from crysturn.catalog import dump_group, builtin_catalog
 from crysturn.cli import (
     EXIT_BAD_DATA,
@@ -110,6 +112,13 @@ class TestReidnr:
         code, _, err = run(capsys, "reidnr", "2/1/2/1/1", "--D", "[[1,2]", "--d", "0,0")
         assert code == EXIT_USAGE
 
+    def test_large_determinant(self, capsys):
+        code, out, _ = run(
+            capsys, "reidnr", "3/1/2/1/1", "--D=[[0,0,1],[1,0,-1000000],[0,1,3]]", "--d=0,0,0"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "R = 1000002"
+
 
 class TestFindD:
     def test_existing(self, capsys):
@@ -167,6 +176,26 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == EXIT_BAD_DATA
         assert "cocycle" in err
+
+    def test_text_mode_runs_no_closure(self, capsys, monkeypatch):
+        import crysturn.cli as cli
+
+        calls = []
+        real = cli.matrix_group_closure
+
+        def counted_closure(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "matrix_group_closure", counted_closure)
+        code, out, _ = run(capsys, "validate", "3/1/2/1/1")
+        assert code == EXIT_OK
+        assert "valid group" in out
+        assert calls == []
+        code, payload, _ = run_json(capsys, "validate", "3/1/2/1/1")
+        assert code == EXIT_OK
+        assert payload["meta"]["normaliser_size"] == "infinite/over-cap"
+        assert len(calls) == 1
 
     def test_catalog_entry_meta(self, capsys):
         code, payload, _ = run_json(capsys, "validate", "klein-bottle")
@@ -234,6 +263,18 @@ class TestCaps:
         monkeypatch.setenv("CRYSTURN_CAP", "many")
         code, _, err = run(capsys, "rinf", "2/4/1/1/1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_flag_below_one_is_usage_error(self, capsys, cap):
+        code, out, err = run(capsys, "rinf", "2/4/1/1/1", "--cap", cap)
+        assert code == EXIT_USAGE
+        assert out == "" and "at least 1" in err
+
+    def test_zero_env_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CRYSTURN_CAP", "0")
+        code, out, err = run(capsys, "rinf", "2/4/1/1/1")
+        assert code == EXIT_USAGE
+        assert out == "" and "at least 1" in err
 
 
 class TestUsage:

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from crysturn.automorphisms import Automorphism, find_translation_part
-from crysturn.groups import AffineMap, build_group
+from crysturn.automorphisms import Automorphism, base_translations, find_translation_part
+from crysturn.catalog import builtin_catalog
+from crysturn.closed_forms import reidemeister_3_2_1_2_1, reidemeister_point_reflection
+from crysturn.groups import AffineMap, ClosureCapExceeded, build_group, matrix_group_closure
 from crysturn.linalg import IntMatrix, vec_add, vector, zero_vector
 from crysturn.reidemeister import (
     INFINITE,
@@ -22,6 +24,7 @@ from crysturn.reidemeister import (
     witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
+from oracles import candidate_count, union_find_number
 
 
 def companion_shift(n, m):
@@ -96,6 +99,68 @@ class TestReidemeisterNumber:
         for m in (1, 2, 3):
             phi = Automorphism(point_reflection_3d, zero_vector(3), companion_shift(3, m))
             assert reidemeister_number(phi) == m + 1
+
+
+def _catalog_linear_parts(group):
+    """The whole normaliser closure if it is finite, else words of length <= 2."""
+    gens = list(group.normaliser_gens)
+    try:  # finite catalog normalisers have at most 48 elements
+        return list(matrix_group_closure(gens, cap=200).elements)
+    except ClosureCapExceeded:
+        letters = set(gens) | {g.int_inverse() for g in gens}
+        ident = IntMatrix.identity(group.dimension)
+        return sorted({ident} | letters | {g @ h for g in letters for h in letters},
+                      key=lambda m: m.rows)
+
+
+class TestAgainstUnionFind:
+    """Every catalog automorphism with finite R small enough for the oracle."""
+
+    MAX_CANDIDATES = 40
+
+    def test_catalog_automorphisms(self):
+        catalog = builtin_catalog()
+        checked, groups = 0, set()
+        for name in catalog.names():
+            group = catalog.group(name)
+            bases = base_translations(group)
+            for d_mat in _catalog_linear_parts(group):
+                d0 = find_translation_part(group, d_mat)
+                if d0 is None or is_always_infinite(group, d_mat):
+                    continue
+                for base in bases:
+                    phi = Automorphism(group, vec_add(base, d0), d_mat)
+                    if candidate_count(phi) > self.MAX_CANDIDATES:
+                        continue
+                    assert reidemeister_number(phi) == union_find_number(phi), (name, d_mat, base)
+                    checked += 1
+                    groups.add(name)
+        assert (checked, len(groups)) == (354, 14)
+
+
+class TestLargeDeterminants:
+    """Values far beyond any coset enumeration, against the closed forms."""
+
+    def test_point_reflection_companion(self):
+        group = builtin_catalog().group("3/1/2/1/1")
+        a = 10**12
+        for b in (3, -7):
+            d_mat = IntMatrix.from_rows([[0, 0, 1], [1, 0, -a], [0, 1, b]])
+            d0 = find_translation_part(group, d_mat)
+            for base in base_translations(group):
+                d = vec_add(base, d0)
+                phi = Automorphism(group, d, d_mat)
+                assert reidemeister_number(phi) == reidemeister_point_reflection(3, d, d_mat)
+
+    def test_g32121_family(self):
+        group = builtin_catalog().group("3/2/1/2/1")
+        for m in (10**9, -(10**9)):
+            d_mat = IntMatrix.from_rows([[-1, m, m], [0, -1 + 2 * m, 2 * m], [0, 1, 1]])
+            for d in (vector([0, 0, 0]), vector([0, 0, "1/2"]), vector([0, 1, "1/2"])):
+                phi = Automorphism(group, d, d_mat)
+                value = reidemeister_number(phi)
+                assert value == reidemeister_3_2_1_2_1(d, d_mat)
+                assert value >= 4 * 10**9
 
 
 class TestReidemeisterSet:
