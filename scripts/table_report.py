@@ -4,7 +4,9 @@
 For every entry: the holonomy order, whether the group is torsion-free, the
 normaliser closure size (or 'infinite', or 'absent' without normaliser
 data), the R-infinity verdict, and the spectrum (computed exactly for a
-decided verdict, annotated otherwise).
+finite normaliser closure, annotated otherwise).  The normaliser is
+enumerated once per entry: R-infinity holds iff the spectrum has no finite
+value.
 
 Usage: python scripts/table_report.py [--cap N]
 """
@@ -15,14 +17,16 @@ import argparse
 import time
 
 from crysturn.catalog import builtin_catalog
-from crysturn.groups import DEFAULT_CLOSURE_CAP
-from crysturn.reidemeister import RinfStatus, decide_r_infinity, spectrum
+from crysturn.groups import DEFAULT_CLOSURE_CAP, ClosureCapExceeded
+from crysturn.reidemeister import NormaliserUnavailable, spectrum
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     args = parser.parse_args()
+    if args.cap < 1:
+        parser.error(f"--cap must be at least 1, got {args.cap}")
 
     catalog = builtin_catalog()
     header = f"{'entry':<14} {'|F|':>4} {'tf':>3} {'|N_F|':>8} {'R-inf':>7}  spectrum"
@@ -32,17 +36,18 @@ def main() -> None:
     for name in catalog.names():
         entry = catalog.entry(name)
         group = entry.group()
-        verdict = decide_r_infinity(group, cap=args.cap)
-        rinf = {RinfStatus.FAILS: "no", RinfStatus.HOLDS: "yes"}.get(verdict.status, "?")
-        if verdict.decided:
-            nf = str(verdict.normaliser_order)
+        try:
             computed = spectrum(group, cap=args.cap)
+        except (NormaliserUnavailable, ClosureCapExceeded) as exc:
+            nf = "absent" if isinstance(exc, NormaliserUnavailable) else "infinite"
+            rinf = "?"
+            spec = f"(annotated: {entry.expected.spectrum})" if entry.expected.spectrum else ""
+        else:
+            nf = str(computed.normaliser_order)
+            rinf = "no" if computed.finite_values else "yes"
             spec = "{" + ", ".join(map(str, computed.finite_values)) + "}"
             if computed.contains_infinity:
                 spec += " + inf"
-        else:
-            nf = "absent" if verdict.status is RinfStatus.UNDECIDED_NO_DATA else "infinite"
-            spec = f"(annotated: {entry.expected.spectrum})" if entry.expected.spectrum else ""
         tf = "*" if group.is_bieberbach() else ""
         print(f"{name:<14} {group.order:>4} {tf:>3} {nf:>8} {rinf:>7}  {spec}")
     print(f"\n{len(catalog.names())} entries in {time.time() - t0:.1f}s")

@@ -2,7 +2,6 @@
 
 from .automorphisms import (
     Automorphism,
-    HolonomyPermutation,
     base_translations,
     conjugation_permutation,
     find_translation_part,

@@ -31,21 +31,10 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class HolonomyPermutation:
-    """Permutation sigma of holonomy indices with A_sigma(i) = D . A_i . D^-1."""
-
-    sigma: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.sigma[i]
-
-    def compose(self, other: "HolonomyPermutation") -> "HolonomyPermutation":
-        return HolonomyPermutation(tuple(self.sigma[j] for j in other.sigma))
-
-
-def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> HolonomyPermutation:
+def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, ...]:
     """The permutation of holonomy elements induced by A -> D.A.D^-1.
+
+    Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
 
     Raises ValueError when some conjugate leaves the holonomy group, i.e.
     when the matrix does not normalise it.
@@ -62,10 +51,10 @@ def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> HolonomyPer
             ) from None
     if len(set(images)) != len(images):
         raise ValueError("conjugation is not a bijection of the holonomy group")
-    return HolonomyPermutation(tuple(images))
+    return tuple(images)
 
 
-def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: HolonomyPermutation):
+def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
     """The (nk x n) block system and right-hand side for the translation solve.
 
     Row block i is I - A_sigma(i); the right-hand side block is
@@ -76,7 +65,7 @@ def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: HolonomyPermuta
     blocks = []
     rhs: list[Fraction] = []
     for i, rep in enumerate(group.f_ext):
-        j = sigma(i)
+        j = sigma[i]
         blocks.append(ident - group.f_ext[j].linear)
         rhs.extend(vec_sub(linear.apply(rep.translation), group.f_ext[j].translation))
     return IntMatrix.vstack(blocks), tuple(rhs)
@@ -115,8 +104,7 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     may induce equal Reidemeister numbers; no pruning is attempted.
     """
     n = group.dimension
-    ident_perm = HolonomyPermutation(tuple(range(group.order)))
-    m_mat, _ = _stacked_system(group, IntMatrix.identity(n), ident_perm)
+    m_mat, _ = _stacked_system(group, IntMatrix.identity(n), tuple(range(group.order)))
     snf = smith_normal_form(m_mat)
     out = []
     for combo in _mixed_radix(*(range(s) for s in snf.invariant_factors)):

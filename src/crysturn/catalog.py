@@ -43,14 +43,7 @@ from .groups import (
     build_group,
 )
 from .linalg import IntMatrix, vector
-from .reidemeister import (
-    INFINITE,
-    RinfStatus,
-    decide_r_infinity,
-    reidemeister_set,
-    spectrum,
-    witness_words,
-)
+from .reidemeister import INFINITE, reidemeister_set, spectrum, witness_words
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 _ALLOWED_KEYS = {"name", "dimension", "labels", "generators", "normalizer_generators", "expected"}
@@ -267,13 +260,14 @@ def check_entry(
 ) -> EntryReport:
     """Compare the computed results of one entry against its annotations.
 
-    For a finite normaliser closure both the R-infinity verdict and the full
-    spectrum are computed and compared exactly.  When the closure exceeds the
-    cap, an annotated ``r_infinity: false`` is confirmed by a word-search
-    witness, and every Reidemeister number computed from sampled witnesses
-    must be a member of the annotated (symbolic) spectrum; the full symbolic
-    value is not re-derived here.  Without normaliser data the annotations
-    cannot be checked and the entry fails.
+    For a finite normaliser closure the spectrum is computed once and
+    compared exactly; the R-infinity verdict is read off it, since R-infinity
+    holds iff no automorphism has a finite Reidemeister number.  When the
+    closure exceeds the cap, an annotated ``r_infinity: false`` is confirmed
+    by a word-search witness, and every Reidemeister number computed from
+    sampled witnesses must be a member of the annotated (symbolic) spectrum;
+    the full symbolic value is not re-derived here.  Without normaliser data
+    the annotations cannot be checked and the entry fails.
     """
     details: list[str] = []
     ok = True
@@ -289,20 +283,23 @@ def check_entry(
     if group.normaliser_gens is None:
         details.append("no normaliser data: normalizer_generators missing, annotations unchecked")
         return EntryReport(entry.name, False, tuple(details))
-    verdict = decide_r_infinity(group, cap=cap)
-    finite_normaliser = verdict.decided
+    try:
+        computed = spectrum(group, cap=cap)
+    except ClosureCapExceeded:
+        computed = None
+    finite_normaliser = computed is not None
     # One word search serves both the witness and the spectrum samples.
     samples = [] if finite_normaliser else list(islice(witness_words(group, word_length), 3))
 
     if expected.r_infinity is not None:
         if finite_normaliser:
-            computed = verdict.status is RinfStatus.HOLDS
-            if computed == expected.r_infinity:
-                details.append(f"r_infinity: {computed} (decided)")
+            holds = not computed.finite_values
+            if holds == expected.r_infinity:
+                details.append(f"r_infinity: {holds} (decided)")
             else:
                 ok = False
                 details.append(
-                    f"r_infinity mismatch: computed {computed}, expected {expected.r_infinity}"
+                    f"r_infinity mismatch: computed {holds}, expected {expected.r_infinity}"
                 )
         elif expected.r_infinity is False:
             if samples:
@@ -317,7 +314,6 @@ def check_entry(
     if expected.spectrum is not None:
         desc = parse_spectrum(expected.spectrum)
         if finite_normaliser:
-            computed = spectrum(group, cap=cap)
             if desc.is_finite() and set(computed.finite_values) == set(desc.finite):
                 details.append(f"spectrum: {{{', '.join(map(str, computed.finite_values))}}}")
             else:

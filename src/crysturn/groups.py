@@ -12,6 +12,10 @@ breadth-first products and validates the cocycle condition; the supplied
 normaliser generators are checked to actually normalise the holonomy group
 but are otherwise trusted as input data (completeness of the normaliser
 cannot be certified from the group alone).
+
+Only the holonomy group carries multiplication and inverse tables.  A
+normaliser closure can be far larger and its users only walk its elements,
+so :func:`matrix_group_closure` returns a plain validated element list.
 """
 
 from __future__ import annotations
@@ -96,7 +100,12 @@ class AffineMap:
 
 
 class PointGroup:
-    """A finite group of integer matrices with multiplication/inverse tables."""
+    """A finite set of distinct square integer matrices, identity included.
+
+    Only the checks that need no products are made here; closure is up to
+    the caller.  :func:`matrix_group_closure` is closed by construction, and
+    :class:`CrystGroup` checks closure while building its holonomy tables.
+    """
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = tuple(elements)
@@ -112,25 +121,6 @@ class PointGroup:
             self._index[m] = i
         if IntMatrix.identity(n) not in self._index:
             raise GroupValidationError("point group does not contain the identity")
-        mult = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                prod = a @ b
-                if prod not in self._index:
-                    raise GroupValidationError("point group is not closed under products")
-                row.append(self._index[prod])
-            mult.append(tuple(row))
-        self.mult_table = tuple(mult)
-        ident = self._index[IntMatrix.identity(n)]
-        inv = [None] * len(self.elements)
-        for i, row in enumerate(self.mult_table):
-            for j, k in enumerate(row):
-                if k == ident:
-                    inv[i] = j
-        if any(v is None for v in inv):
-            raise GroupValidationError("point group is not closed under inverses")
-        self.inv_table = tuple(inv)
 
     @property
     def order(self) -> int:
@@ -145,18 +135,6 @@ class PointGroup:
     def __contains__(self, m: IntMatrix) -> bool:
         return m in self._index
 
-    def inverse(self, m: IntMatrix) -> IntMatrix:
-        return self.elements[self.inv_table[self.index(m)]]
-
-    def element_order(self, m: IntMatrix) -> int:
-        i = self.index(m)
-        ident = self._index[IntMatrix.identity(self.elements[0].nrows)]
-        k, cur = 1, i
-        while cur != ident:
-            cur = self.mult_table[cur][i]
-            k += 1
-        return k
-
 
 def matrix_group_closure(
     gens: Sequence[IntMatrix], cap: int = DEFAULT_CLOSURE_CAP
@@ -164,9 +142,11 @@ def matrix_group_closure(
     """Close a set of unimodular matrices into a finite matrix group.
 
     Elements are enumerated breadth-first, identity first, from the sorted
-    generators and their inverses, so the discovery order (and anything
-    derived from it, like "first witness" answers) is deterministic.  Raises
-    :class:`ClosureCapExceeded` once more than ``cap`` elements appear.
+    generators, so the discovery order (and anything derived from it, like
+    "first witness" answers) is deterministic.  The result is closed by
+    construction, so the cost is one product per element and generator; no
+    multiplication table is built.  Raises :class:`ClosureCapExceeded` once
+    more than ``cap`` elements appear.
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -204,9 +184,12 @@ class CrystGroup:
     """A crystallographic group with translation lattice exactly Z^n.
 
     ``f_ext`` holds one affine representative per holonomy matrix, identity
-    first, translations in [0, 1)^n.  ``normaliser_gens`` is optional input
-    data (generators of the normaliser of the holonomy group in GL_n(Z));
-    spectra and R-infinity verdicts are always relative to it.
+    first, translations in [0, 1)^n.  ``mult_table`` and ``inv_table`` give
+    products and inverses of holonomy elements by their index in ``f_ext``;
+    building them rejects matrix parts that are not closed under either.
+    ``normaliser_gens`` is optional input data (generators of the normaliser
+    of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
+    always relative to it.
     """
 
     def __init__(
@@ -223,7 +206,18 @@ class CrystGroup:
         self.labels = dict(labels or {})
         self.name = name
         self.point_group = PointGroup([g.linear for g in self.f_ext])
-        self._rep_index = {g.linear: i for i, g in enumerate(self.f_ext)}
+        index = self.point_group._index
+        mult = []
+        for a in self.matrix_parts:
+            row = tuple(index.get(a @ b) for b in self.matrix_parts)
+            if None in row:
+                raise GroupValidationError("point group is not closed under products")
+            mult.append(row)
+        self.mult_table = tuple(mult)
+        ident = index[IntMatrix.identity(self.f_ext[0].dimension)]
+        if any(ident not in row for row in self.mult_table):
+            raise GroupValidationError("point group is not closed under inverses")
+        self.inv_table = tuple(row.index(ident) for row in self.mult_table)
 
     @property
     def order(self) -> int:
@@ -235,10 +229,7 @@ class CrystGroup:
         return self.point_group.elements
 
     def holonomy_index(self, m: IntMatrix) -> int:
-        try:
-            return self._rep_index[m]
-        except KeyError:
-            raise ValueError("matrix is not a holonomy element of this group") from None
+        return self.point_group.index(m)
 
     def representative(self, m: IntMatrix) -> AffineMap:
         """The canonical F_ext representative with the given matrix part."""
@@ -248,7 +239,7 @@ class CrystGroup:
         """Membership: matrix part in the holonomy group, offset integral."""
         if elem.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        i = self._rep_index.get(elem.linear)
+        i = self.point_group._index.get(elem.linear)
         if i is None:
             return False
         return is_integral(vec_sub(elem.translation, self.f_ext[i].translation))
@@ -258,16 +249,14 @@ class CrystGroup:
 
         (x + a, A) with A of order m is torsion iff (sum_i A^i)(x + a) = 0,
         so torsion with matrix part A exists iff N_A . x = -N_A . a has an
-        integral solution.
+        integral solution.  N_A sums the powers of A until one is I.
         """
         ident = IntMatrix.identity(self.dimension)
         for rep in self.f_ext:
             if rep.linear == ident:
                 continue
-            m = self.point_group.element_order(rep.linear)
-            acc = IntMatrix.identity(self.dimension)
-            power = rep.linear
-            for _ in range(m - 1):
+            acc, power = ident, rep.linear
+            while power != ident:
                 acc = acc + power
                 power = power @ rep.linear
             target = vec_neg(acc.apply(rep.translation))
@@ -285,8 +274,6 @@ class CrystGroup:
         ident = IntMatrix.identity(n)
         if self.f_ext[0].linear != ident or any(x != 0 for x in self.f_ext[0].translation):
             raise GroupValidationError("first representative must be the identity")
-        if len(self._rep_index) != len(self.f_ext):
-            raise GroupValidationError("duplicate matrix parts in representatives")
         for rep in self.f_ext:
             if rep.dimension != n:
                 raise GroupValidationError("representative of wrong dimension")
@@ -297,9 +284,9 @@ class CrystGroup:
         for gi in self.f_ext:
             for gj in self.f_ext:
                 prod_linear = gi.linear @ gj.linear
-                if prod_linear not in self._rep_index:
+                if prod_linear not in self.point_group:
                     raise GroupValidationError("matrix parts are not closed under products")
-                rep = self.f_ext[self._rep_index[prod_linear]]
+                rep = self.representative(prod_linear)
                 offset = vec_sub(
                     vec_add(gi.translation, gi.linear.apply(gj.translation)),
                     rep.translation,
@@ -309,7 +296,7 @@ class CrystGroup:
                         "cocycle closure violated: products leave the stated group"
                     )
             inv_linear = gi.linear.int_inverse()
-            if inv_linear not in self._rep_index:
+            if inv_linear not in self.point_group:
                 raise GroupValidationError("matrix parts are not closed under inverses")
         if self.normaliser_gens is not None:
             parts = set(self.matrix_parts)

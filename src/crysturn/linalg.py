@@ -56,10 +56,6 @@ def vec_neg(u: Sequence[Scalar]) -> tuple:
     return tuple(-a for a in u)
 
 
-def vec_scale(c: Scalar, u: Sequence[Scalar]) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def vec_mod1(u: Sequence[Scalar]) -> tuple:
     """Reduce every component into [0, 1)."""
     return tuple(a % 1 for a in u)
@@ -156,11 +152,6 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
-    def trace(self) -> int:
-        if not self.is_square:
-            raise ValueError("trace requires a square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if not self.is_square:
@@ -192,9 +183,6 @@ class IntMatrix:
         """Inverse of a unimodular matrix, exact and integral."""
         inv = rational_inverse(self)
         return IntMatrix(tuple(tuple(_as_int(x) for x in row) for row in inv))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"

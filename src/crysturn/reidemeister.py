@@ -101,8 +101,8 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     if any(m.det() == 0 for m in mats):
         return INFINITE
 
-    mult, inv = group.point_group.mult_table, group.point_group.inv_table
-    sigma = conjugation_permutation(group, d_mat).sigma
+    mult, inv = group.mult_table, group.inv_table
+    sigma = conjugation_permutation(group, d_mat)
     total = 0
     for c_idx, c_rep in enumerate(group.f_ext):
         e_inv = inv[sigma[c_idx]]

@@ -46,7 +46,6 @@ def union_find_number(phi: Automorphism) -> ReidCount:
     group = phi.group
     d_mat = phi.linear
     ident = IntMatrix.identity(group.dimension)
-    pg = group.point_group
 
     mats = [ident - a @ d_mat for a in group.matrix_parts]
     if any(m.det() == 0 for m in mats):
@@ -62,7 +61,7 @@ def union_find_number(phi: Automorphism) -> ReidCount:
     mergers: dict[tuple[int, int], list[int]] = {}
     for b_idx, b in enumerate(group.matrix_parts):
         for c_idx, c in enumerate(group.matrix_parts):
-            c_inv = pg.elements[pg.inv_table[c_idx]]
+            c_inv = group.matrix_parts[group.inv_table[c_idx]]
             a = c @ b @ d_mat @ c_inv @ d_inv
             mergers.setdefault((group.holonomy_index(a), b_idx), []).append(c_idx)
 

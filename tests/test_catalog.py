@@ -1,9 +1,14 @@
 """Tests for group files, the built-in catalog and the golden checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crysturn.reidemeister
 from crysturn.catalog import (
     GroupFileError,
     builtin_catalog,
@@ -179,6 +184,18 @@ class TestCheckEntry:
         report = check_entry(CatalogEntry(name="bad", document=doc))
         assert not report.passed
 
+    def test_finite_normaliser_enumerated_once(self, monkeypatch):
+        closure = crysturn.reidemeister.matrix_group_closure
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(crysturn.reidemeister, "matrix_group_closure", counted)
+        assert check_entry(builtin_catalog().entry("3/3/1/1/1")).passed
+        assert len(calls) == 1
+
     def test_missing_normaliser_data_fails(self):
         from crysturn.catalog import CatalogEntry
 
@@ -187,3 +204,16 @@ class TestCheckEntry:
         report = check_entry(CatalogEntry(name="no-normaliser", document=doc))
         assert not report.passed
         assert any("normalizer_generators" in d for d in report.details)
+
+
+class TestTableReport:
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_usage_error(self, cap):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "table_report.py"), "--cap", cap],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "at least 1" in proc.stderr

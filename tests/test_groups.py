@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crysturn.catalog import builtin_catalog
 from crysturn.groups import (
     AffineMap,
     ClosureCapExceeded,
+    CrystGroup,
     GroupValidationError,
     PointGroup,
     build_group,
@@ -198,7 +200,7 @@ class TestBieberbach:
                 if rep.linear == IntMatrix.identity(g.dimension):
                     continue
                 power = rep
-                for _ in range(g.point_group.element_order(rep.linear) - 1):
+                while power.linear != IntMatrix.identity(g.dimension):
                     power = power.compose(rep)
                 if power.is_identity():
                     assert not g.is_bieberbach()
@@ -224,19 +226,48 @@ class TestMatrixGroupClosure:
             matrix_group_closure([IntMatrix.diagonal([2, 1])])
 
     def test_tables_are_consistent(self):
-        pg = matrix_group_closure(
-            [IntMatrix.from_rows([[1, -1], [1, 0]]), IntMatrix.from_rows([[0, 1], [1, 0]])]
-        )
-        for i, a in enumerate(pg.elements):
-            j = pg.inv_table[i]
-            assert a @ pg.elements[j] == IntMatrix.identity(2)
-            for k, b in enumerate(pg.elements):
-                assert pg.elements[pg.mult_table[i][k]] == a @ b
+        # the closure is closed under products and inverses, and the holonomy
+        # tables of the symmorphic group on the same matrices agree with it
+        gens = [IntMatrix.from_rows([[1, -1], [1, 0]]), IntMatrix.from_rows([[0, 1], [1, 0]])]
+        pg = matrix_group_closure(gens)
+        for a in pg.elements:
+            assert a.int_inverse() in pg
+            for b in pg.elements:
+                assert a @ b in pg
+        g = build_group(2, [AffineMap(zero_vector(2), m) for m in gens])
+        assert set(g.matrix_parts) == set(pg.elements)
+        for i, a in enumerate(g.matrix_parts):
+            assert a @ g.matrix_parts[g.inv_table[i]] == IntMatrix.identity(2)
+            for k, b in enumerate(g.matrix_parts):
+                assert g.matrix_parts[g.mult_table[i][k]] == a @ b
+
+    def test_one_product_per_element_and_generator(self, monkeypatch):
+        gens = builtin_catalog().group("3/3/1/1/1").normaliser_gens
+        matmul = IntMatrix.__matmul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        assert matrix_group_closure(list(gens)).order == 48
+        assert len(calls) <= 48 * len(gens)
 
 
 def test_point_group_rejects_non_closed():
-    with pytest.raises(GroupValidationError):
-        PointGroup([IntMatrix.identity(2), R3])
+    # PointGroup itself only checks what needs no products; the holonomy
+    # group of a CrystGroup must be closed under products and inverses
+    PointGroup([IntMatrix.identity(2), R3])
+    ident = AffineMap.identity(2)
+    with pytest.raises(GroupValidationError, match="products"):
+        CrystGroup(2, [ident, AffineMap(zero_vector(2), R3)])
+    with pytest.raises(GroupValidationError, match="inverses"):
+        CrystGroup(2, [ident, AffineMap(zero_vector(2), IntMatrix.zeros(2, 2))])
+    with pytest.raises(GroupValidationError, match="duplicate"):
+        PointGroup([IntMatrix.identity(2), R3, R3])
+    with pytest.raises(GroupValidationError, match="identity"):
+        PointGroup([R3])
 
 
 def test_roundtrip_representative_order():

@@ -209,6 +209,24 @@ class TestDecideRInfinity:
         assert verdict.status is RinfStatus.UNDECIDED_INFINITE
         assert verdict.normaliser_order is None
 
+    def test_verdict_read_off_spectrum(self):
+        # R-infinity holds iff no automorphism has a finite Reidemeister number.
+        # 1152 bounds the order of every finite subgroup of GL_n(Z) for n <= 4,
+        # the catalog's dimensions, so the cap only cuts infinite closures.
+        catalog = builtin_catalog()
+        decided = 0
+        for name in catalog.names():
+            group = catalog.group(name)
+            verdict = decide_r_infinity(group, cap=1152)
+            if verdict.status is RinfStatus.UNDECIDED_INFINITE:
+                continue
+            computed = spectrum(group, cap=1152)
+            holds = verdict.status is RinfStatus.HOLDS
+            assert holds == (computed.finite_values == ()), name
+            assert verdict.normaliser_order == computed.normaliser_order, name
+            decided += 1
+        assert decided == 11
+
 
 class TestSpectrum:
     def test_line(self, z_line):
