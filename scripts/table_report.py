@@ -8,7 +8,7 @@ finite normaliser closure, annotated otherwise).  The normaliser is
 enumerated once per entry: R-infinity holds iff the spectrum has no finite
 value.
 
-Usage: python scripts/table_report.py [--cap N]
+Usage: python scripts/table_report.py
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ import argparse
 import time
 
 from crysturn.catalog import builtin_catalog
-from crysturn.groups import DEFAULT_CLOSURE_CAP, ClosureCapExceeded
+from crysturn.groups import ClosureCapExceeded
 from crysturn.reidemeister import NormaliserUnavailable, spectrum
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
-    args = parser.parse_args()
-    if args.cap < 1:
-        parser.error(f"--cap must be at least 1, got {args.cap}")
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     catalog = builtin_catalog()
     header = f"{'entry':<14} {'|F|':>4} {'tf':>3} {'|N_F|':>8} {'R-inf':>7}  spectrum"
@@ -37,7 +33,7 @@ def main() -> None:
         entry = catalog.entry(name)
         group = entry.group()
         try:
-            computed = spectrum(group, cap=args.cap)
+            computed = spectrum(group)
         except (NormaliserUnavailable, ClosureCapExceeded) as exc:
             nf = "absent" if isinstance(exc, NormaliserUnavailable) else "infinite"
             rinf = "?"

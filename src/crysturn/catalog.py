@@ -35,7 +35,6 @@ from typing import Optional, Union
 
 from .closed_forms import parse_spectrum
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     AffineMap,
     ClosureCapExceeded,
     CrystGroup,
@@ -94,7 +93,9 @@ def parse_group_document(text: str) -> CrystGroup:
         raise GroupFileError("generators must be present (possibly empty list)")
 
     labels = doc.get("labels", {})
-    if not isinstance(labels, dict) or set(labels) - _ALLOWED_LABELS:
+    if not isinstance(labels, dict) or set(labels) - _ALLOWED_LABELS or not all(
+        isinstance(v, str) for v in labels.values()
+    ):
         raise GroupFileError("labels must map a subset of {bbnwz, it, carat} to strings")
 
     generators = []
@@ -136,6 +137,8 @@ def parse_group_document(text: str) -> CrystGroup:
         exp = doc["expected"]
         if not isinstance(exp, dict) or set(exp) - _ALLOWED_EXPECTED:
             raise GroupFileError("expected block accepts only spectrum and r_infinity")
+        if not isinstance(exp.get("r_infinity", False), bool):
+            raise GroupFileError("expected r_infinity must be true or false")
         if "spectrum" in exp:
             parse_spectrum(exp["spectrum"])  # must at least be well-formed
 
@@ -253,21 +256,18 @@ class EntryReport:
     details: tuple[str, ...]
 
 
-def check_entry(
-    entry: CatalogEntry,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    word_length: int = 5,
-) -> EntryReport:
+def check_entry(entry: CatalogEntry, word_length: int = 5) -> EntryReport:
     """Compare the computed results of one entry against its annotations.
 
     For a finite normaliser closure the spectrum is computed once and
     compared exactly; the R-infinity verdict is read off it, since R-infinity
     holds iff no automorphism has a finite Reidemeister number.  When the
-    closure exceeds the cap, an annotated ``r_infinity: false`` is confirmed
-    by a word-search witness, and every Reidemeister number computed from
-    sampled witnesses must be a member of the annotated (symbolic) spectrum;
-    the full symbolic value is not re-derived here.  Without normaliser data
-    the annotations cannot be checked and the entry fails.
+    closure certifies that the normaliser is infinite, an annotated
+    ``r_infinity: false`` is confirmed by a word-search witness, and every
+    Reidemeister number computed from sampled witnesses must be a member of
+    the annotated (symbolic) spectrum; the full symbolic value is not
+    re-derived here.  Without normaliser data the annotations cannot be
+    checked and the entry fails.
     """
     details: list[str] = []
     ok = True
@@ -284,7 +284,7 @@ def check_entry(
         details.append("no normaliser data: normalizer_generators missing, annotations unchecked")
         return EntryReport(entry.name, False, tuple(details))
     try:
-        computed = spectrum(group, cap=cap)
+        computed = spectrum(group)
     except ClosureCapExceeded:
         computed = None
     finite_normaliser = computed is not None
@@ -340,8 +340,6 @@ def check_entry(
     return EntryReport(entry.name, ok, tuple(details))
 
 
-def check_catalog(
-    catalog: Catalog, names: Optional[list[str]] = None, cap: int = DEFAULT_CLOSURE_CAP
-) -> list[EntryReport]:
+def check_catalog(catalog: Catalog, names: Optional[list[str]] = None) -> list[EntryReport]:
     picked = names if names is not None else catalog.names()
-    return [check_entry(catalog.entry(name), cap=cap) for name in picked]
+    return [check_entry(catalog.entry(name)) for name in picked]

@@ -3,15 +3,14 @@
 Subcommands wrap the library: ``validate``, ``rinf``, ``spectrum``,
 ``reidnr``, ``find-d``, ``delta-base`` and ``catalog``.  Groups come either
 from a file path or from a built-in catalog name.  Exit codes: 0 decided,
-1 usage error, 2 invalid group data, 3 undecided (normaliser infinite or
-over cap, or data missing), 4 internal failure.
+1 usage error, 2 invalid group data, 3 undecided (normaliser certified
+infinite, or normaliser data missing), 4 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,6 @@ from .catalog import (
     load_group,
 )
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     CrystGroup,
     GroupValidationError,
@@ -57,20 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _closure_cap(args) -> int:
-    """``--cap`` if given, else ``CRYSTURN_CAP``, else the default; at least 1."""
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        raw = os.environ.get("CRYSTURN_CAP", str(DEFAULT_CLOSURE_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliUsageError(f"CRYSTURN_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise CliUsageError(f"the closure cap must be at least 1, got {cap}")
-    return cap
-
-
 def _resolve_group(source: str) -> CrystGroup:
     if Path(source).exists():
         return load_group(Path(source))
@@ -96,7 +80,7 @@ def _parse_vector_arg(raw: str):
 
 
 _ABSENT = "absent"
-_OVER_CAP = "infinite/over-cap"
+_INFINITE_NORMALISER = "infinite"
 
 
 def build_parser() -> _Parser:
@@ -109,13 +93,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rinf", help="decide the R-infinity property")
     p.add_argument("source")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--search-words", type=int, default=None, metavar="L",
                    help="word-search length for an infinite normaliser")
 
     p = sub.add_parser("spectrum", help="compute the Reidemeister spectrum")
     p.add_argument("source")
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("reidnr", help="Reidemeister number of one automorphism")
     p.add_argument("source")
@@ -155,9 +137,9 @@ def _cmd_validate(args, group: CrystGroup, meta: dict):
             # An empty generator list stands for the trivial normaliser {I}.
             gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
             try:
-                meta["normaliser_size"] = matrix_group_closure(gens, cap=args.cap).order
+                meta["normaliser_size"] = matrix_group_closure(gens).order
             except ClosureCapExceeded:
-                meta["normaliser_size"] = _OVER_CAP
+                meta["normaliser_size"] = _INFINITE_NORMALISER
     result = {
         "valid": True,
         "dimension": group.dimension,
@@ -172,10 +154,10 @@ def _cmd_validate(args, group: CrystGroup, meta: dict):
 
 
 def _cmd_rinf(args, group: CrystGroup, meta: dict):
-    verdict = decide_r_infinity(group, cap=args.cap)
+    verdict = decide_r_infinity(group)
     meta["normaliser_size"] = {
         RinfStatus.UNDECIDED_NO_DATA: _ABSENT,
-        RinfStatus.UNDECIDED_INFINITE: _OVER_CAP,
+        RinfStatus.UNDECIDED_INFINITE: _INFINITE_NORMALISER,
     }.get(verdict.status, verdict.normaliser_order)
     if verdict.status is RinfStatus.UNDECIDED_INFINITE and args.search_words:
         witness = search_r_infinity_witness(group, args.search_words)
@@ -200,9 +182,11 @@ def _cmd_rinf(args, group: CrystGroup, meta: dict):
 
 def _cmd_spectrum(args, group: CrystGroup, meta: dict):
     try:
-        computed = spectrum(group, cap=args.cap)
+        computed = spectrum(group)
     except (NormaliserUnavailable, ClosureCapExceeded) as exc:
-        meta["normaliser_size"] = _ABSENT if isinstance(exc, NormaliserUnavailable) else _OVER_CAP
+        meta["normaliser_size"] = (
+            _ABSENT if isinstance(exc, NormaliserUnavailable) else _INFINITE_NORMALISER
+        )
         return EXIT_UNDECIDED, {"spectrum": None, "status": str(exc)}, [f"undecided: {exc}"]
     meta["normaliser_size"] = computed.normaliser_order
     result = {
@@ -267,7 +251,7 @@ def _cmd_catalog(args, meta: dict):
     if args.name is not None and args.name not in catalog:
         raise CliUsageError(f"no catalog entry named {args.name!r}")
     names = [args.name] if args.name else None
-    reports = check_catalog(catalog, names=names, cap=args.cap)
+    reports = check_catalog(catalog, names=names)
     passed = sum(r.passed for r in reports)
     lines = [
         f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {'; '.join(r.details)}"
@@ -318,9 +302,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.cap = _closure_cap(args)
-        return _run(args)
+        return _run(parser.parse_args(argv))
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

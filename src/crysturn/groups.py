@@ -16,6 +16,10 @@ cannot be certified from the group alone).
 Only the holonomy group carries multiplication and inverse tables.  A
 normaliser closure can be far larger and its users only walk its elements,
 so :func:`matrix_group_closure` returns a plain validated element list.
+
+Both closures either finish, and the group is finite, or raise
+:class:`ClosureCapExceeded` on a certificate that it is infinite (see
+:func:`_certify_finite`); there is no arbitrary size limit.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from .linalg import (
     zero_vector,
 )
 
-DEFAULT_CLOSURE_CAP = 10000
+# Largest order of a finite subgroup of GL_n(Z), n = 1..8 (Feit; Plesken-Pohst)
+_MAX_FINITE_ORDER = (2, 12, 48, 1152, 3840, 103680, 2903040, 696729600)
 
 
 class GroupValidationError(ValueError):
@@ -44,8 +49,37 @@ class GroupValidationError(ValueError):
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Closure enumeration passed the element cap: the group is not finite
-    (or the cap is too small)."""
+    """A closure met a certificate that the matrix group is infinite.  (The
+    name dates from the fixed element cap; ``perfbench`` counts it by name.)"""
+
+
+def _minkowski_bound(n: int) -> int:
+    """Minkowski's bound M(n): the order of every finite subgroup of GL_n(Z)
+    divides the product over primes p of p^(sum_{k>=0} floor(n / (p^k (p-1))))."""
+    bound = 1
+    for p in range(2, n + 2):
+        if all(p % q for q in range(2, p)):
+            bound *= p ** sum(n // ((p - 1) * p**k) for k in range(n.bit_length()))
+    return bound
+
+
+def _order_bound(n: int) -> int:
+    """Largest order of a finite subgroup of GL_n(Z): tabulated to n = 8, then M(n)."""
+    return _MAX_FINITE_ORDER[n - 1] if n <= len(_MAX_FINITE_ORDER) else _minkowski_bound(n)
+
+
+def _certify_finite(new: IntMatrix, size: int, bound: int) -> None:
+    """Raise :class:`ClosureCapExceeded` if taking ``new`` into a closure of
+    ``size`` elements proves the group infinite.  A finite-order element is
+    diagonalisable with roots of unity as eigenvalues, so |trace| > n, or
+    |trace| = n for anything but I and -I (a shear, say), means infinite order;
+    past n = 8 this test, not the out-of-reach M(n), is what ends a closure."""
+    n = new.nrows
+    trace = sum(new.rows[i][i] for i in range(n))
+    if abs(trace) > n or (abs(trace) == n and new != IntMatrix.diagonal([trace // n] * n)):
+        raise ClosureCapExceeded(f"matrix group is infinite: {new} has trace {trace}")
+    if size >= bound:
+        raise ClosureCapExceeded(f"matrix group is infinite: more than {bound} elements")
 
 
 @dataclass(frozen=True)
@@ -136,17 +170,17 @@ class PointGroup:
         return m in self._index
 
 
-def matrix_group_closure(
-    gens: Sequence[IntMatrix], cap: int = DEFAULT_CLOSURE_CAP
-) -> PointGroup:
+def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     """Close a set of unimodular matrices into a finite matrix group.
 
     Elements are enumerated breadth-first, identity first, from the sorted
     generators, so the discovery order (and anything derived from it, like
     "first witness" answers) is deterministic.  The result is closed by
     construction, so the cost is one product per element and generator; no
-    multiplication table is built.  Raises :class:`ClosureCapExceeded` once
-    more than ``cap`` elements appear.
+    multiplication table is built.  Raises :class:`ClosureCapExceeded` as
+    soon as a new element certifies that the group is infinite: it has
+    |trace| > n, or |trace| = n without being I or -I, or the closure would
+    outgrow every finite subgroup of GL_n(Z).
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -160,6 +194,7 @@ def matrix_group_closure(
     # group, and an infinite group never has a finite positive closure.
     gen_list = sorted(set(gens), key=lambda m: m.rows)
     ident = IntMatrix.identity(n)
+    bound = _order_bound(n)
     seen = {ident: 0}
     order = [ident]
     frontier = [ident]
@@ -169,10 +204,7 @@ def matrix_group_closure(
             for g in gen_list:
                 prod = g @ cur
                 if prod not in seen:
-                    if len(order) >= cap:
-                        raise ClosureCapExceeded(
-                            f"matrix group closure exceeded cap of {cap} elements"
-                        )
+                    _certify_finite(prod, len(order), bound)
                     seen[prod] = len(order)
                     order.append(prod)
                     next_frontier.append(prod)
@@ -267,8 +299,10 @@ class CrystGroup:
     def validate(self) -> None:
         """Re-check every structural invariant; raises on the first failure.
 
-        This is an independent walk over all pairs of representatives, usable
-        as an oracle against the construction in :func:`build_group`.
+        Closure under products and inverses is checked by construction; this
+        walks all pairs of representatives for the cocycle condition, taking
+        each product's representative from ``mult_table``, and checks that
+        the normaliser generators normalise the holonomy group.
         """
         n = self.dimension
         ident = IntMatrix.identity(n)
@@ -281,30 +315,23 @@ class CrystGroup:
                 raise GroupValidationError("matrix part is not unimodular")
             if any(not (0 <= x < 1) for x in rep.translation):
                 raise GroupValidationError("translation not reduced into [0,1)")
-        for gi in self.f_ext:
-            for gj in self.f_ext:
-                prod_linear = gi.linear @ gj.linear
-                if prod_linear not in self.point_group:
-                    raise GroupValidationError("matrix parts are not closed under products")
-                rep = self.representative(prod_linear)
+        for gi, row in zip(self.f_ext, self.mult_table):
+            for gj, k in zip(self.f_ext, row):
                 offset = vec_sub(
                     vec_add(gi.translation, gi.linear.apply(gj.translation)),
-                    rep.translation,
+                    self.f_ext[k].translation,
                 )
                 if not is_integral(offset):
                     raise GroupValidationError(
                         "cocycle closure violated: products leave the stated group"
                     )
-            inv_linear = gi.linear.int_inverse()
-            if inv_linear not in self.point_group:
-                raise GroupValidationError("matrix parts are not closed under inverses")
         if self.normaliser_gens is not None:
             parts = set(self.matrix_parts)
             for d in self.normaliser_gens:
                 if not d.is_unimodular() or d.nrows != n:
                     raise GroupValidationError("normaliser generator is not unimodular n x n")
-                conj = {d @ a @ d.int_inverse() for a in parts}
-                if conj != parts:
+                d_inv = d.int_inverse()
+                if {d @ a @ d_inv for a in parts} != parts:
                     raise GroupValidationError(
                         f"supplied matrix does not normalise the holonomy group: {d}"
                     )
@@ -320,15 +347,15 @@ def build_group(
     normaliser_gens: Optional[Sequence[IntMatrix]] = None,
     labels: Optional[Mapping[str, str]] = None,
     name: str = "",
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> CrystGroup:
     """Close affine generators over Z^n into a validated crystallographic group.
 
     The lattice Z^n is implicit; ``generators`` list the extra affine
-    generators.  Matrix parts are closed breadth-first (capped), translations
-    are reduced into [0,1)^n, and a conflict between two translations for the
+    generators.  Matrix parts are closed breadth-first, translations are
+    reduced into [0,1)^n, and a conflict between two translations for the
     same matrix part means the generators do not define a group whose
-    translation lattice is Z^n.
+    translation lattice is Z^n.  Raises :class:`ClosureCapExceeded` when the
+    matrix parts generate an infinite group (see :func:`matrix_group_closure`).
     """
     for g in generators:
         if g.dimension != dimension:
@@ -337,16 +364,14 @@ def build_group(
             raise GroupValidationError(f"generator matrix part is not unimodular: {g.linear}")
 
     ident = AffineMap.identity(dimension)
+    bound = _order_bound(dimension)
     reps: dict[IntMatrix, AffineMap] = {ident.linear: ident}
 
     def record(candidate: AffineMap) -> bool:
         """Insert a reduced element; returns True when its matrix part is new."""
         known = reps.get(candidate.linear)
         if known is None:
-            if len(reps) >= cap:
-                raise ClosureCapExceeded(
-                    f"holonomy closure exceeded cap of {cap}: not a finite point group"
-                )
+            _certify_finite(candidate.linear, len(reps), bound)
             reps[candidate.linear] = candidate
             return True
         if known.translation != candidate.translation:

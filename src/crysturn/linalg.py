@@ -180,9 +180,11 @@ class IntMatrix:
         return self.is_square and self.det() in (1, -1)
 
     def int_inverse(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix, exact and integral."""
+        """Inverse of a unimodular matrix, exact and integral; ValueError otherwise."""
         inv = rational_inverse(self)
-        return IntMatrix(tuple(tuple(_as_int(x) for x in row) for row in inv))
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise ValueError("matrix is not unimodular")
+        return IntMatrix(inv)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"

@@ -29,7 +29,6 @@ from .automorphisms import (
     find_translation_part,
 )
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     CrystGroup,
     PointGroup,
@@ -43,11 +42,6 @@ ReidCount = Union[int, float]
 
 class NormaliserUnavailable(RuntimeError):
     """No normaliser generators were supplied with the group."""
-
-
-def abs_or_infinite(x: int) -> ReidCount:
-    """|x| for x != 0, infinity for x = 0."""
-    return abs(x) if x != 0 else INFINITE
 
 
 def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
@@ -150,7 +144,7 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
 class RinfStatus(Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    UNDECIDED_INFINITE = "undecided: normaliser infinite or over cap"
+    UNDECIDED_INFINITE = "undecided: normaliser infinite"
     UNDECIDED_NO_DATA = "undecided: no normaliser data"
 
 
@@ -165,20 +159,20 @@ class RinfVerdict:
         return self.status in (RinfStatus.HOLDS, RinfStatus.FAILS)
 
 
-def decide_r_infinity(group: CrystGroup, cap: int = DEFAULT_CLOSURE_CAP) -> RinfVerdict:
+def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     """Decide whether every automorphism has infinite Reidemeister number.
 
     Enumerates the normaliser closure (deterministic breadth-first order)
     and looks for a matrix that both admits a translation part and passes
     the determinant test; the first such matrix witnesses failure.  Returns
     an undecided verdict instead of guessing when the normaliser data is
-    missing or its closure exceeds the cap.  A decided verdict carries the
-    order of the closure it enumerated.
+    missing or the closure certifies that the normaliser is infinite.  A
+    decided verdict carries the order of the closure it enumerated.
     """
     if group.normaliser_gens is None:
         return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
     try:
-        closure = _normaliser_closure(group, cap)
+        closure = _normaliser_closure(group)
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
     for d_mat in closure.elements:
@@ -189,7 +183,7 @@ def decide_r_infinity(group: CrystGroup, cap: int = DEFAULT_CLOSURE_CAP) -> Rinf
     return RinfVerdict(RinfStatus.HOLDS, normaliser_order=closure.order)
 
 
-def _normaliser_closure(group: CrystGroup, cap: int) -> PointGroup:
+def _normaliser_closure(group: CrystGroup) -> PointGroup:
     if group.normaliser_gens is None:
         raise NormaliserUnavailable(
             "group carries no normaliser generators; spectra and R-infinity "
@@ -198,7 +192,7 @@ def _normaliser_closure(group: CrystGroup, cap: int) -> PointGroup:
     gens = list(group.normaliser_gens)
     if not gens:
         gens = [IntMatrix.identity(group.dimension)]
-    return matrix_group_closure(gens, cap=cap)
+    return matrix_group_closure(gens)
 
 
 @dataclass(frozen=True)
@@ -221,14 +215,14 @@ class ComputedSpectrum:
             raise ValueError("a spectrum is never empty")
 
 
-def spectrum(group: CrystGroup, cap: int = DEFAULT_CLOSURE_CAP) -> ComputedSpectrum:
+def spectrum(group: CrystGroup) -> ComputedSpectrum:
     """Union of Reidemeister sets over the whole normaliser closure.
 
     Raises :class:`NormaliserUnavailable` without input data and propagates
-    :class:`~crysturn.groups.ClosureCapExceeded` when the closure is not
-    finite under the cap.
+    :class:`~crysturn.groups.ClosureCapExceeded` when the closure certifies
+    that the normaliser is infinite.
     """
-    closure = _normaliser_closure(group, cap)
+    closure = _normaliser_closure(group)
     finite: set[int] = set()
     has_infinity = False
     for d_mat in closure.elements:

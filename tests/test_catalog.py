@@ -69,6 +69,14 @@ class TestLoadGroup:
         with pytest.raises(GroupFileError, match="cocycle"):
             parse_group_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field", [{"labels": {"bbnwz": 5}}, {"expected": {"r_infinity": "yes"}}]
+    )
+    def test_malformed_field_rejected(self, field):
+        doc = {"dimension": 1, "generators": [], **field}
+        with pytest.raises(GroupFileError):
+            parse_group_document(json.dumps(doc))
+
     def test_non_canonical_translation_warns(self):
         doc = {
             "dimension": 2,
@@ -216,4 +224,4 @@ class TestTableReport:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 2
-        assert proc.stdout == "" and "at least 1" in proc.stderr
+        assert proc.stdout == "" and "unrecognized arguments: --cap" in proc.stderr

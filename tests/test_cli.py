@@ -12,6 +12,7 @@ from crysturn.cli import (
     EXIT_USAGE,
     main,
 )
+from test_groups import count_matmul
 
 
 def run(capsys, *argv):
@@ -42,7 +43,7 @@ class TestRinf:
         assert code == EXIT_UNDECIDED
         code, payload, _ = run_json(capsys, "rinf", "2/1/1/1/1")
         assert code == EXIT_UNDECIDED
-        assert payload["meta"]["normaliser_size"] == "infinite/over-cap"
+        assert payload["meta"]["normaliser_size"] == "infinite"
 
     def test_word_search_decides(self, capsys):
         code, out, _ = run(capsys, "rinf", "2/1/1/1/1", "--search-words", "2")
@@ -148,6 +149,12 @@ class TestFindD:
         assert code == EXIT_OK
         assert "no translation part exists" in out
 
+    @pytest.mark.parametrize("linear", ["[[2,0],[0,1]]", "[[1,2],[3,4]]"])
+    def test_non_unimodular_is_bad_data(self, capsys, linear):
+        code, out, err = run(capsys, "find-d", "2/1/2/1/1", "--D", linear)
+        assert code == EXIT_BAD_DATA
+        assert out == "" and "not unimodular" in err
+
 
 class TestDeltaBase:
     def test_point_reflection(self, capsys):
@@ -194,7 +201,7 @@ class TestValidate:
         assert calls == []
         code, payload, _ = run_json(capsys, "validate", "3/1/2/1/1")
         assert code == EXIT_OK
-        assert payload["meta"]["normaliser_size"] == "infinite/over-cap"
+        assert payload["meta"]["normaliser_size"] == "infinite"
         assert len(calls) == 1
 
     def test_catalog_entry_meta(self, capsys):
@@ -218,6 +225,34 @@ class TestValidate:
         assert payload["meta"]["normaliser_size"] == 1
         code, _, _ = run(capsys, "delta-base", str(path))
         assert code == EXIT_OK
+
+    @staticmethod
+    def shear_file(tmp_path, field):
+        # a dimension-8 shear: certified infinite as the first new element,
+        # where a size bound alone would allow 696729600 elements
+        shear = [[int(i == j) for j in range(8)] for i in range(8)]
+        shear[0][1] = 1
+        doc = {"dimension": 8, "generators": [], "normalizer_generators": []}
+        doc[field] = [{"translation": ["0"] * 8, "matrix": shear}] if field == "generators" else [shear]
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_infinite_holonomy_stops_at_once(self, capsys, tmp_path, monkeypatch):
+        path = self.shear_file(tmp_path, "generators")
+        calls = count_matmul(monkeypatch)
+        code, out, err = run(capsys, "validate", path)
+        assert code == EXIT_BAD_DATA and out == ""
+        assert "infinite" in err
+        assert len(calls) <= 2
+
+    def test_infinite_normaliser_stops_at_once(self, capsys, tmp_path, monkeypatch):
+        path = self.shear_file(tmp_path, "normalizer_generators")
+        calls = count_matmul(monkeypatch)
+        code, payload, _ = run_json(capsys, "rinf", path)
+        assert code == EXIT_UNDECIDED
+        assert payload["meta"]["normaliser_size"] == "infinite"
+        assert len(calls) <= 4  # a bounded closure would make millions
 
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "rinf", "no/such/entry")
@@ -250,31 +285,39 @@ class TestCatalog:
 
 
 class TestCaps:
+    """Closures stop on a certificate of infinitude, so there is no cap to
+    set: ``--cap`` is an unknown option and ``CRYSTURN_CAP`` is ignored."""
+
+    @staticmethod
+    def flag_is_usage_error(capsys, cap):
+        code, out, err = run(capsys, "rinf", "2/4/1/1/1", "--cap", cap)
+        assert code == EXIT_USAGE
+        assert out == "" and "unrecognized arguments: --cap" in err
+
+    @staticmethod
+    def env_has_no_effect(capsys, monkeypatch, value):
+        monkeypatch.delenv("CRYSTURN_CAP", raising=False)
+        _, unset, _ = run_json(capsys, "rinf", "2/4/1/1/1")
+        monkeypatch.setenv("CRYSTURN_CAP", value)
+        code, payload, _ = run_json(capsys, "rinf", "2/4/1/1/1")
+        assert code == EXIT_OK
+        assert payload["result"] == unset["result"]
+
     def test_cap_flag_forces_undecided(self, capsys):
-        code, _, _ = run(capsys, "rinf", "2/4/1/1/1", "--cap", "5")
-        assert code == EXIT_UNDECIDED
+        self.flag_is_usage_error(capsys, "5")
 
     def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRYSTURN_CAP", "5")
-        code, _, _ = run(capsys, "rinf", "2/4/1/1/1")
-        assert code == EXIT_UNDECIDED
+        self.env_has_no_effect(capsys, monkeypatch, "5")
 
     def test_bad_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRYSTURN_CAP", "many")
-        code, _, err = run(capsys, "rinf", "2/4/1/1/1")
-        assert code == EXIT_USAGE
+        self.env_has_no_effect(capsys, monkeypatch, "many")
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_cap_flag_below_one_is_usage_error(self, capsys, cap):
-        code, out, err = run(capsys, "rinf", "2/4/1/1/1", "--cap", cap)
-        assert code == EXIT_USAGE
-        assert out == "" and "at least 1" in err
+        self.flag_is_usage_error(capsys, cap)
 
     def test_zero_env_cap_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CRYSTURN_CAP", "0")
-        code, out, err = run(capsys, "rinf", "2/4/1/1/1")
-        assert code == EXIT_USAGE
-        assert out == "" and "at least 1" in err
+        self.env_has_no_effect(capsys, monkeypatch, "0")
 
 
 class TestUsage:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from crysturn.catalog import builtin_catalog
 from crysturn.groups import (
+    _MAX_FINITE_ORDER,
     AffineMap,
     ClosureCapExceeded,
     CrystGroup,
     GroupValidationError,
     PointGroup,
+    _minkowski_bound,
     build_group,
     matrix_group_closure,
 )
@@ -25,6 +27,19 @@ G32121 = IntMatrix.from_rows([[1, -1, 0], [0, -1, 0], [0, 0, -1]])
 
 def amap(translation, matrix):
     return AffineMap(vector(translation), IntMatrix.from_rows(matrix))
+
+
+def count_matmul(monkeypatch) -> list:
+    """Record one entry per IntMatrix product made from here on."""
+    matmul = IntMatrix.__matmul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    return calls
 
 
 @st.composite
@@ -115,7 +130,7 @@ class TestBuildGroup:
     def test_infinite_closure_hits_cap(self):
         shear = amap([0, 0], [[1, 1], [0, 1]])
         with pytest.raises(ClosureCapExceeded):
-            build_group(2, [shear], cap=100)
+            build_group(2, [shear])
 
     def test_cocycle_violation_detected(self):
         # half translation with the identity matrix part: the lattice would
@@ -142,11 +157,19 @@ class TestBuildGroup:
         g = build_group(2, [AffineMap(zero_vector(2), R3)])
         g.validate()
 
+    def test_validate_reads_products_from_the_table(self, monkeypatch):
+        # the cocycle walk takes each product from mult_table; only the
+        # normaliser check D.A.D^-1 multiplies matrices
+        g = builtin_catalog().group("4/9/2/1/1")
+        calls = count_matmul(monkeypatch)
+        g.validate()
+        assert len(calls) <= 2 * g.order * len(g.normaliser_gens)
+
     @given(st.lists(unimodular_affine_maps(), max_size=2))
     @settings(max_examples=60, deadline=None)
     def test_validator_accepts_every_built_group(self, gens):
         try:
-            g = build_group(2, gens, cap=400)
+            g = build_group(2, gens)
         except (ClosureCapExceeded, GroupValidationError):
             return
         g.validate()
@@ -219,7 +242,7 @@ class TestMatrixGroupClosure:
 
     def test_infinite_cyclic_exceeds_cap(self):
         with pytest.raises(ClosureCapExceeded):
-            matrix_group_closure([IntMatrix.from_rows([[1, 1], [0, 1]])], cap=50)
+            matrix_group_closure([IntMatrix.from_rows([[1, 1], [0, 1]])])
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
@@ -243,16 +266,59 @@ class TestMatrixGroupClosure:
 
     def test_one_product_per_element_and_generator(self, monkeypatch):
         gens = builtin_catalog().group("3/3/1/1/1").normaliser_gens
-        matmul = IntMatrix.__matmul__
-        calls = []
-
-        def counted(a, b):
-            calls.append(None)
-            return matmul(a, b)
-
-        monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        calls = count_matmul(monkeypatch)
         assert matrix_group_closure(list(gens)).order == 48
         assert len(calls) <= 48 * len(gens)
+
+
+class TestFinitenessCertificate:
+    def test_weyl_group_f4_reaches_the_bound(self):
+        # W(F4) has 1152 elements, the largest finite subgroup of GL_4(Z):
+        # the closure must finish exactly at the bound, not one short
+        gens = [
+            IntMatrix.from_rows(rows)
+            for rows in (
+                [[-1, 1, 0, 0], [-1, 0, 1, 1], [-1, 0, 0, 1], [0, 0, 0, 1]],
+                [[-1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                [[-1, 0, 0, 0], [-2, 1, 0, 0], [-1, 0, 1, 0], [-1, 0, 0, 1]],
+                [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]],
+            )
+        ]
+        assert matrix_group_closure(gens).order == 1152 == _MAX_FINITE_ORDER[3]
+
+    def test_tabulated_maxima_divide_minkowski_bound(self):
+        assert [_minkowski_bound(n) for n in (1, 2, 3, 4)] == [2, 24, 48, 5760]
+        for n, order in enumerate(_MAX_FINITE_ORDER, start=1):
+            assert _minkowski_bound(n) % order == 0, n
+
+    def test_infinite_normaliser_stops_within_the_bound(self, monkeypatch):
+        gens = list(builtin_catalog().group("4/9/2/1/1").normaliser_gens)
+        calls = count_matmul(monkeypatch)
+        with pytest.raises(ClosureCapExceeded, match="infinite"):
+            matrix_group_closure(gens)
+        assert len(calls) <= 1152 * len(gens)
+
+    def test_trace_certifies_infinite_order(self):
+        # trace 3 > 2: an eigenvalue off the unit circle, caught at once
+        with pytest.raises(ClosureCapExceeded, match="trace 3"):
+            matrix_group_closure([IntMatrix.from_rows([[2, 1], [1, 1]])])
+
+    @pytest.mark.parametrize("corner, products", [(1, 1), (-1, 2)])
+    def test_shear_is_caught_at_once(self, monkeypatch, corner, products):
+        # trace n without being I means a Jordan block, so infinite order:
+        # a dimension-8 shear is caught at once and diag(-1, shear), trace 6,
+        # at its square, where the size bound alone allows 696729600 elements
+        g = [[int(i == j) for j in range(8)] for i in range(8)]
+        g[0][0], g[1][2] = corner, 1
+        calls = count_matmul(monkeypatch)
+        with pytest.raises(ClosureCapExceeded, match="trace 8"):
+            matrix_group_closure([IntMatrix.from_rows(g)])
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_minus_identity_is_finite(self, n):
+        # trace -n is allowed for -I itself
+        assert matrix_group_closure([-IntMatrix.identity(n)]).order == 2
 
 
 def test_point_group_rejects_non_closed():
