@@ -91,6 +91,8 @@ def parse_group_document(text: str) -> CrystGroup:
         raise GroupFileError("dimension must be a positive integer")
     if "generators" not in doc or not isinstance(doc["generators"], list):
         raise GroupFileError("generators must be present (possibly empty list)")
+    if not isinstance(doc.get("name", ""), str):
+        raise GroupFileError("name must be a string")
 
     labels = doc.get("labels", {})
     if not isinstance(labels, dict) or set(labels) - _ALLOWED_LABELS or not all(

@@ -64,6 +64,16 @@ def _resolve_group(source: str) -> CrystGroup:
     raise CliUsageError(f"no such file or catalog entry: {source}")
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 def _parse_matrix_arg(raw: str) -> IntMatrix:
     try:
         rows = json.loads(raw)
@@ -93,7 +103,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rinf", help="decide the R-infinity property")
     p.add_argument("source")
-    p.add_argument("--search-words", type=int, default=None, metavar="L",
+    p.add_argument("--search-words", type=_positive_int, default=None, metavar="L",
                    help="word-search length for an infinite normaliser")
 
     p = sub.add_parser("spectrum", help="compute the Reidemeister spectrum")

@@ -9,10 +9,13 @@ The pipeline: a determinant test decides infinitude outright; otherwise
 Burnside's lemma counts the orbits of the holonomy group on the lattice
 classes with one Smith normal form per holonomy pair (A, C) in which C
 fixes the component of A, so the cost does not grow with the determinants.
-The averaging formula (torsion-free groups only) reaches the same numbers
-by another route.  The spectrum of a group whose normaliser closure is
-finite is the union, over every matrix in the closure, of the finitely
-many Reidemeister numbers its automorphisms can take.
+Those Smith normal forms depend on the linear part D alone, so a
+Reidemeister set computes them once and redoes only the offsets for each
+translation.  The averaging formula (torsion-free groups only) reaches the
+same numbers by another route.  The spectrum of a group whose normaliser
+closure is finite is the union of the finitely many Reidemeister numbers
+its automorphisms can take; since inner automorphisms do not change them,
+one linear part per coset F.D of the closure suffices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .automorphisms import (
     Automorphism,
@@ -34,7 +37,14 @@ from .groups import (
     PointGroup,
     matrix_group_closure,
 )
-from .linalg import IntMatrix, is_integral, smith_normal_form, vec_add, vec_sub
+from .linalg import (
+    IntMatrix,
+    SnfDecomposition,
+    is_integral,
+    smith_normal_form,
+    vec_add,
+    vec_sub,
+)
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
@@ -52,8 +62,25 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
     every valid translation part.
     """
     conjugation_permutation(group, linear)  # raises unless linear normalises
-    ident = IntMatrix.identity(group.dimension)
-    return any((ident - a @ linear).det() == 0 for a in group.matrix_parts)
+    return _twisted_blocks(group, (a @ linear for a in group.matrix_parts)) is None
+
+
+def _twisted_blocks(
+    group: CrystGroup, products: Iterable[IntMatrix]
+) -> Optional[list[IntMatrix]]:
+    """I - A.D for the products A.D over the holonomy group, in holonomy order.
+
+    None as soon as one of them is singular, so a lazy ``products`` stops
+    there.
+    """
+    ident = group.matrix_parts[0]  # the holonomy identity comes first
+    blocks = []
+    for product in products:
+        block = ident - product
+        if block.det() == 0:
+            return None
+        blocks.append(block)
+    return blocks
 
 
 def averaging_number(phi: Automorphism) -> ReidCount:
@@ -73,6 +100,80 @@ def averaging_number(phi: Automorphism) -> ReidCount:
     return count
 
 
+class _FixedComponent(NamedTuple):
+    """A component A fixed by a holonomy element C, for one linear part D.
+
+    ``lead`` is a_C + (C - I).a_A and ``snf`` the Smith normal form of
+    [C - I | I - A.D], whose invariant factors multiply to the index
+    [Z^n : L] of the lattice L it spans.
+    """
+
+    a_linear: IntMatrix
+    lead: tuple
+    snf: SnfDecomposition
+
+
+class _Fixer(NamedTuple):
+    """A holonomy element C that fixes some component, for one linear part D."""
+
+    e_linear: IntMatrix  # E = D.C.D^-1
+    d_a_c: tuple  # D.a_C
+    components: list[_FixedComponent]
+
+
+def _fixing_pairs(
+    group: CrystGroup, linear: IntMatrix, blocks: list[IntMatrix]
+) -> list[_Fixer]:
+    """The part of the Burnside count that depends on the linear part D alone.
+
+    ``blocks`` are the matrices I - A.D.  C fixes component A iff
+    C.A.E^-1 = A with E = D.C.D^-1; each pair (A, C) gets one Smith normal
+    form.
+    """
+    mult, inv = group.mult_table, group.inv_table
+    sigma = conjugation_permutation(group, linear)
+    ident = group.matrix_parts[0]
+    fixers = []
+    for c_idx, c_rep in enumerate(group.f_ext):
+        e_inv = inv[sigma[c_idx]]
+        shift = c_rep.linear - ident
+        components = []
+        for a_idx, a_rep in enumerate(group.f_ext):
+            if mult[mult[c_idx][a_idx]][e_inv] != a_idx:
+                continue
+            snf = smith_normal_form(
+                IntMatrix(tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows)))
+            )
+            lead = vec_add(c_rep.translation, shift.apply(a_rep.translation))
+            components.append(_FixedComponent(a_rep.linear, lead, snf))
+        if components:
+            fixers.append(_Fixer(group.matrix_parts[sigma[c_idx]],
+                                 linear.apply(c_rep.translation), components))
+    return fixers
+
+
+def _burnside_count(phi: Automorphism, fixers: list[_Fixer]) -> int:
+    """The part of the Burnside count that depends on the translation d.
+
+    Sums the index of each fixing pair whose offset -c_{A,C} lies in L and
+    divides by the holonomy order.
+    """
+    d = phi.translation
+    total = 0
+    for fixer in fixers:
+        # translation part of phi((a_C, C)) = (d + D.a_C - E.d, E)
+        image = vec_sub(vec_add(d, fixer.d_a_c), fixer.e_linear.apply(d))
+        for comp in fixer.components:
+            offset = vec_sub(comp.lead, comp.a_linear.apply(image))
+            assert is_integral(offset), "twisted conjugation must keep the lattice coset"
+            target = comp.snf.p.apply(tuple(-int(x) for x in offset))
+            if all(t % s == 0 for t, s in zip(target, comp.snf.invariant_factors)):
+                total += math.prod(comp.snf.invariant_factors)
+    count, rem = divmod(total, phi.group.order)
+    assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
+    return count
+
+
 def reidemeister_number(phi: Automorphism) -> ReidCount:
     """Twisted conjugacy class count of a validated automorphism.
 
@@ -86,58 +187,36 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     [Z^n : L] points there when -c_{A,C} lies in
     L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise; one Smith normal form
     of [C - I | I - A.D] decides both.  The cost does not depend on the
-    determinants.
+    determinants.  The Smith normal forms depend on D alone, so
+    :func:`reidemeister_set` computes them once for all its translations.
     """
-    group = phi.group
-    d_mat, d = phi.linear, phi.translation
-    ident = IntMatrix.identity(group.dimension)
-    mats = [ident - a @ d_mat for a in group.matrix_parts]
-    if any(m.det() == 0 for m in mats):
+    blocks = _twisted_blocks(phi.group, (a @ phi.linear for a in phi.group.matrix_parts))
+    if blocks is None:
         return INFINITE
-
-    mult, inv = group.mult_table, group.inv_table
-    sigma = conjugation_permutation(group, d_mat)
-    total = 0
-    for c_idx, c_rep in enumerate(group.f_ext):
-        e_inv = inv[sigma[c_idx]]
-        shift = c_rep.linear - ident
-        # translation part of phi((a_C, C)) = (d + D.a_C - E.d, E)
-        image = vec_sub(vec_add(d, d_mat.apply(c_rep.translation)),
-                        group.matrix_parts[sigma[c_idx]].apply(d))
-        for a_idx, a_rep in enumerate(group.f_ext):
-            if mult[mult[c_idx][a_idx]][e_inv] != a_idx:
-                continue
-            offset = vec_sub(vec_add(c_rep.translation, shift.apply(a_rep.translation)),
-                             a_rep.linear.apply(image))
-            assert is_integral(offset), "twisted conjugation must keep the lattice coset"
-            snf = smith_normal_form(
-                IntMatrix(tuple(r + s for r, s in zip(shift.rows, mats[a_idx].rows)))
-            )
-            target = snf.p.apply(tuple(-int(x) for x in offset))
-            if all(t % s == 0 for t, s in zip(target, snf.invariant_factors)):
-                total += math.prod(snf.invariant_factors)
-    count, rem = divmod(total, group.order)
-    assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
-    return count
+    return _burnside_count(phi, _fixing_pairs(phi.group, phi.linear, blocks))
 
 
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:
     """All Reidemeister numbers of automorphisms with the given linear part.
 
     Empty when no valid translation exists.  When the determinant test fires
-    the set is {infinity} outright; otherwise the translation solutions are
+    the set is {infinity} outright.  Otherwise the translation solution is
     swept through the base-translation offsets, which exhaust the possible
-    values.
+    values: the solve, the conjugation permutation, the matrices I - A.D and
+    the fixing pairs with their Smith normal forms are computed once, and
+    only the Burnside offsets are redone for each validated automorphism.
     """
     d = find_translation_part(group, linear)
     if d is None:
         return frozenset()
-    if is_always_infinite(group, linear):
+    blocks = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
+    if blocks is None:
         return frozenset((INFINITE,))
+    fixers = _fixing_pairs(group, linear, blocks)
     values = set()
     for base in base_translations(group):
         phi = Automorphism(group, vec_add(base, d), linear)
-        values.add(reidemeister_number(phi))
+        values.add(_burnside_count(phi, fixers))
     return frozenset(values)
 
 
@@ -162,12 +241,15 @@ class RinfVerdict:
 def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     """Decide whether every automorphism has infinite Reidemeister number.
 
-    Enumerates the normaliser closure (deterministic breadth-first order)
-    and looks for a matrix that both admits a translation part and passes
-    the determinant test; the first such matrix witnesses failure.  Returns
-    an undecided verdict instead of guessing when the normaliser data is
-    missing or the closure certifies that the normaliser is infinite.  A
-    decided verdict carries the order of the closure it enumerated.
+    Walks one linear part per coset F.D of the normaliser closure (see
+    :func:`_coset_leaders`) and looks for one that both admits a translation
+    part and passes the determinant test.  Both properties are constant on
+    a coset and each leader is the first element of its coset in the
+    closure's breadth-first order, so the first passing leader is the first
+    passing closure element; it witnesses failure.  Returns an undecided
+    verdict instead of guessing when the normaliser data is missing or the
+    closure certifies that the normaliser is infinite.  A decided verdict
+    carries the order of the closure it enumerated.
     """
     if group.normaliser_gens is None:
         return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
@@ -175,12 +257,33 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
         closure = _normaliser_closure(group)
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
-    for d_mat in closure.elements:
-        if is_always_infinite(group, d_mat):
+    for d_mat, coset in _coset_leaders(group, closure):
+        conjugation_permutation(group, d_mat)  # raises unless d_mat normalises
+        if _twisted_blocks(group, coset) is None:  # the determinant test
             continue
         if find_translation_part(group, d_mat) is not None:
             return RinfVerdict(RinfStatus.FAILS, witness=d_mat, normaliser_order=closure.order)
     return RinfVerdict(RinfStatus.HOLDS, normaliser_order=closure.order)
+
+
+def _coset_leaders(
+    group: CrystGroup, closure: PointGroup
+) -> Iterator[tuple[IntMatrix, list[IntMatrix]]]:
+    """Each coset F.D of the closure as (leader, [A.D for A in F]).
+
+    The leader is the coset's first element in breadth-first order.
+    Composing an automorphism with conjugation by a group element (a, A)
+    turns its linear part D into A.D and keeps its Reidemeister number, so
+    Reidemeister sets, admissibility and the determinant test are constant
+    on F.D.  Costs |F| - 1 products per coset: the holonomy identity comes
+    first.
+    """
+    covered: set[IntMatrix] = set()
+    for d_mat in closure.elements:
+        if d_mat not in covered:
+            coset = [d_mat, *(a @ d_mat for a in group.matrix_parts[1:])]
+            yield d_mat, coset
+            covered.update(coset)
 
 
 def _normaliser_closure(group: CrystGroup) -> PointGroup:
@@ -216,16 +319,18 @@ class ComputedSpectrum:
 
 
 def spectrum(group: CrystGroup) -> ComputedSpectrum:
-    """Union of Reidemeister sets over the whole normaliser closure.
+    """Union of Reidemeister sets over the normaliser closure.
 
-    Raises :class:`NormaliserUnavailable` without input data and propagates
-    :class:`~crysturn.groups.ClosureCapExceeded` when the closure certifies
-    that the normaliser is infinite.
+    One :func:`reidemeister_set` per coset F.D of the closure (see
+    :func:`_coset_leaders`) covers every element, since the set is constant
+    on each coset.  Raises :class:`NormaliserUnavailable` without input data
+    and propagates :class:`~crysturn.groups.ClosureCapExceeded` when the
+    closure certifies that the normaliser is infinite.
     """
     closure = _normaliser_closure(group)
     finite: set[int] = set()
     has_infinity = False
-    for d_mat in closure.elements:
+    for d_mat, _ in _coset_leaders(group, closure):
         for value in reidemeister_set(group, d_mat):
             if value == INFINITE:
                 has_infinity = True

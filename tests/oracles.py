@@ -1,6 +1,7 @@
 """Slow, independent counters that the tests check the library against."""
 
 from crysturn.automorphisms import Automorphism
+from crysturn.groups import CrystGroup, matrix_group_closure
 from crysturn.linalg import (
     IntMatrix,
     coset_representatives,
@@ -10,7 +11,7 @@ from crysturn.linalg import (
     vec_add,
     vec_sub,
 )
-from crysturn.reidemeister import INFINITE, ReidCount
+from crysturn.reidemeister import INFINITE, ComputedSpectrum, ReidCount, reidemeister_set
 
 
 class _UnionFind:
@@ -84,3 +85,19 @@ def union_find_number(phi: Automorphism) -> ReidCount:
                     dsu.union(i, j)
                     break
     return len({dsu.find(i) for i in range(len(candidates))})
+
+
+def full_closure_spectrum(group: CrystGroup) -> ComputedSpectrum:
+    """Spectrum as the union of Reidemeister sets over every closure element.
+
+    Visits all |N| elements of the normaliser closure, where the library
+    visits one per coset of the holonomy group.
+    """
+    closure = matrix_group_closure(list(group.normaliser_gens))
+    values = set().union(*(reidemeister_set(group, d_mat) for d_mat in closure.elements))
+    return ComputedSpectrum(
+        finite_values=tuple(sorted(v for v in values if v != INFINITE)),
+        contains_infinity=INFINITE in values,
+        normaliser_complete=True,
+        normaliser_order=closure.order,
+    )

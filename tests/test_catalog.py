@@ -70,7 +70,8 @@ class TestLoadGroup:
             parse_group_document(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "field", [{"labels": {"bbnwz": 5}}, {"expected": {"r_infinity": "yes"}}]
+        "field",
+        [{"labels": {"bbnwz": 5}}, {"expected": {"r_infinity": "yes"}}, {"name": 5}],
     )
     def test_malformed_field_rejected(self, field):
         doc = {"dimension": 1, "generators": [], **field}

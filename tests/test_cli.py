@@ -50,6 +50,12 @@ class TestRinf:
         assert code == EXIT_OK
         assert "NO" in out
 
+    @pytest.mark.parametrize("length", ["0", "-1"])
+    def test_search_words_below_one_is_usage_error(self, capsys, length):
+        code, out, err = run(capsys, "rinf", "2/1/1/1/1", "--search-words", length)
+        assert code == EXIT_USAGE
+        assert out == "" and "--search-words" in err
+
     def test_json_schema(self, capsys):
         code, payload, _ = run_json(capsys, "rinf", "1/1/1/1/1")
         assert code == EXIT_OK
@@ -183,6 +189,13 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == EXIT_BAD_DATA
         assert "cocycle" in err
+
+    def test_non_string_name_is_bad_data(self, capsys, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text('{"name": 5, "dimension": 1, "generators": []}', encoding="utf-8")
+        code, out, err = run(capsys, "--json", "validate", str(path))
+        assert code == EXIT_BAD_DATA
+        assert out == "" and "name must be a string" in err
 
     def test_text_mode_runs_no_closure(self, capsys, monkeypatch):
         import crysturn.cli as cli

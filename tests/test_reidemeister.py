@@ -1,10 +1,21 @@
 """Tests for Reidemeister numbers, spectra and the R-infinity decision."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crysturn.automorphisms import Automorphism, base_translations, find_translation_part
+import crysturn.automorphisms
+import crysturn.linalg
+import crysturn.reidemeister
+from crysturn.automorphisms import (
+    Automorphism,
+    base_translations,
+    conjugation_permutation,
+    find_translation_part,
+)
 from crysturn.catalog import builtin_catalog
 from crysturn.closed_forms import reidemeister_3_2_1_2_1, reidemeister_point_reflection
 from crysturn.groups import AffineMap, ClosureCapExceeded, build_group, matrix_group_closure
@@ -24,7 +35,7 @@ from crysturn.reidemeister import (
     witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
-from oracles import candidate_count, union_find_number
+from oracles import candidate_count, full_closure_spectrum, union_find_number
 
 
 def companion_shift(n, m):
@@ -340,3 +351,102 @@ class TestInvariants:
         ):
             for value in reidemeister_set(group, d_mat):
                 assert value >= 2
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_normaliser_groups():
+    """Catalog groups whose normaliser closure is finite, with that closure."""
+    catalog = builtin_catalog()
+    found = {}
+    for name in catalog.names():
+        group = catalog.group(name)
+        try:
+            found[name] = (group, matrix_group_closure(list(group.normaliser_gens)))
+        except ClosureCapExceeded:
+            continue
+    return found
+
+
+class TestCosetWalk:
+    """One linear part per coset F.D against the walk over every element."""
+
+    def test_spectrum_matches_full_closure(self):
+        groups = _finite_normaliser_groups()
+        assert len(groups) == 11
+        for name, (group, _) in groups.items():
+            assert spectrum(group) == full_closure_spectrum(group), name
+
+    def test_witness_is_first_passing_closure_element(self):
+        for name, (group, closure) in _finite_normaliser_groups().items():
+            first = next(
+                (d_mat for d_mat in closure.elements
+                 if not is_always_infinite(group, d_mat)
+                 and find_translation_part(group, d_mat) is not None),
+                None,
+            )
+            assert decide_r_infinity(group).witness == first, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_set_constant_on_cosets(self, data):
+        groups = _finite_normaliser_groups()
+        group, closure = groups[data.draw(st.sampled_from(sorted(groups)))]
+        d_mat = data.draw(st.sampled_from(closure.elements))
+        a = data.draw(st.sampled_from(group.matrix_parts))
+        assert reidemeister_set(group, d_mat) == reidemeister_set(group, a @ d_mat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_set_matches_single_automorphisms(self, data):
+        groups = _finite_normaliser_groups()
+        group, closure = groups[data.draw(st.sampled_from(sorted(groups)))]
+        d_mat = data.draw(st.sampled_from(closure.elements))
+        d0 = find_translation_part(group, d_mat)
+        expected = set() if d0 is None else {
+            reidemeister_number(Automorphism(group, vec_add(base, d0), d_mat))
+            for base in base_translations(group)
+        }
+        assert reidemeister_set(group, d_mat) == expected
+
+
+class TestSharedWork:
+    """Counts of the work the coset walk and the per-D kernel avoid."""
+
+    def test_spectrum_visits_one_linear_part_per_coset(self, monkeypatch):
+        visited = []
+        real = crysturn.reidemeister.reidemeister_set
+
+        def counting(group, linear):
+            visited.append(linear)
+            return real(group, linear)
+
+        monkeypatch.setattr(crysturn.reidemeister, "reidemeister_set", counting)
+        group = builtin_catalog().group("3/3/1/1/1")
+        computed = spectrum(group)
+        assert computed.normaliser_order // group.order == 12
+        assert len(visited) == 12
+
+    def test_one_snf_per_fixing_pair(self, monkeypatch):
+        group = builtin_catalog().group("4/9/2/1/1")
+        d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        sigma = conjugation_permutation(group, d_mat)
+        mult, inv = group.mult_table, group.inv_table
+        pairs = sum(
+            1
+            for c in range(group.order)
+            for a in range(group.order)
+            if mult[mult[c][a]][inv[sigma[c]]] == a
+        )
+        assert len(base_translations(group)) == 12
+
+        calls = []
+        real = crysturn.linalg.smith_normal_form
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+        assert reidemeister_set(group, d_mat) == {8}
+        assert len(calls) <= pairs + 2
