@@ -10,10 +10,16 @@ normaliser of the holonomy group in GL_n(Z).  This module provides:
 * the finite set of base translations through which every automorphism
   acting trivially on Z^n factors, up to inner automorphisms,
 * a validated :class:`Automorphism` value with application and composition.
+
+Translations are Fractions in every argument and result.  Inside, the solve
+and the validation run on ints: the group's translations scaled by its
+common denominator g (:attr:`~crysturn.groups.CrystGroup.denominator`), and
+a translation d scaled by g times the lcm of its own denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _mixed_radix
@@ -25,7 +31,6 @@ from .linalg import (
     Vec,
     smith_normal_form,
     vec_add,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -58,17 +63,23 @@ def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]
     """The (nk x n) block system and right-hand side for the translation solve.
 
     Row block i is I - A_sigma(i); the right-hand side block is
-    D.a_i - a_sigma(i).
+    D.a_i - a_sigma(i), scaled by the group's common denominator g to ints.
     """
     n = group.dimension
     ident = IntMatrix.identity(n)
+    scaled = group.scaled_translations
     blocks = []
-    rhs: list[Fraction] = []
-    for i, rep in enumerate(group.f_ext):
+    rhs: list[int] = []
+    for i, a_i in enumerate(scaled):
         j = sigma[i]
-        blocks.append(ident - group.f_ext[j].linear)
-        rhs.extend(vec_sub(linear.apply(rep.translation), group.f_ext[j].translation))
+        blocks.append(ident - group.matrix_parts[j])
+        rhs.extend(x - y for x, y in zip(linear.apply(a_i), scaled[j]))
     return IntMatrix.vstack(blocks), tuple(rhs)
+
+
+def _rationals(snf_q: IntMatrix, numerators: list[int], den: int) -> Vec:
+    """Q.(numerators / den) as Fractions: one division per component."""
+    return tuple(Fraction(x, den) for x in snf_q.apply(numerators))
 
 
 def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
@@ -78,20 +89,23 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     P.M.Q = S and t = P.rhs, a solution exists iff the rows of S that are
     zero see integral entries of t; the canonical solution takes
     d'_i = -t_i / s_i on the nonzero rows.  Returns None when no valid
-    translation exists.
+    translation exists.  The right-hand side is scaled by g, so t is an
+    integer vector, the test reads t_i % g and d'_i = -t_i / (s_i g).
     """
     sigma = conjugation_permutation(group, linear)
     n = group.dimension
+    g = group.denominator
     m_mat, rhs = _stacked_system(group, linear, sigma)
     snf = smith_normal_form(m_mat)
     t = snf.p.apply(rhs)
     r = snf.rank
-    if any(t[i] % 1 != 0 for i in range(r, m_mat.nrows)):
+    if any(t[i] % g for i in range(r, m_mat.nrows)):
         return None
-    d_prime = [Fraction(0)] * n
+    den = g * math.lcm(*snf.invariant_factors)
+    d_prime = [0] * n
     for i, s in enumerate(snf.invariant_factors):
-        d_prime[i] = -Fraction(t[i]) / s
-    return snf.q.apply(tuple(d_prime))
+        d_prime[i] = -t[i] * (den // (s * g))
+    return _rationals(snf.q, d_prime, den)
 
 
 def base_translations(group: CrystGroup) -> list[Vec]:
@@ -106,12 +120,14 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     n = group.dimension
     m_mat, _ = _stacked_system(group, IntMatrix.identity(n), tuple(range(group.order)))
     snf = smith_normal_form(m_mat)
+    factors = snf.invariant_factors
+    den = math.lcm(*factors)
     out = []
-    for combo in _mixed_radix(*(range(s) for s in snf.invariant_factors)):
-        d_prime = [Fraction(0)] * n
-        for i, (y, s) in enumerate(zip(combo, snf.invariant_factors)):
-            d_prime[i] = Fraction(y, s)
-        out.append(snf.q.apply(tuple(d_prime)))
+    for combo in _mixed_radix(*(range(s) for s in factors)):
+        d_prime = [0] * n
+        for i, (y, s) in enumerate(zip(combo, factors)):
+            d_prime[i] = y * (den // s)
+        out.append(_rationals(snf.q, d_prime, den))
     return out
 
 
@@ -120,8 +136,10 @@ class Automorphism:
     """A validated automorphism gamma -> (d, D) gamma (d, D)^-1.
 
     Construction re-derives the defining property instead of trusting the
-    caller: every canonical representative must conjugate back into the
-    group.
+    caller: every canonical representative (a, A) must conjugate back into
+    the group.  Its conjugate is (d + D.a - E.d, E) with E = D.A.D^-1, so E
+    must be a holonomy element and d + D.a - E.d - a_E integral; the check
+    runs on ints scaled by den = g . lcm(denominators of d).
     """
 
     group: CrystGroup
@@ -133,13 +151,23 @@ class Automorphism:
         n = self.group.dimension
         if len(self.translation) != n or self.linear.shape != (n, n):
             raise ValueError("automorphism data does not match the group dimension")
-        if not self.linear.is_unimodular():
-            raise ValueError("linear part of an automorphism must be unimodular")
-        conjugator = AffineMap(self.translation, self.linear)
-        conjugator_inv = conjugator.inverse()
-        for rep in self.group.f_ext:
-            image = conjugator.compose(rep).compose(conjugator_inv)
-            if not self.group.contains(image):
+        group = self.group
+        d_mat = self.linear
+        try:
+            d_inv = d_mat.int_inverse()
+        except ValueError:
+            raise ValueError("linear part of an automorphism must be unimodular") from None
+        den, d = group.scale(self.translation)
+        lift = den // group.denominator
+        index = group.point_group._index
+        scaled = group.scaled_translations
+        for rep, a in zip(group.f_ext, scaled):
+            e_mat = d_mat @ rep.linear @ d_inv
+            k = index.get(e_mat)
+            if k is None or any(
+                (x + lift * (y - z) - w) % den
+                for x, y, z, w in zip(d, d_mat.apply(a), scaled[k], e_mat.apply(d))
+            ):
                 raise ValueError(
                     f"not an automorphism: conjugate of {rep} leaves the group"
                 )

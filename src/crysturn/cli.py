@@ -289,9 +289,9 @@ _GROUP_COMMANDS = {
 }
 
 
-def _run(args) -> int:
-    """Resolve the group, run one command, time all of it and emit the output."""
-    t0 = time.perf_counter()
+def _run(args, t0: float) -> int:
+    """Resolve the group, run one command and emit the output; ``elapsed_ms``
+    counts from ``t0``, the start of :func:`main`, so it covers parsing too."""
     if args.command == "catalog":
         meta: dict = {}
         code, result, lines = _cmd_catalog(args, meta)
@@ -310,9 +310,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    t0 = time.perf_counter()
     parser = build_parser()
     try:
-        return _run(parser.parse_args(argv))
+        return _run(parser.parse_args(argv), t0)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

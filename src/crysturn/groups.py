@@ -13,6 +13,11 @@ normaliser generators are checked to actually normalise the holonomy group
 but are otherwise trusted as input data (completeness of the normaliser
 cannot be certified from the group alone).
 
+Translations stay Fractions in :class:`AffineMap`, the public value type.
+A :class:`CrystGroup` also stores its representatives' translations once, as
+integer tuples over one common denominator, which the integer kernels of
+validation, the translation solve and the Reidemeister count read.
+
 Only the holonomy group carries multiplication and inverse tables.  A
 normaliser closure can be far larger and its users only walk its elements,
 so :func:`matrix_group_closure` returns a plain validated element list.
@@ -24,7 +29,9 @@ Both closures either finish, and the group is finite, or raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .linalg import (
@@ -80,6 +87,11 @@ def _certify_finite(new: IntMatrix, size: int, bound: int) -> None:
         raise ClosureCapExceeded(f"matrix group is infinite: {new} has trace {trace}")
     if size >= bound:
         raise ClosureCapExceeded(f"matrix group is infinite: more than {bound} elements")
+
+
+def _scaled(v: Sequence[Fraction], den: int) -> tuple[int, ...]:
+    """v . den as ints; den must be a multiple of every denominator in v."""
+    return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
 @dataclass(frozen=True)
@@ -221,7 +233,9 @@ class CrystGroup:
     building them rejects matrix parts that are not closed under either.
     ``normaliser_gens`` is optional input data (generators of the normaliser
     of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
-    always relative to it.
+    always relative to it.  ``denominator`` is the least common multiple g
+    of the translations' denominators and ``scaled_translations[i]`` is
+    g times the translation of ``f_ext[i]``, as ints.
     """
 
     def __init__(
@@ -238,6 +252,10 @@ class CrystGroup:
         self.labels = dict(labels or {})
         self.name = name
         self.point_group = PointGroup([g.linear for g in self.f_ext])
+        self.denominator = math.lcm(*(x.denominator for g in self.f_ext for x in g.translation))
+        self.scaled_translations = tuple(
+            _scaled(g.translation, self.denominator) for g in self.f_ext
+        )
         index = self.point_group._index
         mult = []
         for a in self.matrix_parts:
@@ -259,6 +277,15 @@ class CrystGroup:
     @property
     def matrix_parts(self) -> tuple[IntMatrix, ...]:
         return self.point_group.elements
+
+    def scale(self, d: Vec) -> tuple[int, tuple[int, ...]]:
+        """(den, d . den) with den = g . lcm(denominators of d), g = ``denominator``.
+
+        Over den, d and every translation of the group (``scaled_translations``
+        times den / g) are integer vectors.
+        """
+        den = self.denominator * math.lcm(*(x.denominator for x in d))
+        return den, _scaled(d, den)
 
     def holonomy_index(self, m: IntMatrix) -> int:
         return self.point_group.index(m)
@@ -301,7 +328,8 @@ class CrystGroup:
 
         Closure under products and inverses is checked by construction; this
         walks all pairs of representatives for the cocycle condition, taking
-        each product's representative from ``mult_table``, and checks that
+        each product's representative from ``mult_table`` and reading the
+        translations scaled by the common denominator, and checks that
         the normaliser generators normalise the holonomy group.
         """
         n = self.dimension
@@ -315,13 +343,10 @@ class CrystGroup:
                 raise GroupValidationError("matrix part is not unimodular")
             if any(not (0 <= x < 1) for x in rep.translation):
                 raise GroupValidationError("translation not reduced into [0,1)")
-        for gi, row in zip(self.f_ext, self.mult_table):
-            for gj, k in zip(self.f_ext, row):
-                offset = vec_sub(
-                    vec_add(gi.translation, gi.linear.apply(gj.translation)),
-                    self.f_ext[k].translation,
-                )
-                if not is_integral(offset):
+        g, scaled = self.denominator, self.scaled_translations
+        for gi, ti, row in zip(self.f_ext, scaled, self.mult_table):
+            for tj, k in zip(scaled, row):
+                if any((x + y - z) % g for x, y, z in zip(ti, gi.linear.apply(tj), scaled[k])):
                     raise GroupValidationError(
                         "cocycle closure violated: products leave the stated group"
                     )

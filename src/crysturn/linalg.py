@@ -5,10 +5,18 @@ vectors built on :class:`fractions.Fraction`, Smith normal form with
 transformation matrices, and the lattice predicates built on top of it:
 coset representatives, image membership, exact solving and GF(2) solution
 counting.  Everything here is a pure function on immutable values.
+
+The hot kernels stay in plain ints.  Products, sums, negations, Smith
+transforms and inverses of valid matrices are built without re-validating
+their entries, and :meth:`IntMatrix.int_inverse` is integer row reduction.
+Rational vectors enter the integer kernels scaled by a common denominator
+(see :meth:`crysturn.groups.CrystGroup.scale`); Fractions are the value
+type at the boundary only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _mixed_radix
@@ -81,6 +89,17 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def _unchecked(cls, rows) -> "IntMatrix":
+        """Wrap rows that are already a nonempty rectangular tuple of int tuples.
+
+        Only for the results of integer operations on valid matrices, which
+        cannot break the invariants :meth:`__post_init__` checks.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "IntMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
@@ -122,7 +141,7 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
         cols = tuple(zip(*other.rows))
-        return IntMatrix(
+        return IntMatrix._unchecked(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.rows
@@ -132,15 +151,19 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shapes do not match")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+        return IntMatrix._unchecked(
+            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
+        )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shapes do not match")
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
+        return IntMatrix._unchecked(
+            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
+        )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return IntMatrix._unchecked(tuple(tuple(-a for a in row) for row in self.rows))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -180,11 +203,36 @@ class IntMatrix:
         return self.is_square and self.det() in (1, -1)
 
     def int_inverse(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix, exact and integral; ValueError otherwise."""
-        inv = rational_inverse(self)
-        if any(x.denominator != 1 for row in inv for x in row):
-            raise ValueError("matrix is not unimodular")
-        return IntMatrix(inv)
+        """Inverse of a unimodular matrix, exact and integral; ValueError otherwise.
+
+        Integer Gauss-Jordan reduction of [M | I]: Euclid's algorithm on the
+        rows not yet used leaves one nonzero entry in the column, which must
+        be +-1 for M to be unimodular, and that row then clears the column.
+        """
+        if not self.is_square:
+            raise ValueError("inverse requires a square matrix")
+        n = self.nrows
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
+        for col in range(n):
+            rest = a[col:]
+            while True:
+                rest.sort(key=lambda row: abs(row[col]) or math.inf)
+                top = rest[0]
+                if not any(row[col] for row in rest[1:]):
+                    break
+                for row in rest[1:]:
+                    k = row[col] // top[col]
+                    row[:] = [x - k * y for x, y in zip(row, top)]
+            if abs(top[col]) != 1:
+                singular = self.det() == 0
+                raise ValueError("matrix is singular" if singular else "matrix is not unimodular")
+            a[col:] = rest
+            top[:] = [top[col] * x for x in top]
+            for row in a:
+                k = row[col]
+                if k and row is not top:
+                    row[:] = [x - k * y for x, y in zip(row, top)]
+        return IntMatrix._unchecked(tuple(tuple(row[n:]) for row in a))
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"
@@ -332,12 +380,16 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         t += 1
 
     factors = tuple(a[i][i] for i in range(min(nrows, ncols)) if a[i][i] != 0)
+
+    def wrap(rows):
+        return IntMatrix._unchecked(tuple(map(tuple, rows)))
+
     return SnfDecomposition(
-        p=IntMatrix.from_rows(p),
-        s=IntMatrix.from_rows(a),
-        q=IntMatrix.from_rows(q),
-        p_inv=IntMatrix.from_rows(p_inv),
-        q_inv=IntMatrix.from_rows(q_inv),
+        p=wrap(p),
+        s=wrap(a),
+        q=wrap(q),
+        p_inv=wrap(p_inv),
+        q_inv=wrap(q_inv),
         invariant_factors=factors,
     )
 

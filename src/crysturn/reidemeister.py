@@ -11,7 +11,8 @@ classes with one Smith normal form per holonomy pair (A, C) in which C
 fixes the component of A, so the cost does not grow with the determinants.
 Those Smith normal forms depend on the linear part D alone, so a
 Reidemeister set computes them once and redoes only the offsets for each
-translation.  The averaging formula (torsion-free groups only) reaches the
+translation.  The offsets are integer vectors over the common denominator
+of the group's translations and the automorphism's.  The averaging formula (torsion-free groups only) reaches the
 same numbers by another route.  The spectrum of a group whose normaliser
 closure is finite is the union of the finitely many Reidemeister numbers
 its automorphisms can take; since inner automorphisms do not change them,
@@ -40,10 +41,8 @@ from .groups import (
 from .linalg import (
     IntMatrix,
     SnfDecomposition,
-    is_integral,
     smith_normal_form,
     vec_add,
-    vec_sub,
 )
 
 INFINITE = math.inf
@@ -103,13 +102,13 @@ def averaging_number(phi: Automorphism) -> ReidCount:
 class _FixedComponent(NamedTuple):
     """A component A fixed by a holonomy element C, for one linear part D.
 
-    ``lead`` is a_C + (C - I).a_A and ``snf`` the Smith normal form of
-    [C - I | I - A.D], whose invariant factors multiply to the index
-    [Z^n : L] of the lattice L it spans.
+    ``lead`` is g.(a_C + (C - I).a_A) for the group's common denominator g,
+    and ``snf`` the Smith normal form of [C - I | I - A.D], whose invariant
+    factors multiply to the index [Z^n : L] of the lattice L it spans.
     """
 
     a_linear: IntMatrix
-    lead: tuple
+    lead: tuple[int, ...]
     snf: SnfDecomposition
 
 
@@ -117,7 +116,7 @@ class _Fixer(NamedTuple):
     """A holonomy element C that fixes some component, for one linear part D."""
 
     e_linear: IntMatrix  # E = D.C.D^-1
-    d_a_c: tuple  # D.a_C
+    d_a_c: tuple[int, ...]  # g.D.a_C
     components: list[_FixedComponent]
 
 
@@ -128,27 +127,27 @@ def _fixing_pairs(
 
     ``blocks`` are the matrices I - A.D.  C fixes component A iff
     C.A.E^-1 = A with E = D.C.D^-1; each pair (A, C) gets one Smith normal
-    form.
+    form.  Translations are read scaled by the group's common denominator.
     """
     mult, inv = group.mult_table, group.inv_table
+    parts, scaled = group.matrix_parts, group.scaled_translations
     sigma = conjugation_permutation(group, linear)
-    ident = group.matrix_parts[0]
+    ident = parts[0]
     fixers = []
-    for c_idx, c_rep in enumerate(group.f_ext):
+    for c_idx, (c_linear, a_c) in enumerate(zip(parts, scaled)):
         e_inv = inv[sigma[c_idx]]
-        shift = c_rep.linear - ident
+        shift = c_linear - ident
         components = []
-        for a_idx, a_rep in enumerate(group.f_ext):
+        for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[mult[c_idx][a_idx]][e_inv] != a_idx:
                 continue
             snf = smith_normal_form(
                 IntMatrix(tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows)))
             )
-            lead = vec_add(c_rep.translation, shift.apply(a_rep.translation))
-            components.append(_FixedComponent(a_rep.linear, lead, snf))
+            lead = tuple(x + y for x, y in zip(a_c, shift.apply(a_a)))
+            components.append(_FixedComponent(a_linear, lead, snf))
         if components:
-            fixers.append(_Fixer(group.matrix_parts[sigma[c_idx]],
-                                 linear.apply(c_rep.translation), components))
+            fixers.append(_Fixer(parts[sigma[c_idx]], linear.apply(a_c), components))
     return fixers
 
 
@@ -156,17 +155,26 @@ def _burnside_count(phi: Automorphism, fixers: list[_Fixer]) -> int:
     """The part of the Burnside count that depends on the translation d.
 
     Sums the index of each fixing pair whose offset -c_{A,C} lies in L and
-    divides by the holonomy order.
+    divides by the holonomy order.  The offsets are computed on ints scaled
+    by den = g . lcm(denominators of d), so integrality is divisibility by
+    den.
     """
-    d = phi.translation
+    den, d = phi.group.scale(phi.translation)
+    lift = den // phi.group.denominator
     total = 0
     for fixer in fixers:
-        # translation part of phi((a_C, C)) = (d + D.a_C - E.d, E)
-        image = vec_sub(vec_add(d, fixer.d_a_c), fixer.e_linear.apply(d))
+        # translation part of phi((a_C, C)) = (d + D.a_C - E.d, E), times den
+        image = tuple(
+            x + lift * y - z for x, y, z in zip(d, fixer.d_a_c, fixer.e_linear.apply(d))
+        )
         for comp in fixer.components:
-            offset = vec_sub(comp.lead, comp.a_linear.apply(image))
-            assert is_integral(offset), "twisted conjugation must keep the lattice coset"
-            target = comp.snf.p.apply(tuple(-int(x) for x in offset))
+            offset = tuple(
+                lift * x - y for x, y in zip(comp.lead, comp.a_linear.apply(image))
+            )
+            assert not any(x % den for x in offset), (
+                "twisted conjugation must keep the lattice coset"
+            )
+            target = comp.snf.p.apply(tuple(-(x // den) for x in offset))
             if all(t % s == 0 for t, s in zip(target, comp.snf.invariant_factors)):
                 total += math.prod(comp.snf.invariant_factors)
     count, rem = divmod(total, phi.group.order)

@@ -1,9 +1,10 @@
 """Slow, independent counters that the tests check the library against."""
 
 from crysturn.automorphisms import Automorphism
-from crysturn.groups import CrystGroup, matrix_group_closure
+from crysturn.groups import AffineMap, CrystGroup, matrix_group_closure
 from crysturn.linalg import (
     IntMatrix,
+    Vec,
     coset_representatives,
     is_integral,
     rat_apply,
@@ -26,6 +27,20 @@ class _UnionFind:
 
     def union(self, i: int, j: int) -> None:
         self.parent[self.find(i)] = self.find(j)
+
+
+def conjugation_keeps_group(group: CrystGroup, translation: Vec, linear: IntMatrix) -> bool:
+    """Whether conjugation by (translation, linear) is an automorphism, in Fractions.
+
+    Composes the affine maps conj . rep . conj^-1 for every canonical
+    representative and asks the group for membership; the library checks
+    the same condition on integers over a common denominator.
+    """
+    if not linear.is_unimodular():
+        return False
+    conj = AffineMap(translation, linear)
+    conj_inv = conj.inverse()
+    return all(group.contains(conj.compose(rep).compose(conj_inv)) for rep in group.f_ext)
 
 
 def candidate_count(phi: Automorphism) -> int:

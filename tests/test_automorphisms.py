@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crysturn.automorphisms import (
     Automorphism,
@@ -11,25 +13,49 @@ from crysturn.automorphisms import (
     conjugation_permutation,
     find_translation_part,
 )
+from crysturn.catalog import builtin_catalog
 from crysturn.groups import AffineMap, build_group
 from crysturn.linalg import (
     IntMatrix,
     is_integral,
+    vec_add,
     vec_sub,
     vector,
     zero_vector,
 )
+from crysturn.reidemeister import reidemeister_number
 from conftest import ROT3, SWAP2
+from oracles import candidate_count, conjugation_keeps_group, union_find_number
+
+# Catalog groups for the validation cross-check: translation denominators
+# g = 1 and g = 2, dimensions 1 to 4.
+ORACLE_GROUPS = (
+    "1/1/1/1/1", "2/1/2/1/1", "klein-bottle", "3/2/1/1/2", "3/3/1/1/1", "3/3/1/4/2", "4/9/2/1/1",
+)
 
 
-def holonomy_images_valid(group, linear, d):
-    """Check condition (1) directly: conjugates of every representative land
-    in the group."""
-    conj = AffineMap(d, linear)
-    conj_inv = conj.inverse()
-    return all(
-        group.contains(conj.compose(rep).compose(conj_inv)) for rep in group.f_ext
-    )
+@st.composite
+def conjugation_data(draw):
+    """(group, d, D): D a word of up to four normaliser generators or their
+    inverses; d drawn with denominators 1 to 12, either outright, as a
+    perturbation of the solved translation, or as a valid translation."""
+    group = builtin_catalog().group(draw(st.sampled_from(ORACLE_GROUPS)))
+    n = group.dimension
+    letters = [*group.normaliser_gens, *(g.int_inverse() for g in group.normaliser_gens)]
+    linear = IntMatrix.identity(n)
+    for letter in draw(st.lists(st.sampled_from(letters), max_size=4)):
+        linear = letter @ linear
+    rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    random_d = tuple(draw(rational) for _ in range(n))
+    solved = find_translation_part(group, linear)
+    mode = draw(st.sampled_from(["random", "perturbed", "valid"]))
+    if solved is None or mode == "random":
+        return group, random_d, linear
+    if mode == "perturbed":
+        return group, vec_add(solved, random_d), linear
+    shift = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    base = draw(st.sampled_from(base_translations(group)))
+    return group, vec_add(vec_add(solved, base), shift), linear
 
 
 class TestConjugationPermutation:
@@ -79,16 +105,16 @@ class TestFindTranslationPart:
         d_m = IntMatrix.from_rows([[-1, 1, 1], [0, 1, 2], [0, 1, 1]])
         d = find_translation_part(g32121, d_m)
         assert d is not None
-        assert holonomy_images_valid(g32121, d_m, d)
+        assert conjugation_keeps_group(g32121, d, d_m)
         # the hand-picked translation (0, 0, 1/2) is valid for this family too
-        assert holonomy_images_valid(g32121, d_m, vector([0, 0, "1/2"]))
+        assert conjugation_keeps_group(g32121, vector([0, 0, "1/2"]), d_m)
 
     def test_returned_translation_always_valid(self, screw_group, klein_bottle):
         for group in (screw_group, klein_bottle):
             for gen in group.normaliser_gens:
                 d = find_translation_part(group, gen)
                 if d is not None:
-                    assert holonomy_images_valid(group, gen, d)
+                    assert conjugation_keeps_group(group, d, gen)
 
     def test_absence_is_sound(self):
         """When no translation is found, a brute-force grid scan agrees."""
@@ -106,7 +132,7 @@ class TestFindTranslationPart:
         # denominators times invariant factors); scan all of it
         grid = [Fraction(k, 8) for k in range(8)]
         for cand in product(grid, repeat=3):
-            assert not holonomy_images_valid(group, mirror, cand)
+            assert not conjugation_keeps_group(group, cand, mirror)
 
 
 class TestBaseTranslations:
@@ -190,3 +216,46 @@ class TestAutomorphism:
             assert composed(rep) == phi1(phi2(rep))
         z = AffineMap(vector([1, -2, 3]), IntMatrix.identity(3))
         assert composed(z) == phi1(phi2(z))
+
+
+class TestValidationAgainstOracle:
+    """Automorphism validation on integers agrees with Fraction conjugation."""
+
+    MAX_CANDIDATES = 40
+
+    @settings(max_examples=150, deadline=None)
+    @given(conjugation_data())
+    def test_accepts_exactly_the_oracle_automorphisms(self, data):
+        group, d, linear = data
+        expected = conjugation_keeps_group(group, d, linear)
+        try:
+            phi = Automorphism(group, d, linear)
+        except ValueError:
+            assert not expected
+            return
+        assert expected
+        if candidate_count(phi) <= self.MAX_CANDIDATES:
+            assert reidemeister_number(phi) == union_find_number(phi)
+
+    @pytest.mark.parametrize(
+        "name, d, accepted",
+        [
+            # 1/5 does not divide the group's denominator g = 1
+            ("3/3/1/1/1", ("1/5", 0, 0), False),
+            ("3/3/1/1/1", ("1/2", "1/2", "1/2"), True),
+            # the group Z: every rational translation gives an automorphism
+            ("1/1/1/1/1", ("1/5",), True),
+            ("1/1/1/1/1", ("-7/12",), True),
+            # g = 2 with a translation over 6
+            ("3/2/1/1/2", ("1/6", 0, 0), False),
+        ],
+    )
+    def test_denominators_outside_the_group(self, name, d, accepted):
+        group = builtin_catalog().group(name)
+        linear = IntMatrix.identity(group.dimension)
+        assert conjugation_keeps_group(group, vector(d), linear) is accepted
+        if accepted:
+            assert Automorphism(group, vector(d), linear).translation == vector(d)
+        else:
+            with pytest.raises(ValueError, match="not an automorphism"):
+                Automorphism(group, vector(d), linear)

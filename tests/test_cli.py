@@ -1,9 +1,11 @@
 """Tests for the command-line front end."""
 
 import json
+import time
 
 import pytest
 
+from crysturn import cli
 from crysturn.catalog import dump_group, builtin_catalog
 from crysturn.cli import (
     EXIT_BAD_DATA,
@@ -161,6 +163,11 @@ class TestFindD:
         assert code == EXIT_BAD_DATA
         assert out == "" and "not unimodular" in err
 
+    def test_singular_is_bad_data(self, capsys):
+        code, out, err = run(capsys, "find-d", "2/1/2/1/1", "--D", "[[1,2],[2,4]]")
+        assert code == EXIT_BAD_DATA
+        assert out == "" and "singular" in err
+
 
 class TestDeltaBase:
     def test_point_reflection(self, capsys):
@@ -270,6 +277,20 @@ class TestValidate:
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "rinf", "no/such/entry")
         assert code == EXIT_USAGE
+
+
+class TestTiming:
+    def test_elapsed_covers_argument_parsing(self, capsys, monkeypatch):
+        build = cli.build_parser
+
+        def slow_build():
+            time.sleep(0.03)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", slow_build)
+        code, payload, _ = run_json(capsys, "rinf", "1/1/1/1/1")
+        assert code == EXIT_OK
+        assert payload["meta"]["elapsed_ms"] >= 30
 
 
 class TestCatalog:

@@ -267,3 +267,47 @@ def test_int_inverse_unimodular():
     m = IntMatrix.from_rows([[1, 1], [0, 1]])
     assert m.int_inverse() == IntMatrix.from_rows([[1, -1], [0, 1]])
     assert m @ m.int_inverse() == IntMatrix.identity(2)
+
+
+@st.composite
+def unimodular_matrices(draw, max_dim=6):
+    """Products of elementary matrices (row additions with large multipliers,
+    swaps and sign changes) of size 1 to ``max_dim``."""
+    n = draw(st.integers(1, max_dim))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            k = draw(st.integers(-10**6, 10**6))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+class TestIntInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(unimodular_matrices())
+    def test_matches_rational_inverse(self, m):
+        inv = m.int_inverse()
+        assert inv.rows == rational_inverse(m)
+        assert m @ inv == IntMatrix.identity(m.nrows)
+        assert inv @ m == IntMatrix.identity(m.nrows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[2, 0], [0, 1]], "not unimodular"),
+            ([[1, 2], [3, 4]], "not unimodular"),
+            ([[2, 1, 0], [0, 1, 0], [0, 0, 3]], "not unimodular"),
+            ([[1, 2], [2, 4]], "singular"),
+            ([[2, 0], [0, 0]], "singular"),
+            ([[1, 0], [0, 1], [1, 1]], "square"),
+        ],
+    )
+    def test_rejects_non_unimodular(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            IntMatrix.from_rows(rows).int_inverse()

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -425,6 +426,21 @@ class TestSharedWork:
         computed = spectrum(group)
         assert computed.normaliser_order // group.order == 12
         assert len(visited) == 12
+
+    def test_spectrum_builds_few_fractions(self, monkeypatch):
+        # Translations enter the kernels as ints over the group's common
+        # denominator: 180 Fractions here, against 12616 with Fraction kernels.
+        group = builtin_catalog().group("3/3/1/1/1")
+        real = Fraction.__new__
+        calls = []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(None)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        assert spectrum(group).finite_values == (2,)
+        assert len(calls) <= 600
 
     def test_one_snf_per_fixing_pair(self, monkeypatch):
         group = builtin_catalog().group("4/9/2/1/1")
