@@ -2,11 +2,14 @@
 
 Every automorphism of a crystallographic group with translation lattice Z^n
 acts by conjugation with an affine map (d, D), where D lies in the
-normaliser of the holonomy group in GL_n(Z).  This module provides:
+normaliser of the holonomy group in GL_n(Z).  What D does to the holonomy
+group is its permutation sigma (:func:`conjugation_permutation`, defined in
+:mod:`crysturn.groups`).  This module provides:
 
-* the permutation that conjugation by D induces on the holonomy group,
-* the solver that, given D, finds a translation d making conjugation by
-  (d, D) an automorphism (or reports that none exists),
+* the solver that, given D and sigma, finds a translation d making
+  conjugation by (d, D) an automorphism (or reports that none exists),
+* the one check that conjugation by (d, D) keeps the group, shared by
+  :class:`Automorphism` and :func:`~crysturn.reidemeister.reidemeister_set`,
 * the finite set of base translations through which every automorphism
   acting trivially on Z^n factors, up to inner automorphisms,
 * a validated :class:`Automorphism` value with application and composition.
@@ -20,12 +23,12 @@ a translation d scaled by g times the lcm of its own denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _mixed_radix
 from typing import Optional
 
-from .groups import AffineMap, CrystGroup
+from .groups import AffineMap, CrystGroup, conjugation_permutation
 from .linalg import (
     IntMatrix,
     Vec,
@@ -34,29 +37,6 @@ from .linalg import (
     vector,
     zero_vector,
 )
-
-
-def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, ...]:
-    """The permutation of holonomy elements induced by A -> D.A.D^-1.
-
-    Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
-
-    Raises ValueError when some conjugate leaves the holonomy group, i.e.
-    when the matrix does not normalise it.
-    """
-    inv = linear.int_inverse()
-    images = []
-    for a in group.matrix_parts:
-        conj = linear @ a @ inv
-        try:
-            images.append(group.holonomy_index(conj))
-        except ValueError:
-            raise ValueError(
-                f"matrix does not normalise the holonomy group: {linear}"
-            ) from None
-    if len(set(images)) != len(images):
-        raise ValueError("conjugation is not a bijection of the holonomy group")
-    return tuple(images)
 
 
 def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
@@ -92,7 +72,14 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     translation exists.  The right-hand side is scaled by g, so t is an
     integer vector, the test reads t_i % g and d'_i = -t_i / (s_i g).
     """
-    sigma = conjugation_permutation(group, linear)
+    return _translation_part(group, linear, conjugation_permutation(group, linear))
+
+
+def _translation_part(
+    group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]
+) -> Optional[Vec]:
+    """:func:`find_translation_part` for a linear part whose permutation
+    ``sigma`` (see :func:`conjugation_permutation`) is already known."""
     n = group.dimension
     g = group.denominator
     m_mat, rhs = _stacked_system(group, linear, sigma)
@@ -131,46 +118,54 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     return out
 
 
+def _translation_images(
+    group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...], translation: Vec
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Check that conjugation by (d, D) = (translation, linear) keeps the group.
+
+    It sends each representative (a_C, C) to (d + D.a_C - E.d, E) with
+    E = D.C.D^-1 = A_sigma(C); every image translation must be a_sigma(C)
+    modulo Z^n, or ValueError.  Returns den = g . lcm(denominators of d) and
+    the image translations times den, in holonomy order.
+    """
+    den, d = group.scale(translation)
+    lift = den // group.denominator
+    parts, scaled = group.matrix_parts, group.scaled_translations
+    images = []
+    for rep, a, j in zip(group.f_ext, scaled, sigma):
+        image = tuple(
+            x + lift * y - z for x, y, z in zip(d, linear.apply(a), parts[j].apply(d))
+        )
+        if any((x - lift * w) % den for x, w in zip(image, scaled[j])):
+            raise ValueError(f"not an automorphism: conjugate of {rep} leaves the group")
+        images.append(image)
+    return den, images
+
+
 @dataclass(frozen=True)
 class Automorphism:
     """A validated automorphism gamma -> (d, D) gamma (d, D)^-1.
 
     Construction re-derives the defining property instead of trusting the
-    caller: every canonical representative (a, A) must conjugate back into
-    the group.  Its conjugate is (d + D.a - E.d, E) with E = D.A.D^-1, so E
-    must be a holonomy element and d + D.a - E.d - a_E integral; the check
-    runs on ints scaled by den = g . lcm(denominators of d).
+    caller: D must normalise the holonomy group and every canonical
+    representative must conjugate back into the group (see
+    :func:`_translation_images`).  ``sigma`` keeps the permutation that D
+    induces on the holonomy group (see :func:`conjugation_permutation`).
     """
 
     group: CrystGroup
     translation: Vec
     linear: IntMatrix
+    sigma: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", vector(self.translation))
         n = self.group.dimension
         if len(self.translation) != n or self.linear.shape != (n, n):
             raise ValueError("automorphism data does not match the group dimension")
-        group = self.group
-        d_mat = self.linear
-        try:
-            d_inv = d_mat.int_inverse()
-        except ValueError:
-            raise ValueError("linear part of an automorphism must be unimodular") from None
-        den, d = group.scale(self.translation)
-        lift = den // group.denominator
-        index = group.point_group._index
-        scaled = group.scaled_translations
-        for rep, a in zip(group.f_ext, scaled):
-            e_mat = d_mat @ rep.linear @ d_inv
-            k = index.get(e_mat)
-            if k is None or any(
-                (x + lift * (y - z) - w) % den
-                for x, y, z, w in zip(d, d_mat.apply(a), scaled[k], e_mat.apply(d))
-            ):
-                raise ValueError(
-                    f"not an automorphism: conjugate of {rep} leaves the group"
-                )
+        sigma = conjugation_permutation(self.group, self.linear)
+        _translation_images(self.group, self.linear, sigma, self.translation)
+        object.__setattr__(self, "sigma", sigma)
 
     @classmethod
     def identity(cls, group: CrystGroup) -> "Automorphism":

@@ -141,8 +141,13 @@ def parse_group_document(text: str) -> CrystGroup:
             raise GroupFileError("expected block accepts only spectrum and r_infinity")
         if not isinstance(exp.get("r_infinity", False), bool):
             raise GroupFileError("expected r_infinity must be true or false")
-        if "spectrum" in exp:
-            parse_spectrum(exp["spectrum"])  # must at least be well-formed
+        if "spectrum" in exp:  # must at least be well-formed
+            if not isinstance(exp["spectrum"], str):
+                raise GroupFileError("expected spectrum must be a string")
+            try:
+                parse_spectrum(exp["spectrum"])
+            except ValueError as exc:
+                raise GroupFileError(f"expected spectrum: {exc}") from exc
 
     try:
         return build_group(
@@ -158,12 +163,15 @@ def parse_group_document(text: str) -> CrystGroup:
 
 def load_group(source: Union[str, Path]) -> CrystGroup:
     """Load a group from a file path, or from raw JSON text."""
-    if isinstance(source, Path):
-        return parse_group_document(source.read_text(encoding="utf-8"))
-    text = source.lstrip()
-    if text.startswith("{"):
-        return parse_group_document(source)
-    return parse_group_document(Path(source).read_text(encoding="utf-8"))
+    if not isinstance(source, Path):
+        if source.lstrip().startswith("{"):
+            return parse_group_document(source)
+        source = Path(source)
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GroupFileError(f"{source} is not UTF-8 text: {exc}") from exc
+    return parse_group_document(text)
 
 
 def group_document(group: CrystGroup) -> dict:

@@ -33,6 +33,7 @@ from .reidemeister import (
     INFINITE,
     NormaliserUnavailable,
     RinfStatus,
+    _normaliser_generators,
     decide_r_infinity,
     reidemeister_number,
     search_r_infinity_witness,
@@ -56,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_group(source: str) -> CrystGroup:
-    if Path(source).exists():
+    if Path(source).is_file():
         return load_group(Path(source))
     catalog = builtin_catalog()
     if source in catalog:
@@ -141,15 +142,12 @@ def build_parser() -> _Parser:
 def _cmd_validate(args, group: CrystGroup, meta: dict):
     group.validate()
     if args.json:  # the closure only feeds meta, which text output never shows
-        if group.normaliser_gens is None:
+        try:
+            meta["normaliser_size"] = matrix_group_closure(_normaliser_generators(group)).order
+        except NormaliserUnavailable:
             meta["normaliser_size"] = _ABSENT
-        else:
-            # An empty generator list stands for the trivial normaliser {I}.
-            gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
-            try:
-                meta["normaliser_size"] = matrix_group_closure(gens).order
-            except ClosureCapExceeded:
-                meta["normaliser_size"] = _INFINITE_NORMALISER
+        except ClosureCapExceeded:
+            meta["normaliser_size"] = _INFINITE_NORMALISER
     result = {
         "valid": True,
         "dimension": group.dimension,

@@ -350,20 +350,34 @@ class CrystGroup:
                     raise GroupValidationError(
                         "cocycle closure violated: products leave the stated group"
                     )
-        if self.normaliser_gens is not None:
-            parts = set(self.matrix_parts)
-            for d in self.normaliser_gens:
-                if not d.is_unimodular() or d.nrows != n:
-                    raise GroupValidationError("normaliser generator is not unimodular n x n")
-                d_inv = d.int_inverse()
-                if {d @ a @ d_inv for a in parts} != parts:
-                    raise GroupValidationError(
-                        f"supplied matrix does not normalise the holonomy group: {d}"
-                    )
+        for d in self.normaliser_gens or ():
+            if not d.is_unimodular() or d.nrows != n:
+                raise GroupValidationError("normaliser generator is not unimodular n x n")
+            try:
+                conjugation_permutation(self, d)
+            except ValueError:
+                raise GroupValidationError(
+                    f"supplied matrix does not normalise the holonomy group: {d}"
+                ) from None
 
     def __repr__(self) -> str:
         tag = self.name or "?"
         return f"CrystGroup({tag}, dim={self.dimension}, |F|={self.order})"
+
+
+def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, ...]:
+    """The permutation of holonomy elements induced by A -> D.A.D^-1.
+
+    Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
+    Raises ValueError unless the matrix is unimodular and normalises the
+    holonomy group; conjugation is injective, so sigma is then a bijection.
+    """
+    inv = linear.int_inverse()
+    index = group.point_group._index
+    images = tuple(index.get(linear @ a @ inv) for a in group.matrix_parts)
+    if None in images:
+        raise ValueError(f"matrix does not normalise the holonomy group: {linear}")
+    return images
 
 
 def build_group(

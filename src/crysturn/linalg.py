@@ -271,15 +271,12 @@ class SnfDecomposition:
     """Smith normal form data: p @ matrix @ q == s exactly.
 
     ``p`` and ``q`` are unimodular, ``s`` is diagonal with nonnegative
-    entries and each diagonal entry divides the next.  ``p_inv`` and
-    ``q_inv`` are the exact inverses, tracked during the reduction.
+    entries and each diagonal entry divides the next.
     """
 
     p: IntMatrix
     s: IntMatrix
     q: IntMatrix
-    p_inv: IntMatrix
-    q_inv: IntMatrix
     invariant_factors: tuple[int, ...]
 
     @property
@@ -297,29 +294,22 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     nrows, ncols = m.shape
     a = [list(row) for row in m.rows]
     p = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    p_inv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     q = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    q_inv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         p[i], p[j] = p[j], p[i]
-        for row in p_inv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in q:
             row[i], row[j] = row[j], row[i]
-        q_inv[i], q_inv[j] = q_inv[j], q_inv[i]
 
     def add_row(i, j, k):
         # row_i += k * row_j
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
         p[i] = [x + k * y for x, y in zip(p[i], p[j])]
-        for row in p_inv:
-            row[j] -= k * row[i]
 
     def add_col(j, i, k):
         # col_j += k * col_i
@@ -327,13 +317,10 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
             row[j] += k * row[i]
         for row in q:
             row[j] += k * row[i]
-        q_inv[i] = [x - k * y for x, y in zip(q_inv[i], q_inv[j])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         p[i] = [-x for x in p[i]]
-        for row in p_inv:
-            row[i] = -row[i]
 
     t = 0
     while t < min(nrows, ncols):
@@ -384,14 +371,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     def wrap(rows):
         return IntMatrix._unchecked(tuple(map(tuple, rows)))
 
-    return SnfDecomposition(
-        p=wrap(p),
-        s=wrap(a),
-        q=wrap(q),
-        p_inv=wrap(p_inv),
-        q_inv=wrap(q_inv),
-        invariant_factors=factors,
-    )
+    return SnfDecomposition(p=wrap(p), s=wrap(a), q=wrap(q), invariant_factors=factors)
 
 
 def mod2_solution_count(b_mat: IntMatrix, b_vec: Sequence[Scalar]) -> int:
@@ -433,10 +413,9 @@ def coset_representatives(b: IntMatrix) -> list[tuple[int, ...]]:
     if b.det() == 0:
         raise ValueError("matrix is singular: infinitely many cosets")
     snf = smith_normal_form(b)
-    reps = []
-    for combo in _mixed_radix(*(range(s) for s in snf.invariant_factors)):
-        reps.append(snf.p_inv.apply(combo))
-    return reps
+    p_inv = snf.p.int_inverse()
+    factors = snf.invariant_factors
+    return [p_inv.apply(combo) for combo in _mixed_radix(*(range(s) for s in factors))]
 
 
 def in_lattice_image(b: IntMatrix, v: Sequence[Scalar]) -> bool:

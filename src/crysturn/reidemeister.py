@@ -9,14 +9,18 @@ The pipeline: a determinant test decides infinitude outright; otherwise
 Burnside's lemma counts the orbits of the holonomy group on the lattice
 classes with one Smith normal form per holonomy pair (A, C) in which C
 fixes the component of A, so the cost does not grow with the determinants.
-Those Smith normal forms depend on the linear part D alone, so a
-Reidemeister set computes them once and redoes only the offsets for each
-translation.  The offsets are integer vectors over the common denominator
-of the group's translations and the automorphism's.  The averaging formula (torsion-free groups only) reaches the
-same numbers by another route.  The spectrum of a group whose normaliser
-closure is finite is the union of the finitely many Reidemeister numbers
-its automorphisms can take; since inner automorphisms do not change them,
-one linear part per coset F.D of the closure suffices.
+Those Smith normal forms depend on the linear part D alone, as does D's
+permutation sigma of the holonomy group (:func:`conjugation_permutation`),
+so each linear part gets them once and a Reidemeister set redoes only the
+translation check and the offsets for each translation.  The offsets are
+integer vectors over the common denominator of the group's translations
+and the automorphism's.  The averaging formula (torsion-free groups only)
+reaches the same numbers by another route.
+
+The spectrum of a group whose normaliser closure is finite is the union of
+the finitely many Reidemeister numbers its automorphisms can take; since
+inner automorphisms do not change them, one linear part per coset F.D of
+the closure suffices.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .automorphisms import (
     Automorphism,
+    _translation_images,
+    _translation_part,
     base_translations,
     conjugation_permutation,
-    find_translation_part,
 )
 from .groups import (
     ClosureCapExceeded,
@@ -102,42 +107,35 @@ def averaging_number(phi: Automorphism) -> ReidCount:
 class _FixedComponent(NamedTuple):
     """A component A fixed by a holonomy element C, for one linear part D.
 
-    ``lead`` is g.(a_C + (C - I).a_A) for the group's common denominator g,
-    and ``snf`` the Smith normal form of [C - I | I - A.D], whose invariant
-    factors multiply to the index [Z^n : L] of the lattice L it spans.
+    ``c_index`` is the holonomy index of C, ``lead`` is
+    g.(a_C + (C - I).a_A) for the group's common denominator g, and ``snf``
+    the Smith normal form of [C - I | I - A.D], whose invariant factors
+    multiply to the index [Z^n : L] of the lattice L it spans.
     """
 
+    c_index: int
     a_linear: IntMatrix
     lead: tuple[int, ...]
     snf: SnfDecomposition
 
 
-class _Fixer(NamedTuple):
-    """A holonomy element C that fixes some component, for one linear part D."""
-
-    e_linear: IntMatrix  # E = D.C.D^-1
-    d_a_c: tuple[int, ...]  # g.D.a_C
-    components: list[_FixedComponent]
-
-
 def _fixing_pairs(
-    group: CrystGroup, linear: IntMatrix, blocks: list[IntMatrix]
-) -> list[_Fixer]:
+    group: CrystGroup, sigma: tuple[int, ...], blocks: list[IntMatrix]
+) -> list[_FixedComponent]:
     """The part of the Burnside count that depends on the linear part D alone.
 
-    ``blocks`` are the matrices I - A.D.  C fixes component A iff
-    C.A.E^-1 = A with E = D.C.D^-1; each pair (A, C) gets one Smith normal
-    form.  Translations are read scaled by the group's common denominator.
+    ``sigma`` is D's permutation of the holonomy group and ``blocks`` are the
+    matrices I - A.D.  C fixes component A iff C.A.E^-1 = A with
+    E = D.C.D^-1 = A_sigma(C); each pair (A, C) gets one Smith normal form.
+    Translations are read scaled by the group's common denominator.
     """
     mult, inv = group.mult_table, group.inv_table
     parts, scaled = group.matrix_parts, group.scaled_translations
-    sigma = conjugation_permutation(group, linear)
     ident = parts[0]
-    fixers = []
+    components = []
     for c_idx, (c_linear, a_c) in enumerate(zip(parts, scaled)):
         e_inv = inv[sigma[c_idx]]
         shift = c_linear - ident
-        components = []
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[mult[c_idx][a_idx]][e_inv] != a_idx:
                 continue
@@ -145,39 +143,35 @@ def _fixing_pairs(
                 IntMatrix(tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows)))
             )
             lead = tuple(x + y for x, y in zip(a_c, shift.apply(a_a)))
-            components.append(_FixedComponent(a_linear, lead, snf))
-        if components:
-            fixers.append(_Fixer(parts[sigma[c_idx]], linear.apply(a_c), components))
-    return fixers
+            components.append(_FixedComponent(c_idx, a_linear, lead, snf))
+    return components
 
 
-def _burnside_count(phi: Automorphism, fixers: list[_Fixer]) -> int:
+def _burnside_count(
+    group: CrystGroup, den: int, images: list[tuple[int, ...]], fixed: list[_FixedComponent]
+) -> int:
     """The part of the Burnside count that depends on the translation d.
 
+    ``den`` and ``images`` come from
+    :func:`~crysturn.automorphisms._translation_images`: images[C] is den
+    times the translation part d + D.a_C - E.d of the image of (a_C, C).
     Sums the index of each fixing pair whose offset -c_{A,C} lies in L and
-    divides by the holonomy order.  The offsets are computed on ints scaled
-    by den = g . lcm(denominators of d), so integrality is divisibility by
-    den.
+    divides by the holonomy order; integrality is divisibility by den.
     """
-    den, d = phi.group.scale(phi.translation)
-    lift = den // phi.group.denominator
+    lift = den // group.denominator
     total = 0
-    for fixer in fixers:
-        # translation part of phi((a_C, C)) = (d + D.a_C - E.d, E), times den
-        image = tuple(
-            x + lift * y - z for x, y, z in zip(d, fixer.d_a_c, fixer.e_linear.apply(d))
+    for comp in fixed:
+        offset = tuple(
+            lift * x - y
+            for x, y in zip(comp.lead, comp.a_linear.apply(images[comp.c_index]))
         )
-        for comp in fixer.components:
-            offset = tuple(
-                lift * x - y for x, y in zip(comp.lead, comp.a_linear.apply(image))
-            )
-            assert not any(x % den for x in offset), (
-                "twisted conjugation must keep the lattice coset"
-            )
-            target = comp.snf.p.apply(tuple(-(x // den) for x in offset))
-            if all(t % s == 0 for t, s in zip(target, comp.snf.invariant_factors)):
-                total += math.prod(comp.snf.invariant_factors)
-    count, rem = divmod(total, phi.group.order)
+        assert not any(x % den for x in offset), (
+            "twisted conjugation must keep the lattice coset"
+        )
+        target = comp.snf.p.apply(tuple(-(x // den) for x in offset))
+        if all(t % s == 0 for t, s in zip(target, comp.snf.invariant_factors)):
+            total += math.prod(comp.snf.invariant_factors)
+    count, rem = divmod(total, group.order)
     assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
     return count
 
@@ -198,10 +192,12 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     determinants.  The Smith normal forms depend on D alone, so
     :func:`reidemeister_set` computes them once for all its translations.
     """
-    blocks = _twisted_blocks(phi.group, (a @ phi.linear for a in phi.group.matrix_parts))
+    group = phi.group
+    blocks = _twisted_blocks(group, (a @ phi.linear for a in group.matrix_parts))
     if blocks is None:
         return INFINITE
-    return _burnside_count(phi, _fixing_pairs(phi.group, phi.linear, blocks))
+    den, images = _translation_images(group, phi.linear, phi.sigma, phi.translation)
+    return _burnside_count(group, den, images, _fixing_pairs(group, phi.sigma, blocks))
 
 
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:
@@ -210,22 +206,25 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     Empty when no valid translation exists.  When the determinant test fires
     the set is {infinity} outright.  Otherwise the translation solution is
     swept through the base-translation offsets, which exhaust the possible
-    values: the solve, the conjugation permutation, the matrices I - A.D and
-    the fixing pairs with their Smith normal forms are computed once, and
-    only the Burnside offsets are redone for each validated automorphism.
+    values.  The conjugation permutation, the solve, the matrices I - A.D
+    and the fixing pairs with their Smith normal forms are computed once;
+    each swept translation is checked against every holonomy representative
+    and only its image translations and Burnside offsets are redone.
     """
-    d = find_translation_part(group, linear)
+    sigma = conjugation_permutation(group, linear)
+    d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()
     blocks = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
     if blocks is None:
         return frozenset((INFINITE,))
-    fixers = _fixing_pairs(group, linear, blocks)
-    values = set()
-    for base in base_translations(group):
-        phi = Automorphism(group, vec_add(base, d), linear)
-        values.add(_burnside_count(phi, fixers))
-    return frozenset(values)
+    components = _fixing_pairs(group, sigma, blocks)
+    return frozenset(
+        _burnside_count(
+            group, *_translation_images(group, linear, sigma, vec_add(base, d)), components
+        )
+        for base in base_translations(group)
+    )
 
 
 class RinfStatus(Enum):
@@ -266,10 +265,10 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
     for d_mat, coset in _coset_leaders(group, closure):
-        conjugation_permutation(group, d_mat)  # raises unless d_mat normalises
+        sigma = conjugation_permutation(group, d_mat)  # raises unless d_mat normalises
         if _twisted_blocks(group, coset) is None:  # the determinant test
             continue
-        if find_translation_part(group, d_mat) is not None:
+        if _translation_part(group, d_mat, sigma) is not None:
             return RinfVerdict(RinfStatus.FAILS, witness=d_mat, normaliser_order=closure.order)
     return RinfVerdict(RinfStatus.HOLDS, normaliser_order=closure.order)
 
@@ -294,16 +293,19 @@ def _coset_leaders(
             covered.update(coset)
 
 
-def _normaliser_closure(group: CrystGroup) -> PointGroup:
+def _normaliser_generators(group: CrystGroup) -> list[IntMatrix]:
+    """The supplied normaliser generators; an empty list of them stands for
+    the trivial normaliser {I}."""
     if group.normaliser_gens is None:
         raise NormaliserUnavailable(
             "group carries no normaliser generators; spectra and R-infinity "
             "verdicts need them as input"
         )
-    gens = list(group.normaliser_gens)
-    if not gens:
-        gens = [IntMatrix.identity(group.dimension)]
-    return matrix_group_closure(gens)
+    return list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
+
+
+def _normaliser_closure(group: CrystGroup) -> PointGroup:
+    return matrix_group_closure(_normaliser_generators(group))
 
 
 @dataclass(frozen=True)
@@ -378,9 +380,9 @@ def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix
                     continue
                 seen.add(cand)
                 next_frontier.append(cand)
-                if not is_always_infinite(group, cand) and find_translation_part(
-                    group, cand
-                ) is not None:
+                sigma = conjugation_permutation(group, cand)  # raises unless cand normalises
+                blocks = _twisted_blocks(group, (a @ cand for a in group.matrix_parts))
+                if blocks is not None and _translation_part(group, cand, sigma) is not None:
                     yield cand
         frontier = next_frontier
 

@@ -71,7 +71,11 @@ class TestLoadGroup:
 
     @pytest.mark.parametrize(
         "field",
-        [{"labels": {"bbnwz": 5}}, {"expected": {"r_infinity": "yes"}}, {"name": 5}],
+        [{"labels": {"bbnwz": 5}}, {"expected": {"r_infinity": "yes"}}, {"name": 5}]
+        + [
+            {"expected": {"spectrum": value}}
+            for value in (5, "{1,2", "0N", "{}", "N∖{x}", "2N ∖ 3")
+        ],
     )
     def test_malformed_field_rejected(self, field):
         doc = {"dimension": 1, "generators": [], **field}

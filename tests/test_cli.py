@@ -204,6 +204,30 @@ class TestValidate:
         assert code == EXIT_BAD_DATA
         assert out == "" and "name must be a string" in err
 
+    @pytest.mark.parametrize("spectrum", ['"{1,2"', "[2]"])
+    def test_malformed_expected_spectrum_is_bad_data(self, capsys, tmp_path, spectrum):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"dimension": 1, "generators": [], "expected": {"spectrum": %s}}' % spectrum,
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_BAD_DATA
+        assert out == "" and "expected spectrum" in err
+
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == "" and "no such file or catalog entry" in err
+
+    def test_non_utf8_is_bad_data(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = '{"name": "caf\u00e9", "dimension": 1, "generators": []}'
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_BAD_DATA
+        assert out == "" and "not UTF-8" in err
+
     def test_text_mode_runs_no_closure(self, capsys, monkeypatch):
         import crysturn.cli as cli
 

@@ -93,8 +93,6 @@ class TestSmithNormalForm:
         assert snf.p @ m @ snf.q == snf.s
         assert snf.p.det() in (1, -1)
         assert snf.q.det() in (1, -1)
-        assert snf.p @ snf.p_inv == IntMatrix.identity(m.nrows)
-        assert snf.q @ snf.q_inv == IntMatrix.identity(m.ncols)
         diag = [snf.s.rows[i][i] for i in range(min(m.shape))]
         for i, row in enumerate(snf.s.rows):
             for j, x in enumerate(row):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crysturn.automorphisms
+import crysturn.groups
 import crysturn.linalg
 import crysturn.reidemeister
 from crysturn.automorphisms import (
@@ -36,6 +37,7 @@ from crysturn.reidemeister import (
     witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
+from test_groups import count_matmul
 from oracles import candidate_count, full_closure_spectrum, union_find_number
 
 
@@ -466,3 +468,44 @@ class TestSharedWork:
             monkeypatch.setattr(module, "smith_normal_form", counting)
         assert reidemeister_set(group, d_mat) == {8}
         assert len(calls) <= pairs + 2
+
+    @staticmethod
+    def count_conjugations(monkeypatch) -> list:
+        """Record the matrix of every conjugation_permutation call from here on."""
+        real = crysturn.automorphisms.conjugation_permutation
+        calls = []
+
+        def counting(group, linear):
+            calls.append(linear)
+            return real(group, linear)
+
+        for module in (crysturn.groups, crysturn.automorphisms, crysturn.reidemeister):
+            if getattr(module, "conjugation_permutation", None) is real:
+                monkeypatch.setattr(module, "conjugation_permutation", counting)
+        return calls
+
+    def test_one_conjugation_per_linear_part(self, monkeypatch):
+        # 4/9/2/1/1 has |F| = 6 and 12 base translations; a set used to make
+        # 2 conjugations and 174 products, conjugating again per translation
+        group = builtin_catalog().group("4/9/2/1/1")
+        d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        phi = Automorphism(group, find_translation_part(group, d_mat), d_mat)
+        conjugations = self.count_conjugations(monkeypatch)
+        products = count_matmul(monkeypatch)
+        assert reidemeister_set(group, d_mat) == {8}
+        assert conjugations == [d_mat]
+        assert len(products) <= 3 * group.order
+        conjugations.clear()
+        assert reidemeister_number(phi) == 8
+        assert conjugations == []
+
+    def test_one_conjugation_per_tested_word(self, monkeypatch):
+        group = builtin_catalog().group("2/1/1/1/1")
+        letters = set(group.normaliser_gens) | {g.int_inverse() for g in group.normaliser_gens}
+        ball = {IntMatrix.identity(2)}
+        for _ in range(3):
+            ball |= {letter @ word for letter in letters for word in ball}
+        conjugations = self.count_conjugations(monkeypatch)
+        words = list(witness_words(group, 3))
+        assert words
+        assert len(conjugations) == len(ball) - 1  # every word but the empty one
