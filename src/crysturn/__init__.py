@@ -42,7 +42,6 @@ from .reidemeister import (
     NormaliserUnavailable,
     RinfStatus,
     RinfVerdict,
-    averaging_number,
     decide_r_infinity,
     is_always_infinite,
     reidemeister_number,

@@ -140,7 +140,6 @@ def build_parser() -> _Parser:
 
 
 def _cmd_validate(args, group: CrystGroup, meta: dict):
-    group.validate()
     if args.json:  # the closure only feeds meta, which text output never shows
         try:
             meta["normaliser_size"] = matrix_group_closure(_normaliser_generators(group)).order

@@ -8,19 +8,21 @@ components reduced into [0, 1).  The representative of the identity matrix
 is always the true identity.
 
 Construction closes the given generators into the finite holonomy group by
-breadth-first products and validates the cocycle condition; the supplied
-normaliser generators are checked to actually normalise the holonomy group
-but are otherwise trusted as input data (completeness of the normaliser
-cannot be certified from the group alone).
+breadth-first products, and that closure is the one proof of group
+structure (see :func:`build_group`).  The supplied normaliser generators
+are checked to actually normalise the holonomy group but are otherwise
+trusted as input data (completeness of the normaliser cannot be certified
+from the group alone).
 
 Translations stay Fractions in :class:`AffineMap`, the public value type.
 A :class:`CrystGroup` also stores its representatives' translations once, as
 integer tuples over one common denominator, which the integer kernels of
-validation, the translation solve and the Reidemeister count read.
+the translation solve, automorphism validation and the Reidemeister count
+read.
 
-Only the holonomy group carries multiplication and inverse tables.  A
-normaliser closure can be far larger and its users only walk its elements,
-so :func:`matrix_group_closure` returns a plain validated element list.
+Only the holonomy group carries a multiplication table.  A normaliser
+closure can be far larger and its users only walk its elements, so
+:func:`matrix_group_closure` returns a plain element list.
 
 Both closures either finish, and the group is finite, or raise
 :class:`ClosureCapExceeded` on a certificate that it is infinite (see
@@ -146,27 +148,15 @@ class AffineMap:
 
 
 class PointGroup:
-    """A finite set of distinct square integer matrices, identity included.
+    """A finite matrix group: distinct square matrices, identity first, indexed.
 
-    Only the checks that need no products are made here; closure is up to
-    the caller.  :func:`matrix_group_closure` is closed by construction, and
-    :class:`CrystGroup` checks closure while building its holonomy tables.
+    Nothing is checked here.  :func:`matrix_group_closure` and
+    :func:`build_group` make every point group, closed by construction.
     """
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = tuple(elements)
-        if not self.elements:
-            raise GroupValidationError("point group must be nonempty")
-        n = self.elements[0].nrows
-        self._index = {}
-        for i, m in enumerate(self.elements):
-            if not m.is_square or m.nrows != n:
-                raise GroupValidationError("point group elements must share a square shape")
-            if m in self._index:
-                raise GroupValidationError("duplicate point group element")
-            self._index[m] = i
-        if IntMatrix.identity(n) not in self._index:
-            raise GroupValidationError("point group does not contain the identity")
+        self._index = {m: i for i, m in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -227,10 +217,11 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
 class CrystGroup:
     """A crystallographic group with translation lattice exactly Z^n.
 
-    ``f_ext`` holds one affine representative per holonomy matrix, identity
-    first, translations in [0, 1)^n.  ``mult_table`` and ``inv_table`` give
-    products and inverses of holonomy elements by their index in ``f_ext``;
-    building them rejects matrix parts that are not closed under either.
+    :func:`build_group` makes it, and its closure is the proof that the
+    data form a group; the constructor trusts the closure it is given and
+    checks nothing.  ``f_ext`` holds one affine representative per holonomy
+    matrix, identity first, translations in [0, 1)^n.  ``mult_table`` gives
+    products of holonomy elements by their index in ``f_ext``.
     ``normaliser_gens`` is optional input data (generators of the normaliser
     of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
     always relative to it.  ``denominator`` is the least common multiple g
@@ -256,18 +247,8 @@ class CrystGroup:
         self.scaled_translations = tuple(
             _scaled(g.translation, self.denominator) for g in self.f_ext
         )
-        index = self.point_group._index
-        mult = []
-        for a in self.matrix_parts:
-            row = tuple(index.get(a @ b) for b in self.matrix_parts)
-            if None in row:
-                raise GroupValidationError("point group is not closed under products")
-            mult.append(row)
-        self.mult_table = tuple(mult)
-        ident = index[IntMatrix.identity(self.f_ext[0].dimension)]
-        if any(ident not in row for row in self.mult_table):
-            raise GroupValidationError("point group is not closed under inverses")
-        self.inv_table = tuple(row.index(ident) for row in self.mult_table)
+        index, parts = self.point_group._index, self.matrix_parts
+        self.mult_table = tuple(tuple(index.get(a @ b) for b in parts) for a in parts)
 
     @property
     def order(self) -> int:
@@ -323,43 +304,6 @@ class CrystGroup:
                 return False
         return True
 
-    def validate(self) -> None:
-        """Re-check every structural invariant; raises on the first failure.
-
-        Closure under products and inverses is checked by construction; this
-        walks all pairs of representatives for the cocycle condition, taking
-        each product's representative from ``mult_table`` and reading the
-        translations scaled by the common denominator, and checks that
-        the normaliser generators normalise the holonomy group.
-        """
-        n = self.dimension
-        ident = IntMatrix.identity(n)
-        if self.f_ext[0].linear != ident or any(x != 0 for x in self.f_ext[0].translation):
-            raise GroupValidationError("first representative must be the identity")
-        for rep in self.f_ext:
-            if rep.dimension != n:
-                raise GroupValidationError("representative of wrong dimension")
-            if not rep.linear.is_unimodular():
-                raise GroupValidationError("matrix part is not unimodular")
-            if any(not (0 <= x < 1) for x in rep.translation):
-                raise GroupValidationError("translation not reduced into [0,1)")
-        g, scaled = self.denominator, self.scaled_translations
-        for gi, ti, row in zip(self.f_ext, scaled, self.mult_table):
-            for tj, k in zip(scaled, row):
-                if any((x + y - z) % g for x, y, z in zip(ti, gi.linear.apply(tj), scaled[k])):
-                    raise GroupValidationError(
-                        "cocycle closure violated: products leave the stated group"
-                    )
-        for d in self.normaliser_gens or ():
-            if not d.is_unimodular() or d.nrows != n:
-                raise GroupValidationError("normaliser generator is not unimodular n x n")
-            try:
-                conjugation_permutation(self, d)
-            except ValueError:
-                raise GroupValidationError(
-                    f"supplied matrix does not normalise the holonomy group: {d}"
-                ) from None
-
     def __repr__(self) -> str:
         tag = self.name or "?"
         return f"CrystGroup({tag}, dim={self.dimension}, |F|={self.order})"
@@ -393,8 +337,15 @@ def build_group(
     generators.  Matrix parts are closed breadth-first, translations are
     reduced into [0,1)^n, and a conflict between two translations for the
     same matrix part means the generators do not define a group whose
-    translation lattice is Z^n.  Raises :class:`ClosureCapExceeded` when the
-    matrix parts generate an infinite group (see :func:`matrix_group_closure`).
+    translation lattice is Z^n.  Every element is a reduced word in the
+    generators and each product generator.element is checked, so by
+    induction on word length every product of two elements, and (the group
+    being finite) every inverse, lands on its representative modulo Z^n:
+    the cocycle condition holds with |generators|.|F| products.  The
+    normaliser generators are the one other outside input; each must be a
+    unimodular n x n matrix that normalises the holonomy group.  Raises
+    :class:`ClosureCapExceeded` when the matrix parts generate an infinite
+    group (see :func:`matrix_group_closure`).
     """
     for g in generators:
         if g.dimension != dimension:
@@ -443,5 +394,13 @@ def build_group(
         labels=labels,
         name=name,
     )
-    group.validate()
+    for d in group.normaliser_gens or ():
+        if not d.is_unimodular() or d.nrows != dimension:
+            raise GroupValidationError("normaliser generator is not unimodular n x n")
+        try:
+            conjugation_permutation(group, d)
+        except ValueError:
+            raise GroupValidationError(
+                f"supplied matrix does not normalise the holonomy group: {d}"
+            ) from None
     return group

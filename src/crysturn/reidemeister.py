@@ -14,8 +14,7 @@ permutation sigma of the holonomy group (:func:`conjugation_permutation`),
 so each linear part gets them once and a Reidemeister set redoes only the
 translation check and the offsets for each translation.  The offsets are
 integer vectors over the common denominator of the group's translations
-and the automorphism's.  The averaging formula (torsion-free groups only)
-reaches the same numbers by another route.
+and the automorphism's.
 
 The spectrum of a group whose normaliser closure is finite is the union of
 the finitely many Reidemeister numbers its automorphisms can take; since
@@ -87,23 +86,6 @@ def _twisted_blocks(
     return blocks
 
 
-def averaging_number(phi: Automorphism) -> ReidCount:
-    """Averaged determinant formula, valid for torsion-free groups only."""
-    group = phi.group
-    if not group.is_bieberbach():
-        raise ValueError("averaging formula requires a torsion-free group")
-    ident = IntMatrix.identity(group.dimension)
-    total = 0
-    for a in group.matrix_parts:
-        term = (ident - a @ phi.linear).det()
-        if term == 0:
-            return INFINITE
-        total += abs(term)
-    count, rem = divmod(total, group.order)
-    assert rem == 0, "averaged determinant sum must be divisible by the holonomy order"
-    return count
-
-
 class _FixedComponent(NamedTuple):
     """A component A fixed by a holonomy element C, for one linear part D.
 
@@ -126,18 +108,19 @@ def _fixing_pairs(
 
     ``sigma`` is D's permutation of the holonomy group and ``blocks`` are the
     matrices I - A.D.  C fixes component A iff C.A.E^-1 = A with
-    E = D.C.D^-1 = A_sigma(C); each pair (A, C) gets one Smith normal form.
-    Translations are read scaled by the group's common denominator.
+    E = D.C.D^-1 = A_sigma(C), that is iff C.A = A.E, which the holonomy
+    multiplication table answers; each pair (A, C) gets one Smith normal
+    form.  Translations are read scaled by the group's common denominator.
     """
-    mult, inv = group.mult_table, group.inv_table
+    mult = group.mult_table
     parts, scaled = group.matrix_parts, group.scaled_translations
     ident = parts[0]
     components = []
     for c_idx, (c_linear, a_c) in enumerate(zip(parts, scaled)):
-        e_inv = inv[sigma[c_idx]]
+        e_idx = sigma[c_idx]
         shift = c_linear - ident
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
-            if mult[mult[c_idx][a_idx]][e_inv] != a_idx:
+            if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
             snf = smith_normal_form(
                 IntMatrix(tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows)))

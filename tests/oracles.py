@@ -1,4 +1,6 @@
-"""Slow, independent counters that the tests check the library against."""
+"""Slow, independent checks and counters that the tests hold the library to."""
+
+from typing import Optional
 
 from crysturn.automorphisms import Automorphism
 from crysturn.groups import AffineMap, CrystGroup, matrix_group_closure
@@ -13,6 +15,55 @@ from crysturn.linalg import (
     vec_sub,
 )
 from crysturn.reidemeister import INFINITE, ComputedSpectrum, ReidCount, reidemeister_set
+
+
+def structure_violation(group: CrystGroup) -> Optional[str]:
+    """The first way the group's data fail to define a crystallographic group
+    with translation lattice Z^n, or None; in Fractions, from the affine maps.
+
+    The library proves the structure once, by the closure in ``build_group``;
+    this walks every pair of representatives and every inverse instead.
+    """
+    n = group.dimension
+    if not group.f_ext or group.f_ext[0] != AffineMap.identity(n):
+        return "first representative is not the identity"
+    if len(set(group.matrix_parts)) != group.order:
+        return "two representatives share a matrix part"
+    for rep in group.f_ext:
+        if rep.linear.shape != (n, n) or not rep.linear.is_unimodular():
+            return f"matrix part is not unimodular n x n: {rep}"
+        if any(not 0 <= x < 1 for x in rep.translation):
+            return f"translation not reduced into [0, 1): {rep}"
+    for rep in group.f_ext:
+        if not group.contains(rep.inverse()):
+            return f"inverse leaves the group: {rep}"
+        for other in group.f_ext:
+            if not group.contains(rep.compose(other)):
+                return f"product leaves the group: {rep} * {other}"
+    for d in group.normaliser_gens or ():
+        if d.shape != (n, n) or not d.is_unimodular():
+            return f"normaliser generator is not unimodular n x n: {d}"
+        # D.F.D^-1 = F iff D.F = F.D, with no inverse taken
+        if {d @ a for a in group.matrix_parts} != {a @ d for a in group.matrix_parts}:
+            return f"normaliser generator does not normalise the holonomy group: {d}"
+    return None
+
+
+def averaging_number(phi: Automorphism) -> ReidCount:
+    """Averaged determinant formula, valid for torsion-free groups only."""
+    group = phi.group
+    if not group.is_bieberbach():
+        raise ValueError("averaging formula requires a torsion-free group")
+    ident = IntMatrix.identity(group.dimension)
+    total = 0
+    for a in group.matrix_parts:
+        term = (ident - a @ phi.linear).det()
+        if term == 0:
+            return INFINITE
+        total += abs(term)
+    count, rem = divmod(total, group.order)
+    assert rem == 0, "averaged determinant sum must be divisible by the holonomy order"
+    return count
 
 
 class _UnionFind:
@@ -74,10 +125,10 @@ def union_find_number(phi: Automorphism) -> ReidCount:
 
     # For each ordered holonomy pair (A, B), the C's with A = C.B.D.C^-1.D^-1.
     d_inv = d_mat.int_inverse()
+    c_invs = [c.int_inverse() for c in group.matrix_parts]
     mergers: dict[tuple[int, int], list[int]] = {}
     for b_idx, b in enumerate(group.matrix_parts):
-        for c_idx, c in enumerate(group.matrix_parts):
-            c_inv = group.matrix_parts[group.inv_table[c_idx]]
+        for c_idx, (c, c_inv) in enumerate(zip(group.matrix_parts, c_invs)):
             a = c @ b @ d_mat @ c_inv @ d_inv
             mergers.setdefault((group.holonomy_index(a), b_idx), []).append(c_idx)
 

@@ -229,8 +229,6 @@ class TestValidate:
         assert out == "" and "not UTF-8" in err
 
     def test_text_mode_runs_no_closure(self, capsys, monkeypatch):
-        import crysturn.cli as cli
-
         calls = []
         real = cli.matrix_group_closure
 

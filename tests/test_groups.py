@@ -1,24 +1,25 @@
 """Tests for the affine crystallographic group model."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysturn.catalog import builtin_catalog
+from crysturn.catalog import builtin_catalog, parse_group_document
 from crysturn.groups import (
     _MAX_FINITE_ORDER,
     AffineMap,
     ClosureCapExceeded,
     CrystGroup,
     GroupValidationError,
-    PointGroup,
     _minkowski_bound,
     build_group,
     matrix_group_closure,
 )
 from crysturn.linalg import IntMatrix, vector, zero_vector
+from oracles import structure_violation
 
 R3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order-3 rotation of the hexagonal lattice
 NEG_I2 = IntMatrix.from_rows([[-1, 0], [0, -1]])
@@ -155,15 +156,7 @@ class TestBuildGroup:
 
     def test_output_revalidates(self):
         g = build_group(2, [AffineMap(zero_vector(2), R3)])
-        g.validate()
-
-    def test_validate_reads_products_from_the_table(self, monkeypatch):
-        # the cocycle walk takes each product from mult_table; only the
-        # normaliser check D.A.D^-1 multiplies matrices
-        g = builtin_catalog().group("4/9/2/1/1")
-        calls = count_matmul(monkeypatch)
-        g.validate()
-        assert len(calls) <= 2 * g.order * len(g.normaliser_gens)
+        assert structure_violation(g) is None
 
     @given(st.lists(unimodular_affine_maps(), max_size=2))
     @settings(max_examples=60, deadline=None)
@@ -172,7 +165,32 @@ class TestBuildGroup:
             g = build_group(2, gens)
         except (ClosureCapExceeded, GroupValidationError):
             return
-        g.validate()
+        assert structure_violation(g) is None
+
+    def test_oracle_rejects_groups_that_bypass_the_closure(self):
+        # the structure oracle is not vacuous: CrystGroup itself checks nothing
+        ident = AffineMap.identity(2)
+        not_closed = CrystGroup(2, [ident, AffineMap(zero_vector(2), R3)])
+        assert "leaves the group" in structure_violation(not_closed)
+        # (1/3, 0; diag(1, -1)) squares to the translation (2/3, 0), outside
+        # Z^2, so its inverse is not (1/3, 0; diag(1, -1)) modulo Z^2
+        glide = AffineMap(vector(["1/3", 0]), IntMatrix.diagonal([1, -1]))
+        assert "leaves the group" in structure_violation(CrystGroup(2, [ident, glide]))
+
+    def test_closure_is_the_only_cocycle_check(self, monkeypatch):
+        # parsing makes one translation product per generator and element,
+        # |gens|.|F| = 12 here; a pairwise cocycle walk would add |F|^2 = 36
+        entry = builtin_catalog().entry("4/9/2/1/1")
+        apply = IntMatrix.apply
+        calls = []
+
+        def counted(m, v):
+            calls.append(None)
+            return apply(m, v)
+
+        monkeypatch.setattr(IntMatrix, "apply", counted)
+        g = parse_group_document(json.dumps(entry.document))
+        assert len(calls) <= g.order * len(entry.document["generators"]) == 12
 
 
 class TestMembership:
@@ -250,7 +268,7 @@ class TestMatrixGroupClosure:
 
     def test_tables_are_consistent(self):
         # the closure is closed under products and inverses, and the holonomy
-        # tables of the symmorphic group on the same matrices agree with it
+        # table of the symmorphic group on the same matrices agrees with it
         gens = [IntMatrix.from_rows([[1, -1], [1, 0]]), IntMatrix.from_rows([[0, 1], [1, 0]])]
         pg = matrix_group_closure(gens)
         for a in pg.elements:
@@ -260,7 +278,6 @@ class TestMatrixGroupClosure:
         g = build_group(2, [AffineMap(zero_vector(2), m) for m in gens])
         assert set(g.matrix_parts) == set(pg.elements)
         for i, a in enumerate(g.matrix_parts):
-            assert a @ g.matrix_parts[g.inv_table[i]] == IntMatrix.identity(2)
             for k, b in enumerate(g.matrix_parts):
                 assert g.matrix_parts[g.mult_table[i][k]] == a @ b
 
@@ -319,21 +336,6 @@ class TestFinitenessCertificate:
     def test_minus_identity_is_finite(self, n):
         # trace -n is allowed for -I itself
         assert matrix_group_closure([-IntMatrix.identity(n)]).order == 2
-
-
-def test_point_group_rejects_non_closed():
-    # PointGroup itself only checks what needs no products; the holonomy
-    # group of a CrystGroup must be closed under products and inverses
-    PointGroup([IntMatrix.identity(2), R3])
-    ident = AffineMap.identity(2)
-    with pytest.raises(GroupValidationError, match="products"):
-        CrystGroup(2, [ident, AffineMap(zero_vector(2), R3)])
-    with pytest.raises(GroupValidationError, match="inverses"):
-        CrystGroup(2, [ident, AffineMap(zero_vector(2), IntMatrix.zeros(2, 2))])
-    with pytest.raises(GroupValidationError, match="duplicate"):
-        PointGroup([IntMatrix.identity(2), R3, R3])
-    with pytest.raises(GroupValidationError, match="identity"):
-        PointGroup([R3])
 
 
 def test_roundtrip_representative_order():

@@ -15,7 +15,6 @@ import crysturn.reidemeister
 from crysturn.automorphisms import (
     Automorphism,
     base_translations,
-    conjugation_permutation,
     find_translation_part,
 )
 from crysturn.catalog import builtin_catalog
@@ -27,7 +26,6 @@ from crysturn.reidemeister import (
     ComputedSpectrum,
     NormaliserUnavailable,
     RinfStatus,
-    averaging_number,
     decide_r_infinity,
     is_always_infinite,
     reidemeister_number,
@@ -38,7 +36,7 @@ from crysturn.reidemeister import (
 )
 from conftest import ROT3, ROT6, SWAP2
 from test_groups import count_matmul
-from oracles import candidate_count, full_closure_spectrum, union_find_number
+from oracles import averaging_number, candidate_count, full_closure_spectrum, union_find_number
 
 
 def companion_shift(n, m):
@@ -447,13 +445,12 @@ class TestSharedWork:
     def test_one_snf_per_fixing_pair(self, monkeypatch):
         group = builtin_catalog().group("4/9/2/1/1")
         d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-        sigma = conjugation_permutation(group, d_mat)
-        mult, inv = group.mult_table, group.inv_table
+        d_inv = d_mat.int_inverse()
         pairs = sum(
             1
-            for c in range(group.order)
-            for a in range(group.order)
-            if mult[mult[c][a]][inv[sigma[c]]] == a
+            for c in group.matrix_parts
+            for a in group.matrix_parts
+            if c @ a @ d_mat @ c.int_inverse() @ d_inv == a
         )
         assert len(base_translations(group)) == 12
 
