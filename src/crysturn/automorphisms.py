@@ -45,8 +45,7 @@ def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]
     Row block i is I - A_sigma(i); the right-hand side block is
     D.a_i - a_sigma(i), scaled by the group's common denominator g to ints.
     """
-    n = group.dimension
-    ident = IntMatrix.identity(n)
+    ident = group.matrix_parts[0]  # the holonomy identity comes first
     scaled = group.scaled_translations
     blocks = []
     rhs: list[int] = []
@@ -71,7 +70,12 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     d'_i = -t_i / s_i on the nonzero rows.  Returns None when no valid
     translation exists.  The right-hand side is scaled by g, so t is an
     integer vector, the test reads t_i % g and d'_i = -t_i / (s_i g).
+    Raises ValueError unless ``linear`` is an n x n matrix that normalises
+    the holonomy group.
     """
+    n = group.dimension
+    if linear.shape != (n, n):
+        raise ValueError("automorphism data does not match the group dimension")
     return _translation_part(group, linear, conjugation_permutation(group, linear))
 
 

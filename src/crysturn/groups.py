@@ -22,7 +22,11 @@ read.
 
 Only the holonomy group carries a multiplication table.  A normaliser
 closure can be far larger and its users only walk its elements, so
-:func:`matrix_group_closure` returns a plain element list.
+:func:`matrix_group_closure` returns a plain element list with its sorted
+generators and a Schreier vector: for each element, the generator and the
+earlier element it was found from.  Anything multiplicative in the element
+(its permutation of the holonomy group, say) can then be composed along
+that record instead of being recomputed from the matrix.
 
 Both closures either finish, and the group is finite, or raise
 :class:`ClosureCapExceeded` on a certificate that it is infinite (see
@@ -151,8 +155,16 @@ class PointGroup:
     """A finite matrix group: distinct square matrices, identity first, indexed.
 
     Nothing is checked here.  :func:`matrix_group_closure` and
-    :func:`build_group` make every point group, closed by construction.
+    :func:`build_group` make every point group, closed by construction.  A
+    closure made by :func:`matrix_group_closure` also records how it was
+    found: ``generators`` are its sorted generators and, for every element
+    but the identity, ``schreier[i] = (k, j)`` with
+    ``elements[i] == generators[k] @ elements[j]`` and j < i
+    (``schreier[0]`` is None).  Other point groups leave both empty.
     """
+
+    generators: tuple[IntMatrix, ...] = ()
+    schreier: tuple[Optional[tuple[int, int]], ...] = ()
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = tuple(elements)
@@ -179,10 +191,11 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     generators, so the discovery order (and anything derived from it, like
     "first witness" answers) is deterministic.  The result is closed by
     construction, so the cost is one product per element and generator; no
-    multiplication table is built.  Raises :class:`ClosureCapExceeded` as
-    soon as a new element certifies that the group is infinite: it has
-    |trace| > n, or |trace| = n without being I or -I, or the closure would
-    outgrow every finite subgroup of GL_n(Z).
+    multiplication table is built.  The result carries the sorted generators
+    and the Schreier vector of the walk (see :class:`PointGroup`).  Raises
+    :class:`ClosureCapExceeded` as soon as a new element certifies that the
+    group is infinite: it has |trace| > n, or |trace| = n without being I or
+    -I, or the closure would outgrow every finite subgroup of GL_n(Z).
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -199,19 +212,24 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     bound = _order_bound(n)
     seen = {ident: 0}
     order = [ident]
-    frontier = [ident]
+    schreier: list[Optional[tuple[int, int]]] = [None]
+    frontier = [0]
     while frontier:
         next_frontier = []
-        for cur in frontier:
-            for g in gen_list:
+        for parent in frontier:
+            cur = order[parent]
+            for k, g in enumerate(gen_list):
                 prod = g @ cur
                 if prod not in seen:
                     _certify_finite(prod, len(order), bound)
                     seen[prod] = len(order)
+                    next_frontier.append(len(order))
                     order.append(prod)
-                    next_frontier.append(prod)
+                    schreier.append((k, parent))
         frontier = next_frontier
-    return PointGroup(order)
+    closure = PointGroup(order)
+    closure.generators, closure.schreier = tuple(gen_list), tuple(schreier)
+    return closure
 
 
 class CrystGroup:
@@ -365,9 +383,10 @@ def build_group(
             reps[candidate.linear] = candidate
             return True
         if known.translation != candidate.translation:
+            shown = [", ".join(map(str, t)) for t in (known.translation, candidate.translation)]
             raise GroupValidationError(
                 "cocycle closure violated: two inequivalent translations share a "
-                f"matrix part ({known.translation} vs {candidate.translation})"
+                f"matrix part (({shown[0]}) vs ({shown[1]}))"
             )
         return False
 

@@ -6,9 +6,10 @@ transformation matrices, and the lattice predicates built on top of it:
 coset representatives, image membership, exact solving and GF(2) solution
 counting.  Everything here is a pure function on immutable values.
 
-The hot kernels stay in plain ints.  Products, sums, negations, Smith
-transforms and inverses of valid matrices are built without re-validating
-their entries, and :meth:`IntMatrix.int_inverse` is integer row reduction.
+The hot kernels stay in plain ints.  Products, sums, negations, stacks,
+Smith transforms and inverses of valid matrices are built without
+re-validating their entries, and :meth:`IntMatrix.int_inverse` is integer
+row reduction.
 Rational vectors enter the integer kernels scaled by a common denominator
 (see :meth:`crysturn.groups.CrystGroup.scale`); Fractions are the value
 type at the boundary only.
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _mixed_radix
+from operator import mul as _mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -123,7 +125,7 @@ class IntMatrix:
         width = mats[0].ncols
         if any(m.ncols != width for m in mats):
             raise ValueError("column counts differ in vertical stack")
-        return cls(tuple(row for m in mats for row in m.rows))
+        return cls._unchecked(tuple(row for m in mats for row in m.rows))
 
     @property
     def nrows(self) -> int:
@@ -142,10 +144,7 @@ class IntMatrix:
             raise ValueError("inner dimensions do not match")
         cols = tuple(zip(*other.rows))
         return IntMatrix._unchecked(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+            tuple(tuple(sum(map(_mul, row, col)) for col in cols) for row in self.rows)
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -173,7 +172,7 @@ class IntMatrix:
         """Matrix-vector product; int vectors stay int, rationals stay exact."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        return tuple(sum(map(_mul, row, v)) for row in self.rows)
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""

@@ -20,6 +20,13 @@ The spectrum of a group whose normaliser closure is finite is the union of
 the finitely many Reidemeister numbers its automorphisms can take; since
 inner automorphisms do not change them, one linear part per coset F.D of
 the closure suffices.
+
+sigma is a homomorphism: the permutation of D = G.C is sigma_G after
+sigma_C.  So the walks over the normaliser conjugate the holonomy group
+only by their generators, and compose sigma for every other element at
+|F| lookups: the coset walk along the closure's Schreier vector, the word
+search letter by letter.  The public entry points still conjugate by every
+matrix a caller supplies, which also checks that it normalises.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .groups import (
 from .linalg import (
     IntMatrix,
     SnfDecomposition,
+    Vec,
     smith_normal_form,
     vec_add,
 )
@@ -123,7 +131,9 @@ def _fixing_pairs(
             if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
             snf = smith_normal_form(
-                IntMatrix(tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows)))
+                IntMatrix._unchecked(
+                    tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows))
+                )
             )
             lead = tuple(x + y for x, y in zip(a_c, shift.apply(a_a)))
             components.append(_FixedComponent(c_idx, a_linear, lead, snf))
@@ -194,11 +204,29 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     each swept translation is checked against every holonomy representative
     and only its image translations and Burnside offsets are redone.
     """
-    sigma = conjugation_permutation(group, linear)
+    return _linear_part_set(
+        group,
+        linear,
+        conjugation_permutation(group, linear),
+        (a @ linear for a in group.matrix_parts),
+        base_translations(group),
+    )
+
+
+def _linear_part_set(
+    group: CrystGroup,
+    linear: IntMatrix,
+    sigma: tuple[int, ...],
+    products: Iterable[IntMatrix],
+    bases: list[Vec],
+) -> frozenset[ReidCount]:
+    """:func:`reidemeister_set` for a linear part D whose permutation
+    ``sigma``, products A.D over the holonomy group (in holonomy order) and
+    the group's base translations are already known."""
     d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()
-    blocks = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
+    blocks = _twisted_blocks(group, products)
     if blocks is None:
         return frozenset((INFINITE,))
     components = _fixing_pairs(group, sigma, blocks)
@@ -206,7 +234,7 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
         _burnside_count(
             group, *_translation_images(group, linear, sigma, vec_add(base, d)), components
         )
-        for base in base_translations(group)
+        for base in bases
     )
 
 
@@ -247,8 +275,7 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
         closure = _normaliser_closure(group)
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
-    for d_mat, coset in _coset_leaders(group, closure):
-        sigma = conjugation_permutation(group, d_mat)  # raises unless d_mat normalises
+    for d_mat, sigma, coset in _coset_leaders(group, closure):
         if _twisted_blocks(group, coset) is None:  # the determinant test
             continue
         if _translation_part(group, d_mat, sigma) is not None:
@@ -258,22 +285,46 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
 
 def _coset_leaders(
     group: CrystGroup, closure: PointGroup
-) -> Iterator[tuple[IntMatrix, list[IntMatrix]]]:
-    """Each coset F.D of the closure as (leader, [A.D for A in F]).
+) -> Iterator[tuple[IntMatrix, tuple[int, ...], list[IntMatrix]]]:
+    """Each coset F.D of the closure as (leader, sigma, [A.D for A in F]).
 
-    The leader is the coset's first element in breadth-first order.
-    Composing an automorphism with conjugation by a group element (a, A)
-    turns its linear part D into A.D and keeps its Reidemeister number, so
-    Reidemeister sets, admissibility and the determinant test are constant
-    on F.D.  Costs |F| - 1 products per coset: the holonomy identity comes
-    first.
+    The leader is the coset's first element in breadth-first order and
+    sigma its permutation of the holonomy group.  Composing an automorphism
+    with conjugation by a group element (a, A) turns its linear part D into
+    A.D and keeps its Reidemeister number, so Reidemeister sets,
+    admissibility and the determinant test are constant on F.D.  Costs
+    |F| - 1 products per coset (the holonomy identity comes first) and one
+    :func:`conjugation_permutation` per closure generator, which raises
+    unless it normalises; every element the walk reaches then gets its
+    sigma by one composition along the closure's Schreier vector, so a
+    caller that stops early pays only for what it visited.
     """
     covered: set[IntMatrix] = set()
-    for d_mat in closure.elements:
+    for d_mat, sigma in zip(closure.elements, _closure_sigmas(group, closure)):
         if d_mat not in covered:
             coset = [d_mat, *(a @ d_mat for a in group.matrix_parts[1:])]
-            yield d_mat, coset
+            yield d_mat, sigma, coset
             covered.update(coset)
+
+
+def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation sigma of G.C from outer = sigma_G and inner = sigma_C."""
+    return tuple(map(outer.__getitem__, inner))
+
+
+def _closure_sigmas(group: CrystGroup, closure: PointGroup) -> Iterator[tuple[int, ...]]:
+    """sigma of each closure element, in the closure's order, composed along
+    its Schreier vector from one :func:`conjugation_permutation` per
+    generator; lazy, so each costs |F| lookups only when it is reached."""
+    gen_sigmas = [conjugation_permutation(group, g) for g in closure.generators]
+    sigmas = []
+    for step in closure.schreier:
+        if step is None:  # the identity
+            sigmas.append(tuple(range(group.order)))
+        else:
+            k, parent = step
+            sigmas.append(_compose(gen_sigmas[k], sigmas[parent]))
+        yield sigmas[-1]
 
 
 def _normaliser_generators(group: CrystGroup) -> list[IntMatrix]:
@@ -314,17 +365,21 @@ class ComputedSpectrum:
 def spectrum(group: CrystGroup) -> ComputedSpectrum:
     """Union of Reidemeister sets over the normaliser closure.
 
-    One :func:`reidemeister_set` per coset F.D of the closure (see
+    One Reidemeister set per coset F.D of the closure (see
     :func:`_coset_leaders`) covers every element, since the set is constant
-    on each coset.  Raises :class:`NormaliserUnavailable` without input data
-    and propagates :class:`~crysturn.groups.ClosureCapExceeded` when the
-    closure certifies that the normaliser is infinite.
+    on each coset.  Each set reuses the coset's sigma and its products A.D,
+    which the determinant test reads, and the base translations are
+    computed once for the group.  Raises :class:`NormaliserUnavailable`
+    without input data and propagates
+    :class:`~crysturn.groups.ClosureCapExceeded` when the closure certifies
+    that the normaliser is infinite.
     """
     closure = _normaliser_closure(group)
+    bases = base_translations(group)
     finite: set[int] = set()
     has_infinity = False
-    for d_mat, _ in _coset_leaders(group, closure):
-        for value in reidemeister_set(group, d_mat):
+    for d_mat, sigma, coset in _coset_leaders(group, closure):
+        for value in _linear_part_set(group, d_mat, sigma, coset, bases):
             if value == INFINITE:
                 has_infinity = True
             else:
@@ -343,30 +398,47 @@ def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix
     Yields, in discovery order and up to the given length, each word that
     admits a translation part and passes the determinant test, i.e. each
     linear part of automorphisms with finite Reidemeister numbers.  The empty
-    word is skipped: the identity always has R = infinity.
+    word is skipped: the identity always has R = infinity.  Only the
+    letters are conjugated; each word's sigma is composed from its letters'
+    (see :func:`_words`).
     """
     if group.normaliser_gens is None:
         raise NormaliserUnavailable("word search requires normaliser generators")
-    letters = sorted(
-        {g for g in group.normaliser_gens}
-        | {g.int_inverse() for g in group.normaliser_gens},
-        key=lambda m: m.rows,
-    )
-    seen = {IntMatrix.identity(group.dimension)}
-    frontier = list(seen)
+    for word, sigma in _words(group, max_word_length):
+        blocks = _twisted_blocks(group, (a @ word for a in group.matrix_parts))
+        if blocks is not None and _translation_part(group, word, sigma) is not None:
+            yield word
+
+
+def _words(
+    group: CrystGroup, max_word_length: int
+) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
+    """Each nonempty word of :func:`witness_words`' search once, breadth-first
+    in discovery order, with its sigma.  Each letter gets one
+    :func:`conjugation_permutation`, which raises unless it normalises; a
+    word's sigma is its last letter's composed with its prefix's, at |F|
+    lookups."""
+    letters = [
+        (letter, conjugation_permutation(group, letter))
+        for letter in sorted(
+            {g for g in group.normaliser_gens}
+            | {g.int_inverse() for g in group.normaliser_gens},
+            key=lambda m: m.rows,
+        )
+    ]
+    ident = IntMatrix.identity(group.dimension)
+    seen = {ident}
+    frontier = [(ident, tuple(range(group.order)))]
     for _ in range(max_word_length):
         next_frontier = []
-        for cur in frontier:
-            for letter in letters:
+        for cur, cur_sigma in frontier:
+            for letter, letter_sigma in letters:
                 cand = letter @ cur
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                next_frontier.append(cand)
-                sigma = conjugation_permutation(group, cand)  # raises unless cand normalises
-                blocks = _twisted_blocks(group, (a @ cand for a in group.matrix_parts))
-                if blocks is not None and _translation_part(group, cand, sigma) is not None:
-                    yield cand
+                if cand not in seen:
+                    seen.add(cand)
+                    word = (cand, _compose(letter_sigma, cur_sigma))
+                    next_frontier.append(word)
+                    yield word
         frontier = next_frontier
 
 

@@ -2,7 +2,7 @@
 
 from typing import Optional
 
-from crysturn.automorphisms import Automorphism
+from crysturn.automorphisms import Automorphism, find_translation_part
 from crysturn.groups import AffineMap, CrystGroup, matrix_group_closure
 from crysturn.linalg import (
     IntMatrix,
@@ -14,7 +14,42 @@ from crysturn.linalg import (
     vec_add,
     vec_sub,
 )
-from crysturn.reidemeister import INFINITE, ComputedSpectrum, ReidCount, reidemeister_set
+from crysturn.reidemeister import (
+    INFINITE,
+    ComputedSpectrum,
+    ReidCount,
+    is_always_infinite,
+    reidemeister_set,
+)
+
+
+def naive_matmul(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The rows of a . b by the textbook triple loop over indices."""
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimensions do not match")
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            total = 0
+            for k in range(a.ncols):
+                total += a.rows[i][k] * b.rows[k][j]
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def naive_apply(a: IntMatrix, v) -> tuple:
+    """a . v by an index loop; ints stay ints and Fractions stay exact."""
+    if len(v) != a.ncols:
+        raise ValueError("vector length does not match column count")
+    out = []
+    for i in range(a.nrows):
+        total = 0
+        for k in range(a.ncols):
+            total += a.rows[i][k] * v[k]
+        out.append(total)
+    return tuple(out)
 
 
 def structure_violation(group: CrystGroup) -> Optional[str]:
@@ -151,6 +186,32 @@ def union_find_number(phi: Automorphism) -> ReidCount:
                     dsu.union(i, j)
                     break
     return len({dsu.find(i) for i in range(len(candidates))})
+
+
+def naive_witness_words(group: CrystGroup, max_word_length: int) -> list[IntMatrix]:
+    """The word search with every word's conjugation and determinant test
+    made from its matrix: breadth-first words in the normaliser generators
+    and their inverses, in discovery order, that admit a translation part
+    and have finite Reidemeister numbers."""
+    letters = sorted(
+        set(group.normaliser_gens) | {g.int_inverse() for g in group.normaliser_gens},
+        key=lambda m: m.rows,
+    )
+    seen = {IntMatrix.identity(group.dimension)}
+    frontier, found = list(seen), []
+    for _ in range(max_word_length):
+        next_frontier = []
+        for cur in frontier:
+            for cand in (letter @ cur for letter in letters):
+                if cand not in seen:
+                    seen.add(cand)
+                    next_frontier.append(cand)
+                    if not is_always_infinite(group, cand) and (
+                        find_translation_part(group, cand) is not None
+                    ):
+                        found.append(cand)
+        frontier = next_frontier
+    return found
 
 
 def full_closure_spectrum(group: CrystGroup) -> ComputedSpectrum:

@@ -168,6 +168,14 @@ class TestFindD:
         assert code == EXIT_BAD_DATA
         assert out == "" and "singular" in err
 
+    @pytest.mark.parametrize("linear", ["[[1,0],[0,1]]", "[[1,0,0],[0,1,0]]"])
+    def test_wrong_size_is_bad_data(self, capsys, linear):
+        # the same message as reidnr, not a leaked matrix-product error
+        code, out, err = run(capsys, "find-d", "3/3/1/1/1", f"--D={linear}")
+        assert code == EXIT_BAD_DATA
+        assert out == ""
+        assert err == "invalid group data: automorphism data does not match the group dimension\n"
+
 
 class TestDeltaBase:
     def test_point_reflection(self, capsys):
@@ -196,6 +204,19 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == EXIT_BAD_DATA
         assert "cocycle" in err
+
+    def test_cocycle_conflict_shows_rationals(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"dimension":1,"generators":[{"translation":["1/2"],"matrix":[[1]]}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_BAD_DATA and out == ""
+        assert err == (
+            "invalid group data: cocycle closure violated: two inequivalent "
+            "translations share a matrix part ((0) vs (1/2))\n"
+        )
 
     def test_non_string_name_is_bad_data(self, capsys, tmp_path):
         path = tmp_path / "named.json"

@@ -266,6 +266,18 @@ class TestMatrixGroupClosure:
         with pytest.raises(ValueError):
             matrix_group_closure([IntMatrix.diagonal([2, 1])])
 
+    def test_schreier_vector_records_the_walk(self):
+        # each element is its generator times an earlier element, and the
+        # generators come sorted and without repeats
+        gens = list(builtin_catalog().group("3/3/1/1/1").normaliser_gens)
+        closure = matrix_group_closure(gens + gens[:1])
+        assert closure.generators == tuple(sorted(set(gens), key=lambda m: m.rows))
+        assert len(closure.schreier) == closure.order == 48
+        assert closure.schreier[0] is None
+        for i, (k, parent) in enumerate(closure.schreier[1:], start=1):
+            assert parent < i
+            assert closure.elements[i] == closure.generators[k] @ closure.elements[parent]
+
     def test_tables_are_consistent(self):
         # the closure is closed under products and inverses, and the holonomy
         # table of the symmorphic group on the same matrices agrees with it

@@ -18,16 +18,20 @@ from crysturn.linalg import (
     vec_sub,
     vector,
 )
+from oracles import naive_apply, naive_matmul
+
+
+def int_matrices_of_shape(nrows, ncols, max_entry):
+    return st.lists(
+        st.lists(st.integers(-max_entry, max_entry), min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    ).map(IntMatrix.from_rows)
 
 
 def int_matrices(max_dim=5, max_entry=5, square=False):
     def build(draw_shape):
-        nrows, ncols = draw_shape
-        return st.lists(
-            st.lists(st.integers(-max_entry, max_entry), min_size=ncols, max_size=ncols),
-            min_size=nrows,
-            max_size=nrows,
-        ).map(IntMatrix.from_rows)
+        return int_matrices_of_shape(*draw_shape, max_entry)
 
     if square:
         return st.integers(1, max_dim).flatmap(lambda n: build((n, n)))
@@ -309,3 +313,44 @@ class TestIntInverse:
     def test_rejects_non_unimodular(self, rows, message):
         with pytest.raises(ValueError, match=message):
             IntMatrix.from_rows(rows).int_inverse()
+
+
+class TestKernelsAgainstNaive:
+    """The product and matrix-vector kernels against an index triple loop."""
+
+    BIG = 10**30
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matmul(self, data):
+        nrows, inner, ncols = (data.draw(st.integers(1, 5)) for _ in range(3))
+        a = data.draw(int_matrices_of_shape(nrows, inner, self.BIG))
+        b = data.draw(int_matrices_of_shape(inner, ncols, self.BIG))
+        assert (a @ b).rows == naive_matmul(a, b)
+        assert (a @ b).shape == (nrows, ncols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_apply(self, data):
+        nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        a = data.draw(int_matrices_of_shape(nrows, ncols, self.BIG))
+        entries = st.one_of(
+            st.integers(-self.BIG, self.BIG),
+            st.fractions(max_denominator=10**6),
+        )
+        v = tuple(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+        got = a.apply(v)
+        assert got == naive_apply(a, v)
+        assert [type(x) for x in got] == [type(x) for x in naive_apply(a, v)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_mismatched_shapes_raise(self, data):
+        nrows, inner, ncols = (data.draw(st.integers(1, 4)) for _ in range(3))
+        other = data.draw(st.integers(1, 4).filter(lambda k: k != inner))
+        a = data.draw(int_matrices_of_shape(nrows, inner, 3))
+        b = data.draw(int_matrices_of_shape(other, ncols, 3))
+        with pytest.raises(ValueError, match="inner dimensions"):
+            a @ b
+        with pytest.raises(ValueError, match="column count"):
+            a.apply((0,) * other)

@@ -17,9 +17,15 @@ from crysturn.automorphisms import (
     base_translations,
     find_translation_part,
 )
-from crysturn.catalog import builtin_catalog
+from crysturn.catalog import builtin_catalog, check_catalog
 from crysturn.closed_forms import reidemeister_3_2_1_2_1, reidemeister_point_reflection
-from crysturn.groups import AffineMap, ClosureCapExceeded, build_group, matrix_group_closure
+from crysturn.groups import (
+    AffineMap,
+    ClosureCapExceeded,
+    build_group,
+    conjugation_permutation,
+    matrix_group_closure,
+)
 from crysturn.linalg import IntMatrix, vec_add, vector, zero_vector
 from crysturn.reidemeister import (
     INFINITE,
@@ -31,12 +37,21 @@ from crysturn.reidemeister import (
     reidemeister_number,
     reidemeister_set,
     search_r_infinity_witness,
+    _closure_sigmas,
+    _compose,
+    _words,
     spectrum,
     witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
 from test_groups import count_matmul
-from oracles import averaging_number, candidate_count, full_closure_spectrum, union_find_number
+from oracles import (
+    averaging_number,
+    candidate_count,
+    full_closure_spectrum,
+    naive_witness_words,
+    union_find_number,
+)
 
 
 def companion_shift(n, m):
@@ -368,6 +383,14 @@ def _finite_normaliser_groups():
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def _admissible(name):
+    """The closure elements of a finite-normaliser catalog group that admit a
+    translation part; never empty, since the identity does."""
+    group, closure = _finite_normaliser_groups()[name]
+    return [x for x in closure.elements if find_translation_part(group, x) is not None]
+
+
 class TestCosetWalk:
     """One linear part per coset F.D against the walk over every element."""
 
@@ -409,19 +432,70 @@ class TestCosetWalk:
         }
         assert reidemeister_set(group, d_mat) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_set_constant_under_admissible_conjugation(self, data):
+        # R(psi.phi.psi^-1) = R(phi) for an automorphism psi with linear part
+        # X, and inner automorphisms change D into A.D
+        groups = _finite_normaliser_groups()
+        name = data.draw(st.sampled_from(sorted(groups)))
+        group, closure = groups[name]
+        d_mat = data.draw(st.sampled_from(closure.elements))
+        x = data.draw(st.sampled_from(_admissible(name)))
+        a = data.draw(st.sampled_from(group.matrix_parts))
+        conjugate = a @ x @ d_mat @ x.int_inverse()
+        assert reidemeister_set(group, d_mat) == reidemeister_set(group, conjugate)
+
+
+class TestSigmaComposition:
+    """sigma composed along the walks against conjugating by the matrix."""
+
+    def test_closure_walk_matches_conjugation(self):
+        for name, (group, closure) in _finite_normaliser_groups().items():
+            expected = [conjugation_permutation(group, d) for d in closure.elements]
+            assert list(_closure_sigmas(group, closure)) == expected, name
+
+    def test_word_search_matches_naive(self):
+        catalog = builtin_catalog()
+        for name in catalog.names():
+            group = catalog.group(name)
+            assert list(witness_words(group, 3)) == naive_witness_words(group, 3), name
+
+    def test_word_search_carries_each_words_sigma(self):
+        catalog = builtin_catalog()
+        for name in catalog.names():
+            group = catalog.group(name)
+            for word, sigma in _words(group, 3):
+                assert sigma == conjugation_permutation(group, word), (name, word)
+
+    @pytest.mark.parametrize("name", builtin_catalog().names())
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_words_compose(self, name, data):
+        group = builtin_catalog().group(name)
+        assert group.normaliser_gens is not None
+        gens = group.normaliser_gens
+        letters = [*gens, *(g.int_inverse() for g in gens)]
+        word = data.draw(st.lists(st.sampled_from(letters), max_size=6))
+        matrix, sigma = IntMatrix.identity(group.dimension), tuple(range(group.order))
+        for letter in word:
+            matrix = letter @ matrix
+            sigma = _compose(conjugation_permutation(group, letter), sigma)
+        assert sigma == conjugation_permutation(group, matrix)
+
 
 class TestSharedWork:
     """Counts of the work the coset walk and the per-D kernel avoid."""
 
     def test_spectrum_visits_one_linear_part_per_coset(self, monkeypatch):
         visited = []
-        real = crysturn.reidemeister.reidemeister_set
+        real = crysturn.reidemeister._linear_part_set
 
-        def counting(group, linear):
+        def counting(group, linear, *rest):
             visited.append(linear)
-            return real(group, linear)
+            return real(group, linear, *rest)
 
-        monkeypatch.setattr(crysturn.reidemeister, "reidemeister_set", counting)
+        monkeypatch.setattr(crysturn.reidemeister, "_linear_part_set", counting)
         group = builtin_catalog().group("3/3/1/1/1")
         computed = spectrum(group)
         assert computed.normaliser_order // group.order == 12
@@ -504,5 +578,19 @@ class TestSharedWork:
             ball |= {letter @ word for letter in letters for word in ball}
         conjugations = self.count_conjugations(monkeypatch)
         words = list(witness_words(group, 3))
-        assert words
-        assert len(conjugations) == len(ball) - 1  # every word but the empty one
+        assert words and len(ball) - 1 > len(letters)
+        # every word gets its sigma by composition; only the letters conjugate
+        assert len(conjugations) == len(letters)
+        assert set(conjugations) == letters
+
+    def test_catalog_pass_counts(self, monkeypatch):
+        # one pass used to make 349 conjugations and 3942 products, when every
+        # visited linear part conjugated the holonomy group itself
+        catalog = builtin_catalog()
+        for name in catalog.names():
+            catalog.group(name)
+        conjugations = self.count_conjugations(monkeypatch)
+        products = count_matmul(monkeypatch)
+        assert all(report.passed for report in check_catalog(catalog))
+        assert len(conjugations) <= 110
+        assert len(products) <= 2500
