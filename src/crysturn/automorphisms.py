@@ -14,6 +14,15 @@ group is its permutation sigma (:func:`conjugation_permutation`, defined in
   acting trivially on Z^n factors, up to inner automorphisms,
 * a validated :class:`Automorphism` value with application and composition.
 
+The translation solve and the base translations stack one block per
+holonomy generator (:attr:`~crysturn.groups.CrystGroup.generator_indices`),
+k.n rows for k generators instead of n.|F|.  That is exact: conjugation by
+(d, D) keeps Z^n, so once it maps each generator (a_i, A_i) into the group
+it maps the whole group into it, and the image, which contains Z^n and maps
+onto D.F.D^-1 = F, is the group.  For D = I this says that the A with
+(I - A).d in Z^n form a subgroup of F: (I - A.B).d = (I - A).d + A.(I - B).d.
+The validation still checks every representative.
+
 Translations are Fractions in every argument and result.  Inside, the solve
 and the validation run on ints: the group's translations scaled by its
 common denominator g (:attr:`~crysturn.groups.CrystGroup.denominator`), and
@@ -34,25 +43,27 @@ from .linalg import (
     Vec,
     smith_normal_form,
     vec_add,
+    vec_mod1,
     vector,
     zero_vector,
 )
 
 
 def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
-    """The (nk x n) block system and right-hand side for the translation solve.
+    """The (kn x n) block system and right-hand side for the translation solve.
 
-    Row block i is I - A_sigma(i); the right-hand side block is
-    D.a_i - a_sigma(i), scaled by the group's common denominator g to ints.
+    One row block per holonomy generator i (``group.generator_indices``):
+    I - A_sigma(i), with right-hand side block D.a_i - a_sigma(i), scaled by
+    the group's common denominator g to ints.
     """
     ident = group.matrix_parts[0]  # the holonomy identity comes first
     scaled = group.scaled_translations
     blocks = []
     rhs: list[int] = []
-    for i, a_i in enumerate(scaled):
+    for i in group.generator_indices:
         j = sigma[i]
         blocks.append(ident - group.matrix_parts[j])
-        rhs.extend(x - y for x, y in zip(linear.apply(a_i), scaled[j]))
+        rhs.extend(x - y for x, y in zip(linear.apply(scaled[i]), scaled[j]))
     return IntMatrix.vstack(blocks), tuple(rhs)
 
 
@@ -64,14 +75,15 @@ def _rationals(snf_q: IntMatrix, numerators: list[int], den: int) -> Vec:
 def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
     """Find d such that conjugation by (d, linear) is an automorphism.
 
-    Works through the Smith normal form of the stacked system: with
-    P.M.Q = S and t = P.rhs, a solution exists iff the rows of S that are
-    zero see integral entries of t; the canonical solution takes
-    d'_i = -t_i / s_i on the nonzero rows.  Returns None when no valid
-    translation exists.  The right-hand side is scaled by g, so t is an
-    integer vector, the test reads t_i % g and d'_i = -t_i / (s_i g).
-    Raises ValueError unless ``linear`` is an n x n matrix that normalises
-    the holonomy group.
+    Works through the Smith normal form of the system stacked over the
+    holonomy generators (k.n rows; the module docstring says why the
+    generators suffice): with P.M.Q = S and t = P.rhs, a solution exists
+    iff the rows of S that are zero see integral entries of t; the
+    canonical solution takes d'_i = -t_i / s_i on the nonzero rows.
+    Returns None when no valid translation exists.  The right-hand side is
+    scaled by g, so t is an integer vector, the test reads t_i % g and
+    d'_i = -t_i / (s_i g).  Raises ValueError unless ``linear`` is an
+    n x n matrix that normalises the holonomy group.
     """
     n = group.dimension
     if linear.shape != (n, n):
@@ -103,10 +115,14 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     """The finite set of translations spanning Z^n-fixing automorphisms.
 
     Every automorphism restricting to the identity on Z^n is inner composed
-    with conjugation by (d, I) for exactly one d in this list; built from
-    the Smith normal form of the stacked I - A_i blocks, enumerating
-    d'_i in {0, 1/s_i, ..., (s_i - 1)/s_i} and mapping through Q.  Entries
-    may induce equal Reidemeister numbers; no pruning is attempted.
+    with conjugation by (d, I) for exactly one d in this list.  Built from
+    the Smith normal form of the I - A_i blocks of the holonomy generators
+    (a d that the generators' blocks map into Z^n is mapped there by every
+    block; see the module docstring), enumerating d'_i in
+    {0, 1/s_i, ..., (s_i - 1)/s_i} and mapping through Q.  Each entry is
+    reduced into [0, 1)^n, since (d + z, I) with z in Z^n differs from
+    (d, I) by an inner automorphism, and the list is sorted.  Entries may
+    induce equal Reidemeister numbers; no pruning is attempted.
     """
     n = group.dimension
     m_mat, _ = _stacked_system(group, IntMatrix.identity(n), tuple(range(group.order)))
@@ -118,16 +134,23 @@ def base_translations(group: CrystGroup) -> list[Vec]:
         d_prime = [0] * n
         for i, (y, s) in enumerate(zip(combo, factors)):
             d_prime[i] = y * (den // s)
-        out.append(_rationals(snf.q, d_prime, den))
-    return out
+        out.append(vec_mod1(_rationals(snf.q, d_prime, den)))
+    return sorted(out)
+
+
+def _moved_translations(group: CrystGroup, linear: IntMatrix) -> list[tuple[int, ...]]:
+    """D.a_C for every representative, scaled by g: the part of each image
+    translation that does not depend on d, shared by every d swept."""
+    return [linear.apply(a) for a in group.scaled_translations]
 
 
 def _translation_images(
-    group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...], translation: Vec
+    group: CrystGroup, sigma: tuple[int, ...], moved: list[tuple[int, ...]], translation: Vec
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Check that conjugation by (d, D) = (translation, linear) keeps the group.
 
-    It sends each representative (a_C, C) to (d + D.a_C - E.d, E) with
+    ``moved`` is :func:`_moved_translations` of D.  Conjugation sends each
+    representative (a_C, C) to (d + D.a_C - E.d, E) with
     E = D.C.D^-1 = A_sigma(C); every image translation must be a_sigma(C)
     modulo Z^n, or ValueError.  Returns den = g . lcm(denominators of d) and
     the image translations times den, in holonomy order.
@@ -136,10 +159,8 @@ def _translation_images(
     lift = den // group.denominator
     parts, scaled = group.matrix_parts, group.scaled_translations
     images = []
-    for rep, a, j in zip(group.f_ext, scaled, sigma):
-        image = tuple(
-            x + lift * y - z for x, y, z in zip(d, linear.apply(a), parts[j].apply(d))
-        )
+    for rep, d_a, j in zip(group.f_ext, moved, sigma):
+        image = tuple(x + lift * y - z for x, y, z in zip(d, d_a, parts[j].apply(d)))
         if any((x - lift * w) % den for x, w in zip(image, scaled[j])):
             raise ValueError(f"not an automorphism: conjugate of {rep} leaves the group")
         images.append(image)
@@ -168,7 +189,8 @@ class Automorphism:
         if len(self.translation) != n or self.linear.shape != (n, n):
             raise ValueError("automorphism data does not match the group dimension")
         sigma = conjugation_permutation(self.group, self.linear)
-        _translation_images(self.group, self.linear, sigma, self.translation)
+        moved = _moved_translations(self.group, self.linear)
+        _translation_images(self.group, sigma, moved, self.translation)
         object.__setattr__(self, "sigma", sigma)
 
     @classmethod

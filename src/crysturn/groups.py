@@ -245,6 +245,12 @@ class CrystGroup:
     always relative to it.  ``denominator`` is the least common multiple g
     of the translations' denominators and ``scaled_translations[i]`` is
     g times the translation of ``f_ext[i]``, as ints.
+    ``generator_indices`` are the holonomy indices of representatives that,
+    with Z^n, generate the group; never empty.  :func:`build_group` records
+    those of the generators it closed from (the identity alone for the
+    trivial group), and the translation solve stacks one block per index.
+    A group constructed directly defaults to all its indices, which
+    generate any group.
     """
 
     def __init__(
@@ -254,9 +260,13 @@ class CrystGroup:
         normaliser_gens: Optional[Sequence[IntMatrix]] = None,
         labels: Optional[Mapping[str, str]] = None,
         name: str = "",
+        generator_indices: Optional[Sequence[int]] = None,
     ):
         self.dimension = dimension
         self.f_ext = tuple(f_ext)
+        if generator_indices is None:
+            generator_indices = range(len(self.f_ext))
+        self.generator_indices = tuple(generator_indices)
         self.normaliser_gens = tuple(normaliser_gens) if normaliser_gens is not None else None
         self.labels = dict(labels or {})
         self.name = name
@@ -361,9 +371,10 @@ def build_group(
     being finite) every inverse, lands on its representative modulo Z^n:
     the cocycle condition holds with |generators|.|F| products.  The
     normaliser generators are the one other outside input; each must be a
-    unimodular n x n matrix that normalises the holonomy group.  Raises
-    :class:`ClosureCapExceeded` when the matrix parts generate an infinite
-    group (see :func:`matrix_group_closure`).
+    unimodular n x n matrix that normalises the holonomy group.  The group
+    keeps the holonomy indices of its generators (``generator_indices``).
+    Raises :class:`ClosureCapExceeded` when the matrix parts generate an
+    infinite group (see :func:`matrix_group_closure`).
     """
     for g in generators:
         if g.dimension != dimension:
@@ -406,12 +417,17 @@ def build_group(
                     next_frontier.append(prod)
         frontier = next_frontier
 
+    # The identity adds nothing to a generating set, but the trivial group
+    # keeps it: the translation solve needs at least one block.
+    position = {m: i for i, m in enumerate(reps)}
+    generator_indices = dict.fromkeys(position[s.linear] for s in seeds if position[s.linear])
     group = CrystGroup(
         dimension,
         list(reps.values()),
         normaliser_gens=normaliser_gens,
         labels=labels,
         name=name,
+        generator_indices=tuple(generator_indices) or (0,),
     )
     for d in group.normaliser_gens or ():
         if not d.is_unimodular() or d.nrows != dimension:

@@ -19,7 +19,9 @@ and the automorphism's.
 The spectrum of a group whose normaliser closure is finite is the union of
 the finitely many Reidemeister numbers its automorphisms can take; since
 inner automorphisms do not change them, one linear part per coset F.D of
-the closure suffices.
+the closure suffices, and only the cosets that pass the determinant test
+need a translation solve: the others add at most infinity, which the
+identity already gives.
 
 sigma is a homomorphism: the permutation of D = G.C is sigma_G after
 sigma_C.  So the walks over the normaliser conjugate the holonomy group
@@ -38,6 +40,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .automorphisms import (
     Automorphism,
+    _moved_translations,
     _translation_images,
     _translation_part,
     base_translations,
@@ -189,7 +192,8 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     blocks = _twisted_blocks(group, (a @ phi.linear for a in group.matrix_parts))
     if blocks is None:
         return INFINITE
-    den, images = _translation_images(group, phi.linear, phi.sigma, phi.translation)
+    moved = _moved_translations(group, phi.linear)
+    den, images = _translation_images(group, phi.sigma, moved, phi.translation)
     return _burnside_count(group, den, images, _fixing_pairs(group, phi.sigma, blocks))
 
 
@@ -199,40 +203,40 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     Empty when no valid translation exists.  When the determinant test fires
     the set is {infinity} outright.  Otherwise the translation solution is
     swept through the base-translation offsets, which exhaust the possible
-    values.  The conjugation permutation, the solve, the matrices I - A.D
-    and the fixing pairs with their Smith normal forms are computed once;
-    each swept translation is checked against every holonomy representative
-    and only its image translations and Burnside offsets are redone.
+    values.  The conjugation permutation, the solve, the matrices I - A.D,
+    the translations D.a_C and the fixing pairs with their Smith normal
+    forms are computed once; each swept translation is checked against
+    every holonomy representative and only its image translations and
+    Burnside offsets are redone.
     """
-    return _linear_part_set(
-        group,
-        linear,
-        conjugation_permutation(group, linear),
-        (a @ linear for a in group.matrix_parts),
-        base_translations(group),
-    )
+    sigma = conjugation_permutation(group, linear)
+    blocks = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
+    if blocks is None:
+        if _translation_part(group, linear, sigma) is None:
+            return frozenset()
+        return frozenset((INFINITE,))
+    return _linear_part_set(group, linear, sigma, blocks, base_translations(group))
 
 
 def _linear_part_set(
     group: CrystGroup,
     linear: IntMatrix,
     sigma: tuple[int, ...],
-    products: Iterable[IntMatrix],
+    blocks: list[IntMatrix],
     bases: list[Vec],
-) -> frozenset[ReidCount]:
-    """:func:`reidemeister_set` for a linear part D whose permutation
-    ``sigma``, products A.D over the holonomy group (in holonomy order) and
-    the group's base translations are already known."""
+) -> frozenset[int]:
+    """:func:`reidemeister_set` for a linear part D that passes the
+    determinant test, with its permutation ``sigma``, its matrices
+    ``blocks`` I - A.D (see :func:`_twisted_blocks`) and the group's base
+    translations already known: every value is finite."""
     d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()
-    blocks = _twisted_blocks(group, products)
-    if blocks is None:
-        return frozenset((INFINITE,))
+    moved = _moved_translations(group, linear)
     components = _fixing_pairs(group, sigma, blocks)
     return frozenset(
         _burnside_count(
-            group, *_translation_images(group, linear, sigma, vec_add(base, d)), components
+            group, *_translation_images(group, sigma, moved, vec_add(base, d)), components
         )
         for base in bases
     )
@@ -367,8 +371,12 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
 
     One Reidemeister set per coset F.D of the closure (see
     :func:`_coset_leaders`) covers every element, since the set is constant
-    on each coset.  Each set reuses the coset's sigma and its products A.D,
-    which the determinant test reads, and the base translations are
+    on each coset.  The determinant test runs first, on the coset's
+    products A.D: a coset that fails it has the set {infinity} or the empty
+    set, and so adds nothing, because infinity is always in the spectrum
+    (the identity coset, with d = 0 and I - I singular, attains it).  Only
+    the cosets that pass are solved for a translation and counted, reusing
+    the coset's sigma and its matrices I - A.D; the base translations are
     computed once for the group.  Raises :class:`NormaliserUnavailable`
     without input data and propagates
     :class:`~crysturn.groups.ClosureCapExceeded` when the closure certifies
@@ -377,16 +385,13 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     closure = _normaliser_closure(group)
     bases = base_translations(group)
     finite: set[int] = set()
-    has_infinity = False
     for d_mat, sigma, coset in _coset_leaders(group, closure):
-        for value in _linear_part_set(group, d_mat, sigma, coset, bases):
-            if value == INFINITE:
-                has_infinity = True
-            else:
-                finite.add(value)
+        blocks = _twisted_blocks(group, coset)
+        if blocks is not None:
+            finite.update(_linear_part_set(group, d_mat, sigma, blocks, bases))
     return ComputedSpectrum(
         finite_values=tuple(sorted(finite)),
-        contains_infinity=has_infinity,
+        contains_infinity=True,
         normaliser_complete=True,
         normaliser_order=closure.order,
     )

@@ -1,9 +1,16 @@
 """Slow, independent checks and counters that the tests hold the library to."""
 
+from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from crysturn.automorphisms import Automorphism, find_translation_part
-from crysturn.groups import AffineMap, CrystGroup, matrix_group_closure
+from crysturn.groups import (
+    AffineMap,
+    CrystGroup,
+    conjugation_permutation,
+    matrix_group_closure,
+)
 from crysturn.linalg import (
     IntMatrix,
     Vec,
@@ -11,6 +18,7 @@ from crysturn.linalg import (
     is_integral,
     rat_apply,
     rational_inverse,
+    smith_normal_form,
     vec_add,
     vec_sub,
 )
@@ -127,6 +135,42 @@ def conjugation_keeps_group(group: CrystGroup, translation: Vec, linear: IntMatr
     conj = AffineMap(translation, linear)
     conj_inv = conj.inverse()
     return all(group.contains(conj.compose(rep).compose(conj_inv)) for rep in group.f_ext)
+
+
+def full_stack_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
+    """A translation d making conjugation by (d, linear) an automorphism, or None.
+
+    Solves one block per holonomy element, n.|F| rows: block i is
+    I - A_sigma(i) with right-hand side D.a_i - a_sigma(i), in Fractions.
+    The library stacks the blocks of the holonomy generators only.
+    """
+    sigma = conjugation_permutation(group, linear)
+    ident = IntMatrix.identity(group.dimension)
+    m_mat = IntMatrix.vstack([ident - group.matrix_parts[j] for j in sigma])
+    rhs = [
+        x
+        for rep, j in zip(group.f_ext, sigma)
+        for x in vec_sub(linear.apply(rep.translation), group.f_ext[j].translation)
+    ]
+    snf = smith_normal_form(m_mat)
+    t = snf.p.apply(rhs)
+    if not is_integral(t[snf.rank :]):
+        return None
+    d_prime = [-Fraction(x, 1) / s for x, s in zip(t, snf.invariant_factors)]
+    d_prime += [Fraction(0)] * (group.dimension - snf.rank)
+    return snf.q.apply(d_prime)
+
+
+def full_stack_base_translations(group: CrystGroup) -> list[Vec]:
+    """Base translations from the n.|F|-row system of every I - A block,
+    unreduced, in the order of the Smith normal form's enumeration."""
+    ident = IntMatrix.identity(group.dimension)
+    snf = smith_normal_form(IntMatrix.vstack([ident - a for a in group.matrix_parts]))
+    pad = [Fraction(0)] * (group.dimension - snf.rank)
+    return [
+        snf.q.apply([Fraction(y, s) for y, s in zip(combo, snf.invariant_factors)] + pad)
+        for combo in product(*(range(s) for s in snf.invariant_factors))
+    ]
 
 
 def candidate_count(phi: Automorphism) -> int:

@@ -1,5 +1,6 @@
 """Tests for automorphism construction, translation solving and base sets."""
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -14,18 +15,25 @@ from crysturn.automorphisms import (
     find_translation_part,
 )
 from crysturn.catalog import builtin_catalog
-from crysturn.groups import AffineMap, build_group
+from crysturn.groups import AffineMap, ClosureCapExceeded, build_group, matrix_group_closure
 from crysturn.linalg import (
     IntMatrix,
     is_integral,
     vec_add,
+    vec_mod1,
     vec_sub,
     vector,
     zero_vector,
 )
-from crysturn.reidemeister import reidemeister_number
+from crysturn.reidemeister import reidemeister_number, reidemeister_set, witness_words
 from conftest import ROT3, SWAP2
-from oracles import candidate_count, conjugation_keeps_group, union_find_number
+from oracles import (
+    candidate_count,
+    conjugation_keeps_group,
+    full_stack_base_translations,
+    full_stack_translation_part,
+    union_find_number,
+)
 
 # Catalog groups for the validation cross-check: translation denominators
 # g = 1 and g = 2, dimensions 1 to 4.
@@ -56,6 +64,25 @@ def conjugation_data(draw):
     shift = tuple(draw(st.integers(-3, 3)) for _ in range(n))
     base = draw(st.sampled_from(base_translations(group)))
     return group, vec_add(vec_add(solved, base), shift), linear
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_linear_parts() -> list:
+    """(name, D) for every element of the 11 finite normaliser closures of
+    the catalog and every word of witness_words(., 3) of the 9 entries with
+    an infinite normaliser."""
+    catalog = builtin_catalog()
+    found, finite = [], 0
+    for name in catalog.names():
+        group = catalog.group(name)
+        try:
+            linears = matrix_group_closure(list(group.normaliser_gens)).elements
+            finite += 1
+        except ClosureCapExceeded:
+            linears = list(witness_words(group, 3))
+        found.extend((name, linear) for linear in linears)
+    assert finite == 11 and len(catalog.names()) == 20
+    return found
 
 
 class TestConjugationPermutation:
@@ -135,6 +162,32 @@ class TestFindTranslationPart:
             assert not conjugation_keeps_group(group, cand, mirror)
 
 
+class TestAgainstFullStack:
+    """The k.n-row solve on the holonomy generators against the n.|F|-row
+    solve on every holonomy element."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_generator_system_is_exact(self, data):
+        name, linear = data.draw(st.sampled_from(_oracle_linear_parts()))
+        group = builtin_catalog().group(name)
+        d = find_translation_part(group, linear)
+        d_full = full_stack_translation_part(group, linear)
+        assert (d is None) == (d_full is None)
+        full_bases = full_stack_base_translations(group)
+        assert {vec_mod1(base) for base in full_bases} == set(base_translations(group))
+        if d is None:
+            assert reidemeister_set(group, linear) == frozenset()
+            return
+        assert conjugation_keeps_group(group, d, linear)
+        # the Reidemeister set from the oracle's d and bases, one automorphism each
+        expected = {
+            reidemeister_number(Automorphism(group, vec_add(base, d_full), linear))
+            for base in full_bases
+        }
+        assert reidemeister_set(group, linear) == expected
+
+
 class TestBaseTranslations:
     def test_lattice(self, z_plane):
         assert base_translations(z_plane) == [zero_vector(2)]
@@ -158,10 +211,30 @@ class TestBaseTranslations:
     def test_distinct_modulo_inner(self, point_reflection_2d):
         # distinct base translations differ by a non-integral vector, so the
         # corresponding automorphisms differ by a non-inner one
-        bases = base_translations(point_reflection_2d)
-        for i, d1 in enumerate(bases):
-            for d2 in bases[i + 1 :]:
-                assert not is_integral(vec_sub(d1, d2))
+        catalog = builtin_catalog()
+        groups = [point_reflection_2d, *(catalog.group(name) for name in catalog.names())]
+        assert len(groups) == 21
+        for group in groups:
+            bases = base_translations(group)
+            for i, d1 in enumerate(bases):
+                for d2 in bases[i + 1 :]:
+                    assert not is_integral(vec_sub(d1, d2)), group.name
+
+    def test_reduced_and_sorted(self, p3_group, infinite_dihedral):
+        catalog = builtin_catalog()
+        for group in (p3_group, infinite_dihedral, *map(catalog.group, catalog.names())):
+            bases = base_translations(group)
+            assert bases == sorted(bases), group.name
+            assert all(0 <= x < 1 for d in bases for x in d), group.name
+
+    def test_canonical_4_9_2_1_1(self):
+        # the Smith normal form used to list 3/2,0,1,-1 and 2,0,4/3,-4/3 here
+        got = base_translations(builtin_catalog().group("4/9/2/1/1"))
+        assert len(got) == 12
+        assert got == sorted(
+            (Fraction(a, 2), Fraction(b, 2), Fraction(c, 3), Fraction(-c, 3) % 1)
+            for a in range(2) for b in range(2) for c in range(3)
+        )
 
 
 class TestAutomorphism:

@@ -499,7 +499,14 @@ class TestSharedWork:
         group = builtin_catalog().group("3/3/1/1/1")
         computed = spectrum(group)
         assert computed.normaliser_order // group.order == 12
-        assert len(visited) == 12
+        # only the cosets that pass the determinant test get a set: 2 of 12
+        closure = matrix_group_closure(list(group.normaliser_gens))
+        passing = [
+            d_mat for d_mat, _, _ in crysturn.reidemeister._coset_leaders(group, closure)
+            if not is_always_infinite(group, d_mat)
+        ]
+        assert len(passing) == 2
+        assert visited == passing
 
     def test_spectrum_builds_few_fractions(self, monkeypatch):
         # Translations enter the kernels as ints over the group's common
@@ -515,6 +522,45 @@ class TestSharedWork:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         assert spectrum(group).finite_values == (2,)
         assert len(calls) <= 600
+
+    def test_translation_solves_stack_generator_blocks(self, monkeypatch):
+        # one n-row block per holonomy generator: 8 rows for 4/9/2/1/1
+        # (|F| = 6, two generators), where the full stack has 24
+        rows = []
+        real = crysturn.automorphisms.smith_normal_form
+
+        def counting(m):
+            rows.append(m.nrows)
+            return real(m)
+
+        monkeypatch.setattr(crysturn.automorphisms, "smith_normal_form", counting)
+        catalog = builtin_catalog()
+        for name in catalog.names():
+            group = catalog.group(name)
+            rows.clear()
+            base_translations(group)
+            for linear in group.normaliser_gens:
+                find_translation_part(group, linear)
+            list(witness_words(group, 2))
+            assert rows and max(rows) <= group.dimension * len(group.generator_indices), name
+            if name == "4/9/2/1/1":
+                assert max(rows) == 8
+
+    def test_set_moves_translations_once(self, monkeypatch):
+        # D.a_C once per linear part and an 8-row solve; 1070 applies when
+        # every swept translation recomputed D.a_C and the solve had 24 rows
+        group = builtin_catalog().group("4/9/2/1/1")
+        d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        calls = []
+        real = IntMatrix.apply
+
+        def counting(m, v):
+            calls.append(None)
+            return real(m, v)
+
+        monkeypatch.setattr(IntMatrix, "apply", counting)
+        assert reidemeister_set(group, d_mat) == {8}
+        assert len(calls) <= 1000
 
     def test_one_snf_per_fixing_pair(self, monkeypatch):
         group = builtin_catalog().group("4/9/2/1/1")
@@ -594,3 +640,46 @@ class TestSharedWork:
         assert all(report.passed for report in check_catalog(catalog))
         assert len(conjugations) <= 110
         assert len(products) <= 2500
+
+
+def _transposition(n: int, i: int) -> IntMatrix:
+    """The permutation matrix exchanging coordinates i and i + 1."""
+    perm = list(range(n))
+    perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return IntMatrix.from_rows([[int(c == perm[r]) for c in range(n)] for r in range(n)])
+
+
+class TestDimensionFive:
+    """Z^5 extended by every diagonal sign matrix (|F| = 32), normalised by
+    the signed permutations (order 3840).  Every coset F.D fails the
+    determinant test: some sign choice A makes a cycle of A.D fix a vector."""
+
+    def test_z2_power_5(self, monkeypatch):
+        n = 5
+        holonomy = [
+            AffineMap(zero_vector(n), IntMatrix.diagonal([-1 if j == i else 1 for j in range(n)]))
+            for i in range(n)
+        ]
+        normaliser = [
+            *(_transposition(n, i) for i in range(n - 1)),
+            IntMatrix.diagonal([-1, 1, 1, 1, 1]),
+        ]
+        group = build_group(n, holonomy, normaliser_gens=normaliser, name="Z2^5")
+        assert group.order == 32
+
+        solves = []
+        real = crysturn.reidemeister._translation_part
+
+        def counting(*args):
+            solves.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(crysturn.reidemeister, "_translation_part", counting)
+        computed = spectrum(group)
+        assert computed.finite_values == () and computed.contains_infinity
+        assert computed.normaliser_order == 3840
+        # no coset passes the determinant test, so none is solved (120 were)
+        assert solves == []
+        verdict = decide_r_infinity(group)
+        assert verdict.status is RinfStatus.HOLDS
+        assert verdict.normaliser_order == 3840
