@@ -156,7 +156,7 @@ def full_stack_translation_part(group: CrystGroup, linear: IntMatrix) -> Optiona
     t = snf.p.apply(rhs)
     if not is_integral(t[snf.rank :]):
         return None
-    d_prime = [-Fraction(x, 1) / s for x, s in zip(t, snf.invariant_factors)]
+    d_prime = [-Fraction(x) / s for x, s in zip(t, snf.invariant_factors)]
     d_prime += [Fraction(0)] * (group.dimension - snf.rank)
     return snf.q.apply(d_prime)
 
