@@ -7,14 +7,19 @@ exact ints.
 
 The pipeline: a determinant test decides infinitude outright; otherwise
 Burnside's lemma counts the orbits of the holonomy group on the lattice
-classes with one Smith normal form per holonomy pair (A, C) in which C
-fixes the component of A, so the cost does not grow with the determinants.
-Those Smith normal forms depend on the linear part D alone, as does D's
-permutation sigma of the holonomy group (:func:`conjugation_permutation`),
-so each linear part gets them once and a Reidemeister set redoes only the
-translation check and the offsets for each translation.  The offsets are
-integer vectors over the common denominator of the group's translations
-and the automorphism's.
+classes, summing the points each holonomy element C fixes on each
+component A it fixes, so the cost does not grow with the determinants.
+The identity fixes |det(I - A.D)| points of component A, which the
+determinant test has already computed.  Every other fixing pair (A, C)
+gets one Smith normal form; when its lattice is all of Z^n it fixes one
+point.  Those counts, the Smith normal forms and D's permutation sigma of
+the holonomy group (:func:`conjugation_permutation`) depend on the linear
+part D alone, so each linear part gets them once, as one constant and a
+short list of live pairs.  A Reidemeister set then redoes only the
+translation check and, for each translation, the rows with invariant
+factor s_i > 1 of the live pairs.  Those rows are read on integer vectors
+over the common denominator of the group's translations and the
+automorphism's.
 
 The spectrum of a group whose normaliser closure is finite is the union of
 the finitely many Reidemeister numbers its automorphisms can take; since
@@ -34,6 +39,7 @@ matrix a caller supplies, which also checks that it normalises.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -54,7 +60,6 @@ from .groups import (
 )
 from .linalg import (
     IntMatrix,
-    SnfDecomposition,
     Vec,
     smith_normal_form,
     vec_add,
@@ -81,92 +86,135 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
 
 def _twisted_blocks(
     group: CrystGroup, products: Iterable[IntMatrix]
-) -> Optional[list[IntMatrix]]:
-    """I - A.D for the products A.D over the holonomy group, in holonomy order.
+) -> Optional[tuple[list[IntMatrix], int]]:
+    """I - A.D for the products A.D over the holonomy group, in holonomy
+    order, and the sum of |det(I - A.D)|: the points the identity of F fixes
+    in the Burnside count (see :func:`_fixing_pairs`).
 
     None as soon as one of them is singular, so a lazy ``products`` stops
     there.
     """
     ident = group.matrix_parts[0]  # the holonomy identity comes first
     blocks = []
+    fixed_by_identity = 0
     for product in products:
         block = ident - product
-        if block.det() == 0:
+        det = block.det()
+        if det == 0:
             return None
         blocks.append(block)
-    return blocks
+        fixed_by_identity += abs(det)
+    return blocks, fixed_by_identity
 
 
-class _FixedComponent(NamedTuple):
-    """A component A fixed by a holonomy element C, for one linear part D.
+class _LivePair(NamedTuple):
+    """A fixing pair (A, C) whose fixed points depend on the translation d.
 
-    ``c_index`` is the holonomy index of C, ``lead`` is
-    g.(a_C + (C - I).a_A) for the group's common denominator g, and ``snf``
-    the Smith normal form of [C - I | I - A.D], whose invariant factors
-    multiply to the index [Z^n : L] of the lattice L it spans.
+    ``c_index`` is the holonomy index of C and ``weight`` the index
+    [Z^n : L] of the lattice L that [C - I | I - A.D] spans, the product of
+    the invariant factors s_i of its Smith normal form P.[C - I | I - A.D].Q.
+    ``rows`` keeps, for each i with s_i > 1, the row (P.A)_i, the entry
+    (P.lead)_i with lead = g.(a_C + (C - I).a_A) for the group's common
+    denominator g, and s_i.
     """
 
     c_index: int
-    a_linear: IntMatrix
-    lead: tuple[int, ...]
-    snf: SnfDecomposition
+    weight: int
+    rows: tuple[tuple[tuple[int, ...], int, int], ...]
 
 
 def _fixing_pairs(
-    group: CrystGroup, sigma: tuple[int, ...], blocks: list[IntMatrix]
-) -> list[_FixedComponent]:
+    group: CrystGroup, sigma: tuple[int, ...], twisted: tuple[list[IntMatrix], int]
+) -> tuple[int, list[_LivePair]]:
     """The part of the Burnside count that depends on the linear part D alone.
 
-    ``sigma`` is D's permutation of the holonomy group and ``blocks`` are the
-    matrices I - A.D.  C fixes component A iff C.A.E^-1 = A with
+    ``sigma`` is D's permutation of the holonomy group and ``twisted`` is
+    :func:`_twisted_blocks` of D.  C fixes component A iff C.A.E^-1 = A with
     E = D.C.D^-1 = A_sigma(C), that is iff C.A = A.E, which the holonomy
-    multiplication table answers; each pair (A, C) gets one Smith normal
-    form.  Translations are read scaled by the group's common denominator.
+    multiplication table answers.  Returns a constant and the live pairs:
+    the fixed points of every swept translation are the constant plus the
+    weights of the live pairs it satisfies (see :func:`_burnside_count`).
+
+    * C = I fixes every component, with offset 0 and L = (I - A.D)Z^n, so
+      |det(I - A.D)| points each; their sum comes with ``twisted``.
+    * Each other fixing pair gets one Smith normal form.  Index 1 means
+      L = Z^n, which holds every offset: one point, into the constant.
+      Any other pair is live, and only its rows with s_i > 1 are kept.
+
+    Translations are read scaled by g.  The offset of a pair for a
+    translation d over den = g.lift (see :func:`_burnside_count`) is
+    lift.lead - A.img_C, and :func:`~crysturn.automorphisms._translation_images`
+    raises for every swept d unless img_C = lift.g.a_E (mod den).  So the
+    offset is lift.(lead - A.g.a_E) modulo den, and it lies in den.Z^n, as
+    twisted conjugation requires, iff lead - A.g.a_E lies in g.Z^n: a
+    condition on D alone, asserted here once per fixing pair.
     """
+    blocks, constant = twisted
     mult = group.mult_table
     parts, scaled = group.matrix_parts, group.scaled_translations
+    g = group.denominator
     ident = parts[0]
-    components = []
+    live = []
     for c_idx, (c_linear, a_c) in enumerate(zip(parts, scaled)):
         e_idx = sigma[c_idx]
         shift = c_linear - ident
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
+            lead = tuple(x + y for x, y in zip(a_c, shift.apply(a_a)))
+            assert not any(
+                (x - y) % g for x, y in zip(lead, a_linear.apply(scaled[e_idx]))
+            ), "twisted conjugation must keep the lattice coset"
+            if c_idx == 0:  # the identity: counted in the constant
+                continue
             snf = smith_normal_form(
                 IntMatrix._unchecked(
                     tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows))
                 )
             )
-            lead = tuple(x + y for x, y in zip(a_c, shift.apply(a_a)))
-            components.append(_FixedComponent(c_idx, a_linear, lead, snf))
-    return components
+            weight = math.prod(snf.invariant_factors)
+            if weight == 1:
+                constant += 1
+                continue
+            columns = tuple(zip(*a_linear.rows))
+            p_lead = snf.p.apply(lead)
+            rows = tuple(
+                (tuple(sum(map(operator.mul, p_row, col)) for col in columns), p_lead[i], s)
+                for i, (p_row, s) in enumerate(zip(snf.p.rows, snf.invariant_factors))
+                if s > 1
+            )
+            live.append(_LivePair(c_idx, weight, rows))
+    return constant, live
 
 
 def _burnside_count(
-    group: CrystGroup, den: int, images: list[tuple[int, ...]], fixed: list[_FixedComponent]
+    group: CrystGroup,
+    den: int,
+    images: list[tuple[int, ...]],
+    constant: int,
+    live: list[_LivePair],
 ) -> int:
     """The part of the Burnside count that depends on the translation d.
 
     ``den`` and ``images`` come from
     :func:`~crysturn.automorphisms._translation_images`: images[C] is den
     times the translation part d + D.a_C - E.d of the image of (a_C, C).
-    Sums the index of each fixing pair whose offset -c_{A,C} lies in L and
-    divides by the holonomy order; integrality is divisibility by den.
+    ``constant`` and ``live`` come from :func:`_fixing_pairs`.  A live pair
+    fixes ``weight`` points when its offset lift.lead - A.img_C = den.c_{A,C}
+    lies in den.L, and none otherwise; with P.L = diag(s_i).Z^n that is
+    divisibility of row i of P times the offset by den.s_i, and only the
+    rows with s_i > 1 can fail it.  The sum is divided by the holonomy
+    order.
     """
     lift = den // group.denominator
-    total = 0
-    for comp in fixed:
-        offset = tuple(
-            lift * x - y
-            for x, y in zip(comp.lead, comp.a_linear.apply(images[comp.c_index]))
-        )
-        assert not any(x % den for x in offset), (
-            "twisted conjugation must keep the lattice coset"
-        )
-        target = comp.snf.p.apply(tuple(-(x // den) for x in offset))
-        if all(t % s == 0 for t, s in zip(target, comp.snf.invariant_factors)):
-            total += math.prod(comp.snf.invariant_factors)
+    total = constant
+    for c_idx, weight, rows in live:
+        image = images[c_idx]
+        if all(
+            (lift * lead - sum(map(operator.mul, pa, image))) % (den * s) == 0
+            for pa, lead, s in rows
+        ):
+            total += weight
     count, rem = divmod(total, group.order)
     assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
     return count
@@ -183,18 +231,21 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     C maps component A to C.A.E^-1 with E = D.C.D^-1, and on a fixed
     component it sends a_A + z to a_A + z + (C - I).z + c_{A,C}.  So it fixes
     [Z^n : L] points there when -c_{A,C} lies in
-    L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise; one Smith normal form
-    of [C - I | I - A.D] decides both.  The cost does not depend on the
-    determinants.  The Smith normal forms depend on D alone, so
-    :func:`reidemeister_set` computes them once for all its translations.
+    L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise.  C = I fixes
+    |det(I - A.D)| points of component A; every other fixing pair gets one
+    Smith normal form of [C - I | I - A.D], which decides both, and only
+    the pairs with L != Z^n depend on the translation (see
+    :func:`_fixing_pairs`).  The cost does not depend on the determinants.
+    All of this depends on D alone, so :func:`reidemeister_set` computes it
+    once for all its translations.
     """
     group = phi.group
-    blocks = _twisted_blocks(group, (a @ phi.linear for a in group.matrix_parts))
-    if blocks is None:
+    twisted = _twisted_blocks(group, (a @ phi.linear for a in group.matrix_parts))
+    if twisted is None:
         return INFINITE
     moved = _moved_translations(group, phi.linear)
     den, images = _translation_images(group, phi.sigma, moved, phi.translation)
-    return _burnside_count(group, den, images, _fixing_pairs(group, phi.sigma, blocks))
+    return _burnside_count(group, den, images, *_fixing_pairs(group, phi.sigma, twisted))
 
 
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:
@@ -204,39 +255,40 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     the set is {infinity} outright.  Otherwise the translation solution is
     swept through the base-translation offsets, which exhaust the possible
     values.  The conjugation permutation, the solve, the matrices I - A.D,
-    the translations D.a_C and the fixing pairs with their Smith normal
-    forms are computed once; each swept translation is checked against
-    every holonomy representative and only its image translations and
-    Burnside offsets are redone.
+    the translations D.a_C and the split of the Burnside count into a
+    constant and the live fixing pairs (see :func:`_fixing_pairs`) are
+    computed once; each swept translation is checked against every holonomy
+    representative, and only its image translations and the kept rows of
+    the live pairs are redone.
     """
     sigma = conjugation_permutation(group, linear)
-    blocks = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
-    if blocks is None:
+    twisted = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
+    if twisted is None:
         if _translation_part(group, linear, sigma) is None:
             return frozenset()
         return frozenset((INFINITE,))
-    return _linear_part_set(group, linear, sigma, blocks, base_translations(group))
+    return _linear_part_set(group, linear, sigma, twisted, base_translations(group))
 
 
 def _linear_part_set(
     group: CrystGroup,
     linear: IntMatrix,
     sigma: tuple[int, ...],
-    blocks: list[IntMatrix],
+    twisted: tuple[list[IntMatrix], int],
     bases: list[Vec],
 ) -> frozenset[int]:
     """:func:`reidemeister_set` for a linear part D that passes the
-    determinant test, with its permutation ``sigma``, its matrices
-    ``blocks`` I - A.D (see :func:`_twisted_blocks`) and the group's base
-    translations already known: every value is finite."""
+    determinant test, with its permutation ``sigma``, its
+    :func:`_twisted_blocks` ``twisted`` and the group's base translations
+    already known: every value is finite."""
     d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()
     moved = _moved_translations(group, linear)
-    components = _fixing_pairs(group, sigma, blocks)
+    constant, live = _fixing_pairs(group, sigma, twisted)
     return frozenset(
         _burnside_count(
-            group, *_translation_images(group, sigma, moved, vec_add(base, d)), components
+            group, *_translation_images(group, sigma, moved, vec_add(base, d)), constant, live
         )
         for base in bases
     )
@@ -386,9 +438,9 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     bases = base_translations(group)
     finite: set[int] = set()
     for d_mat, sigma, coset in _coset_leaders(group, closure):
-        blocks = _twisted_blocks(group, coset)
-        if blocks is not None:
-            finite.update(_linear_part_set(group, d_mat, sigma, blocks, bases))
+        twisted = _twisted_blocks(group, coset)
+        if twisted is not None:
+            finite.update(_linear_part_set(group, d_mat, sigma, twisted, bases))
     return ComputedSpectrum(
         finite_values=tuple(sorted(finite)),
         contains_infinity=True,
@@ -410,8 +462,8 @@ def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix
     if group.normaliser_gens is None:
         raise NormaliserUnavailable("word search requires normaliser generators")
     for word, sigma in _words(group, max_word_length):
-        blocks = _twisted_blocks(group, (a @ word for a in group.matrix_parts))
-        if blocks is not None and _translation_part(group, word, sigma) is not None:
+        twisted = _twisted_blocks(group, (a @ word for a in group.matrix_parts))
+        if twisted is not None and _translation_part(group, word, sigma) is not None:
             yield word
 
 

@@ -1,5 +1,6 @@
 """Slow, independent checks and counters that the tests hold the library to."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -272,3 +273,49 @@ def full_closure_spectrum(group: CrystGroup) -> ComputedSpectrum:
         normaliser_complete=True,
         normaliser_order=closure.order,
     )
+
+
+def pairwise_burnside_number(phi: Automorphism) -> ReidCount:
+    """Reidemeister number by Burnside's lemma with every fixing pair tested
+    in full, in Fractions.
+
+    Infinite when some I - A.D is singular.  Otherwise every pair (A, C)
+    with C.A = A.E, E = D.C.D^-1, the identity C = I included, gets one
+    Smith normal form P.[C - I | I - A.D].Q of the lattice L its columns
+    span, and C fixes [Z^n : L] points of component A iff -c_{A,C} lies in
+    L, where c_{A,C} = a_C + (C - I).a_A - A.(d + D.a_C - E.d) must be an
+    integer vector.  The library sums the identity's points from the
+    determinants, adds one for each pair with L = Z^n, and tests only the
+    rows with invariant factor s_i > 1 of the other pairs.
+    """
+    group = phi.group
+    d_mat, d = phi.linear, phi.translation
+    ident = IntMatrix.identity(group.dimension)
+    blocks = [ident - a @ d_mat for a in group.matrix_parts]
+    if any(block.det() == 0 for block in blocks):
+        return INFINITE
+    d_inv = d_mat.int_inverse()
+    total = 0
+    for c_rep in group.f_ext:
+        c = c_rep.linear
+        e = d_mat @ c @ d_inv
+        image = vec_sub(vec_add(d, d_mat.apply(c_rep.translation)), e.apply(d))
+        for a_rep, block in zip(group.f_ext, blocks):
+            a = a_rep.linear
+            if c @ a != a @ e:
+                continue
+            lattice = IntMatrix.from_rows(
+                [r + s for r, s in zip((c - ident).rows, block.rows)]
+            )
+            offset = vec_sub(
+                vec_add(c_rep.translation, (c - ident).apply(a_rep.translation)),
+                a.apply(image),
+            )
+            assert is_integral(offset), "twisted conjugation must keep the lattice coset"
+            snf = smith_normal_form(lattice)
+            target = snf.p.apply([-x for x in offset])
+            if all(t % s == 0 for t, s in zip(target, snf.invariant_factors)):
+                total += math.prod(snf.invariant_factors)
+    count, rem = divmod(total, group.order)
+    assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
+    return count

@@ -22,6 +22,7 @@ from crysturn.closed_forms import reidemeister_3_2_1_2_1, reidemeister_point_ref
 from crysturn.groups import (
     AffineMap,
     ClosureCapExceeded,
+    CrystGroup,
     build_group,
     conjugation_permutation,
     matrix_group_closure,
@@ -50,6 +51,7 @@ from oracles import (
     candidate_count,
     full_closure_spectrum,
     naive_witness_words,
+    pairwise_burnside_number,
     union_find_number,
 )
 
@@ -128,16 +130,35 @@ class TestReidemeisterNumber:
             assert reidemeister_number(phi) == m + 1
 
 
-def _catalog_linear_parts(group):
-    """The whole normaliser closure if it is finite, else words of length <= 2."""
+def _catalog_linear_parts(group, word_length=2):
+    """The whole normaliser closure if it is finite, else words of length
+    <= ``word_length``."""
     gens = list(group.normaliser_gens)
     try:
         return list(matrix_group_closure(gens).elements)
     except ClosureCapExceeded:
         letters = set(gens) | {g.int_inverse() for g in gens}
-        ident = IntMatrix.identity(group.dimension)
-        return sorted({ident} | letters | {g @ h for g in letters for h in letters},
-                      key=lambda m: m.rows)
+        words = {IntMatrix.identity(group.dimension)}
+        for _ in range(word_length):
+            words |= {g @ h for g in letters for h in words}
+        return sorted(words, key=lambda m: m.rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_automorphisms(word_length=2):
+    """(name, phi) for every catalog automorphism with finite R whose linear
+    part is in :func:`_catalog_linear_parts`, over every base translation."""
+    catalog = builtin_catalog()
+    found = []
+    for name in catalog.names():
+        group = catalog.group(name)
+        bases = base_translations(group)
+        for d_mat in _catalog_linear_parts(group, word_length):
+            d0 = find_translation_part(group, d_mat)
+            if d0 is None or is_always_infinite(group, d_mat):
+                continue
+            found.extend((name, Automorphism(group, vec_add(base, d0), d_mat)) for base in bases)
+    return tuple(found)
 
 
 class TestAgainstUnionFind:
@@ -146,23 +167,80 @@ class TestAgainstUnionFind:
     MAX_CANDIDATES = 40
 
     def test_catalog_automorphisms(self):
-        catalog = builtin_catalog()
         checked, groups = 0, set()
-        for name in catalog.names():
-            group = catalog.group(name)
-            bases = base_translations(group)
-            for d_mat in _catalog_linear_parts(group):
-                d0 = find_translation_part(group, d_mat)
-                if d0 is None or is_always_infinite(group, d_mat):
-                    continue
-                for base in bases:
-                    phi = Automorphism(group, vec_add(base, d0), d_mat)
-                    if candidate_count(phi) > self.MAX_CANDIDATES:
-                        continue
-                    assert reidemeister_number(phi) == union_find_number(phi), (name, d_mat, base)
-                    checked += 1
-                    groups.add(name)
+        for name, phi in _catalog_automorphisms():
+            if candidate_count(phi) > self.MAX_CANDIDATES:
+                continue
+            assert reidemeister_number(phi) == union_find_number(phi), (name, phi)
+            checked += 1
+            groups.add(name)
         assert (checked, len(groups)) == (354, 14)
+
+
+class TestAgainstPairwise:
+    """The constant plus the live fixing pairs against the all-pairs kernel,
+    which has no size limit."""
+
+    def test_catalog_automorphisms(self):
+        automorphisms = _catalog_automorphisms()
+        for name, phi in automorphisms:
+            assert reidemeister_number(phi) == pairwise_burnside_number(phi), (name, phi)
+        assert len(automorphisms) == 354
+
+    def test_beyond_union_find(self):
+        # words of length 3 reach the automorphisms the union-find oracle skips
+        large = [
+            (name, phi) for name, phi in _catalog_automorphisms(3)
+            if candidate_count(phi) > TestAgainstUnionFind.MAX_CANDIDATES
+        ]
+        for name, phi in large:
+            assert reidemeister_number(phi) == pairwise_burnside_number(phi), (name, phi)
+        assert len(large) == 4
+
+    def test_large_determinant_families(self):
+        # the families of the benchmark's reidnr-large-det workload
+        point_reflection = builtin_catalog().group("3/1/2/1/1")
+        bases = base_translations(point_reflection)
+        for a in (16, 28, 40, 52, 70):
+            for b in range(4):
+                d_mat = IntMatrix.from_rows([[0, 0, 1], [1, 0, -a], [0, 1, b]])
+                d0 = find_translation_part(point_reflection, d_mat)
+                for base in bases:
+                    phi = Automorphism(point_reflection, vec_add(base, d0), d_mat)
+                    assert reidemeister_number(phi) == pairwise_burnside_number(phi)
+        g32121 = builtin_catalog().group("3/2/1/2/1")
+        for m in (*range(-12, 0), *range(1, 13)):
+            d_mat = IntMatrix.from_rows([[-1, m, m], [0, -1 + 2 * m, 2 * m], [0, 1, 1]])
+            for d in (vector([0, 0, 0]), vector([0, 0, "1/2"]), vector([0, 1, "1/2"])):
+                phi = Automorphism(g32121, d, d_mat)
+                assert reidemeister_number(phi) == pairwise_burnside_number(phi), m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shifted_and_twisted(self, data):
+        # a lattice shift of d and composition with an inner automorphism
+        # move d out of [0, 1)^n and D to A.D, and keep R
+        name, phi = data.draw(st.sampled_from(_catalog_automorphisms()))
+        group = phi.group
+        shift = data.draw(st.lists(st.integers(-3, 3), min_size=group.dimension,
+                                   max_size=group.dimension))
+        rep = data.draw(st.sampled_from(group.f_ext))
+        gamma = AffineMap(vec_add(rep.translation, vector(shift)), rep.linear)
+        psi = phi.compose(Automorphism.inner(group, gamma))
+        value = reidemeister_number(psi)
+        assert value == pairwise_burnside_number(psi) == reidemeister_number(phi), name
+
+    def test_coset_assertion_once_per_pair(self):
+        # 2/4/1/1/1 with a_1 moved by 1/2 is no group, but D = -I still maps
+        # each representative onto its coset; the fixing pairs (C, A) =
+        # (A_1, A_2) and (A_2, A_1) of the Burnside count leave the lattice coset
+        group = builtin_catalog().group("2/4/1/1/1")
+        reps = list(group.f_ext)
+        reps[1] = AffineMap(vec_add(reps[1].translation, vector(["1/2", 0])), reps[1].linear)
+        corrupt = CrystGroup(2, reps, normaliser_gens=group.normaliser_gens)
+        phi = Automorphism(corrupt, zero_vector(2), -IntMatrix.identity(2))
+        with pytest.raises(AssertionError, match="twisted conjugation must keep the lattice coset"):
+            reidemeister_number(phi)
 
 
 class TestLargeDeterminants:
@@ -584,7 +662,10 @@ class TestSharedWork:
         for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
             monkeypatch.setattr(module, "smith_normal_form", counting)
         assert reidemeister_set(group, d_mat) == {8}
-        assert len(calls) <= pairs + 2
+        # the translation solve, the base translations and one per fixing
+        # pair with C != I: the |F| pairs with C = I are read off the
+        # determinants
+        assert len(calls) <= pairs - group.order + 2
 
     @staticmethod
     def count_conjugations(monkeypatch) -> list:
@@ -631,15 +712,26 @@ class TestSharedWork:
 
     def test_catalog_pass_counts(self, monkeypatch):
         # one pass used to make 349 conjugations and 3942 products, when every
-        # visited linear part conjugated the holonomy group itself
+        # visited linear part conjugated the holonomy group itself, and 379
+        # Smith normal forms, when the 110 fixing pairs with C = I had one each
         catalog = builtin_catalog()
         for name in catalog.names():
             catalog.group(name)
         conjugations = self.count_conjugations(monkeypatch)
         products = count_matmul(monkeypatch)
+        snfs = []
+        real = crysturn.linalg.smith_normal_form
+
+        def counting(m):
+            snfs.append(None)
+            return real(m)
+
+        for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
+            monkeypatch.setattr(module, "smith_normal_form", counting)
         assert all(report.passed for report in check_catalog(catalog))
         assert len(conjugations) <= 110
         assert len(products) <= 2500
+        assert len(snfs) <= 270
 
 
 def _transposition(n: int, i: int) -> IntMatrix:
@@ -683,3 +775,77 @@ class TestDimensionFive:
         verdict = decide_r_infinity(group)
         assert verdict.status is RinfStatus.HOLDS
         assert verdict.normaliser_order == 3840
+
+
+def _block_diagonal(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The block-diagonal matrix with blocks x and y."""
+    left, right = (0,) * x.nrows, (0,) * y.nrows
+    return IntMatrix.from_rows([*(row + right for row in x.rows), *(left + row for row in y.rows)])
+
+
+def _product_group(g1, g2, swap=False):
+    """G1 x G2 with block-diagonal holonomy and concatenated translations,
+    normalised by the block-diagonal matrices (D1, I) and (I, D2) for the
+    factors' normaliser generators, and by the block swap as well when
+    ``swap`` (G1 = G2)."""
+    n1, n2 = g1.dimension, g2.dimension
+    i1, i2 = IntMatrix.identity(n1), IntMatrix.identity(n2)
+    gens = [
+        *(AffineMap(g1.f_ext[i].translation + zero_vector(n2), _block_diagonal(g1.f_ext[i].linear, i2))
+          for i in g1.generator_indices),
+        *(AffineMap(zero_vector(n1) + g2.f_ext[i].translation, _block_diagonal(i1, g2.f_ext[i].linear))
+          for i in g2.generator_indices),
+    ]
+    normaliser = [
+        *(_block_diagonal(d, i2) for d in g1.normaliser_gens),
+        *(_block_diagonal(i1, d) for d in g2.normaliser_gens),
+    ]
+    if swap:
+        normaliser.append(IntMatrix.from_rows(
+            [*((0,) * n1 + row for row in i1.rows), *(row + (0,) * n1 for row in i1.rows)]
+        ))
+    return build_group(n1 + n2, gens, normaliser_gens=normaliser)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_product(name1, name2):
+    catalog = builtin_catalog()
+    return _product_group(catalog.group(name1), catalog.group(name2))
+
+
+class TestProductGroups:
+    """Dimensions 5 and 6 from products of catalog groups.  A block-diagonal
+    linear part splits the translation condition by block, so each such
+    automorphism is phi1 x phi2 with R = R(phi1).R(phi2); with the block
+    swap, tau(x, y) = (phi2(y), phi1(x)) has R(tau) = R(phi2.phi1)."""
+
+    def test_spectrum_2_4_1_1_1_times_3_3_1_1_1(self):
+        catalog = builtin_catalog()
+        group = _product_group(catalog.group("2/4/1/1/1"), catalog.group("3/3/1/1/1"))
+        assert group.dimension == 5 and group.order == 12
+        computed = spectrum(group)
+        assert computed.finite_values == (8,) and computed.contains_infinity
+        assert computed.normaliser_order == 12 * 48
+
+    def test_spectrum_3_3_1_1_1_squared_with_swap(self):
+        factor = builtin_catalog().group("3/3/1/1/1")
+        group = _product_group(factor, factor, swap=True)
+        assert group.dimension == 6 and group.order == 16
+        computed = spectrum(group)
+        assert computed.finite_values == (2, 4) and computed.contains_infinity
+        assert computed.normaliser_order == 48 * 48 * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_number_multiplies(self, data):
+        automorphisms = _catalog_automorphisms()
+        name1, phi1 = data.draw(st.sampled_from(automorphisms))
+        name2, phi2 = data.draw(st.sampled_from(
+            [(name, phi) for name, phi in automorphisms
+             if phi.group.dimension <= 6 - phi1.group.dimension]
+        ))
+        group = _catalog_product(name1, name2)
+        phi = Automorphism(
+            group, phi1.translation + phi2.translation, _block_diagonal(phi1.linear, phi2.linear)
+        )
+        assert reidemeister_number(phi) == reidemeister_number(phi1) * reidemeister_number(phi2)
