@@ -33,6 +33,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Optional, Union
 
+from .automorphisms import base_translations
 from .closed_forms import parse_spectrum
 from .groups import (
     AffineMap,
@@ -42,7 +43,7 @@ from .groups import (
     build_group,
 )
 from .linalg import IntMatrix, vector
-from .reidemeister import INFINITE, reidemeister_set, spectrum, witness_words
+from .reidemeister import _linear_part_set, _witness_cosets, spectrum
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 _ALLOWED_KEYS = {"name", "dimension", "labels", "generators", "normalizer_generators", "expected"}
@@ -299,7 +300,7 @@ def check_entry(entry: CatalogEntry, word_length: int = 5) -> EntryReport:
         computed = None
     finite_normaliser = computed is not None
     # One word search serves both the witness and the spectrum samples.
-    samples = [] if finite_normaliser else list(islice(witness_words(group, word_length), 3))
+    samples = [] if finite_normaliser else list(islice(_witness_cosets(group, word_length), 3))
 
     if expected.r_infinity is not None:
         if finite_normaliser:
@@ -336,9 +337,10 @@ def check_entry(entry: CatalogEntry, word_length: int = 5) -> EntryReport:
             if not samples:
                 ok = False
                 details.append("no sample automorphisms found for spectrum membership check")
-            for linear in samples:
-                for value in reidemeister_set(group, linear):
-                    if value != INFINITE and not desc.contains(value):
+            bases = base_translations(group)
+            for sample in samples:
+                for value in _linear_part_set(group, *sample, bases):
+                    if not desc.contains(value):
                         ok = False
                         details.append(
                             f"computed value {value} is outside the annotated spectrum"

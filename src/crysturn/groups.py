@@ -20,13 +20,10 @@ integer tuples over one common denominator, which the integer kernels of
 the translation solve, automorphism validation and the Reidemeister count
 read.
 
-Only the holonomy group carries a multiplication table.  A normaliser
-closure can be far larger and its users only walk its elements, so
-:func:`matrix_group_closure` returns a plain element list with its sorted
-generators and a Schreier vector: for each element, the generator and the
-earlier element it was found from.  Anything multiplicative in the element
-(its permutation of the holonomy group, say) can then be composed along
-that record instead of being recomputed from the matrix.
+Only the holonomy group carries a multiplication table, filled from its
+generators' rows (see :class:`CrystGroup`).  A normaliser closure can be
+far larger and its users only walk its elements, so
+:func:`matrix_group_closure` returns a plain element list.
 
 Both closures either finish, and the group is finite, or raise
 :class:`ClosureCapExceeded` on a certificate that it is infinite (see
@@ -155,16 +152,8 @@ class PointGroup:
     """A finite matrix group: distinct square matrices, identity first, indexed.
 
     Nothing is checked here.  :func:`matrix_group_closure` and
-    :func:`build_group` make every point group, closed by construction.  A
-    closure made by :func:`matrix_group_closure` also records how it was
-    found: ``generators`` are its sorted generators and, for every element
-    but the identity, ``schreier[i] = (k, j)`` with
-    ``elements[i] == generators[k] @ elements[j]`` and j < i
-    (``schreier[0]`` is None).  Other point groups leave both empty.
+    :func:`build_group` make every point group, closed by construction.
     """
-
-    generators: tuple[IntMatrix, ...] = ()
-    schreier: tuple[Optional[tuple[int, int]], ...] = ()
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = tuple(elements)
@@ -191,8 +180,7 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     generators, so the discovery order (and anything derived from it, like
     "first witness" answers) is deterministic.  The result is closed by
     construction, so the cost is one product per element and generator; no
-    multiplication table is built.  The result carries the sorted generators
-    and the Schreier vector of the walk (see :class:`PointGroup`).  Raises
+    multiplication table is built.  Raises
     :class:`ClosureCapExceeded` as soon as a new element certifies that the
     group is infinite: it has |trace| > n, or |trace| = n without being I or
     -I, or the closure would outgrow every finite subgroup of GL_n(Z).
@@ -210,26 +198,21 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     gen_list = sorted(set(gens), key=lambda m: m.rows)
     ident = IntMatrix.identity(n)
     bound = _order_bound(n)
-    seen = {ident: 0}
+    seen = {ident}
     order = [ident]
-    schreier: list[Optional[tuple[int, int]]] = [None]
-    frontier = [0]
+    frontier = [ident]
     while frontier:
         next_frontier = []
-        for parent in frontier:
-            cur = order[parent]
-            for k, g in enumerate(gen_list):
+        for cur in frontier:
+            for g in gen_list:
                 prod = g @ cur
                 if prod not in seen:
                     _certify_finite(prod, len(order), bound)
-                    seen[prod] = len(order)
-                    next_frontier.append(len(order))
+                    seen.add(prod)
+                    next_frontier.append(prod)
                     order.append(prod)
-                    schreier.append((k, parent))
         frontier = next_frontier
-    closure = PointGroup(order)
-    closure.generators, closure.schreier = tuple(gen_list), tuple(schreier)
-    return closure
+    return PointGroup(order)
 
 
 class CrystGroup:
@@ -239,7 +222,10 @@ class CrystGroup:
     data form a group; the constructor trusts the closure it is given and
     checks nothing.  ``f_ext`` holds one affine representative per holonomy
     matrix, identity first, translations in [0, 1)^n.  ``mult_table`` gives
-    products of holonomy elements by their index in ``f_ext``.
+    products of holonomy elements by their index in ``f_ext``: row j is
+    left multiplication by A_j.  Each generator's row costs |F| products,
+    and every other row is a generator's row after an earlier row
+    (A_j = G.A_i), at |F| lookups.
     ``normaliser_gens`` is optional input data (generators of the normaliser
     of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
     always relative to it.  ``denominator`` is the least common multiple g
@@ -276,7 +262,15 @@ class CrystGroup:
             _scaled(g.translation, self.denominator) for g in self.f_ext
         )
         index, parts = self.point_group._index, self.matrix_parts
-        self.mult_table = tuple(tuple(index.get(a @ b) for b in parts) for a in parts)
+        gen_rows = [tuple(index.get(parts[k] @ b) for b in parts) for k in self.generator_indices]
+        rows, queue = {0: tuple(range(len(parts)))}, [0]
+        for i in queue:  # breadth-first; the queue grows as rows are found
+            for gen_row in gen_rows:
+                j = gen_row[i]
+                if j not in rows and j is not None:  # None: data not closed
+                    rows[j] = tuple(map(gen_row.__getitem__, rows[i]))
+                    queue.append(j)
+        self.mult_table = tuple(rows[i] for i in range(len(parts)))
 
     @property
     def order(self) -> int:

@@ -5,35 +5,27 @@ classes; it is a positive integer or infinity.  Infinity is represented by
 ``math.inf`` so counts sort and compare naturally; all finite values stay
 exact ints.
 
-The pipeline: a determinant test decides infinitude outright; otherwise
-Burnside's lemma counts the orbits of the holonomy group on the lattice
-classes, summing the points each holonomy element C fixes on each
-component A it fixes, so the cost does not grow with the determinants.
-The identity fixes |det(I - A.D)| points of component A, which the
-determinant test has already computed.  Every other fixing pair (A, C)
-gets one Smith normal form; when its lattice is all of Z^n it fixes one
-point.  Those counts, the Smith normal forms and D's permutation sigma of
-the holonomy group (:func:`conjugation_permutation`) depend on the linear
-part D alone, so each linear part gets them once, as one constant and a
-short list of live pairs.  A Reidemeister set then redoes only the
-translation check and, for each translation, the rows with invariant
-factor s_i > 1 of the live pairs.  Those rows are read on integer vectors
-over the common denominator of the group's translations and the
-automorphism's.
+A determinant test decides infinitude outright; otherwise Burnside's lemma
+counts the orbits of the holonomy group F on the lattice classes, one
+fixing pair (component A, element C) at a time (see :func:`_fixing_pairs`):
+the identity fixes |det(I - A.D)| points of A, a pair with
+|det(I - A.D)| = 1 fixes one, and only the other pairs need a Smith normal
+form.  All of that and D's permutation sigma of F
+(:func:`conjugation_permutation`) depend on the linear part D alone, so a
+Reidemeister set redoes, per translation, only the translation check and
+the few live pairs, on integers over one common denominator.
 
-The spectrum of a group whose normaliser closure is finite is the union of
-the finitely many Reidemeister numbers its automorphisms can take; since
-inner automorphisms do not change them, one linear part per coset F.D of
-the closure suffices, and only the cosets that pass the determinant test
-need a translation solve: the others add at most infinity, which the
-identity already gives.
-
-sigma is a homomorphism: the permutation of D = G.C is sigma_G after
-sigma_C.  So the walks over the normaliser conjugate the holonomy group
-only by their generators, and compose sigma for every other element at
-|F| lookups: the coset walk along the closure's Schreier vector, the word
-search letter by letter.  The public entry points still conjugate by every
-matrix a caller supplies, which also checks that it normalises.
+A spectrum is the union of the Reidemeister sets over a finite normaliser
+N.  Inner automorphisms turn D into A.D without changing R, so one linear
+part per coset F.D suffices, and only the cosets that pass the
+determinant test need a translation solve: the others add at most
+infinity, which the identity already gives.  The spectrum, the R-infinity
+decision and the word search walk the cosets breadth first
+(:func:`_coset_walk`), forming each coset's |F| products once.  sigma is a
+homomorphism (sigma of G.C is sigma_G after sigma_C), so only the letters
+conjugate F and each coset's sigma is composed at |F| lookups.  The
+public entry points still conjugate by every matrix a caller supplies,
+which also checks that it normalises.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphisms import (
     Automorphism,
@@ -55,18 +47,19 @@ from .automorphisms import (
 from .groups import (
     ClosureCapExceeded,
     CrystGroup,
-    PointGroup,
-    matrix_group_closure,
+    _certify_finite,
+    _order_bound,
+    # perfbench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
+    # checks that its tracer wraps this binding; nothing here calls it
+    matrix_group_closure,  # noqa: F401
 )
-from .linalg import (
-    IntMatrix,
-    Vec,
-    smith_normal_form,
-    vec_add,
-)
+from .linalg import IntMatrix, Vec, smith_normal_form, vec_add
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
+
+# (blocks I - A.D with |det(I - A.D)|, in holonomy order) from _twisted_blocks
+Twisted = list[tuple[IntMatrix, int]]
 
 
 class NormaliserUnavailable(RuntimeError):
@@ -81,30 +74,35 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
     every valid translation part.
     """
     conjugation_permutation(group, linear)  # raises unless linear normalises
-    return _twisted_blocks(group, (a @ linear for a in group.matrix_parts)) is None
+    return _twisted_blocks(group, _products(group, linear)) is None
 
 
-def _twisted_blocks(
-    group: CrystGroup, products: Iterable[IntMatrix]
-) -> Optional[tuple[list[IntMatrix], int]]:
-    """I - A.D for the products A.D over the holonomy group, in holonomy
-    order, and the sum of |det(I - A.D)|: the points the identity of F fixes
-    in the Burnside count (see :func:`_fixing_pairs`).
+def _products(group: CrystGroup, linear: IntMatrix) -> Iterator[IntMatrix]:
+    """D, then A.D for the other holonomy elements A, in holonomy order (the
+    identity comes first); lazy, so a determinant test stops multiplying at
+    its first singular block."""
+    yield linear
+    for a in group.matrix_parts[1:]:
+        yield a @ linear
+
+
+def _twisted_blocks(group: CrystGroup, products: Iterable[IntMatrix]) -> Optional[Twisted]:
+    """(I - A.D, |det(I - A.D)|) for the products A.D over the holonomy
+    group, in holonomy order; the determinants are the points the identity
+    of F fixes in the Burnside count (see :func:`_fixing_pairs`).
 
     None as soon as one of them is singular, so a lazy ``products`` stops
     there.
     """
     ident = group.matrix_parts[0]  # the holonomy identity comes first
-    blocks = []
-    fixed_by_identity = 0
+    twisted = []
     for product in products:
         block = ident - product
-        det = block.det()
+        det = abs(block.det())
         if det == 0:
             return None
-        blocks.append(block)
-        fixed_by_identity += abs(det)
-    return blocks, fixed_by_identity
+        twisted.append((block, det))
+    return twisted
 
 
 class _LivePair(NamedTuple):
@@ -124,7 +122,7 @@ class _LivePair(NamedTuple):
 
 
 def _fixing_pairs(
-    group: CrystGroup, sigma: tuple[int, ...], twisted: tuple[list[IntMatrix], int]
+    group: CrystGroup, sigma: tuple[int, ...], twisted: Twisted
 ) -> tuple[int, list[_LivePair]]:
     """The part of the Burnside count that depends on the linear part D alone.
 
@@ -136,7 +134,9 @@ def _fixing_pairs(
     weights of the live pairs it satisfies (see :func:`_burnside_count`).
 
     * C = I fixes every component, with offset 0 and L = (I - A.D)Z^n, so
-      |det(I - A.D)| points each; their sum comes with ``twisted``.
+      |det(I - A.D)| points each.
+    * L contains (I - A.D)Z^n, which is Z^n when |det(I - A.D)| = 1: one
+      point, into the constant, with no Smith normal form.
     * Each other fixing pair gets one Smith normal form.  Index 1 means
       L = Z^n, which holds every offset: one point, into the constant.
       Any other pair is live, and only its rows with s_i > 1 are kept.
@@ -149,7 +149,7 @@ def _fixing_pairs(
     twisted conjugation requires, iff lead - A.g.a_E lies in g.Z^n: a
     condition on D alone, asserted here once per fixing pair.
     """
-    blocks, constant = twisted
+    constant = sum(det for _, det in twisted)
     mult = group.mult_table
     parts, scaled = group.matrix_parts, group.scaled_translations
     g = group.denominator
@@ -167,10 +167,12 @@ def _fixing_pairs(
             ), "twisted conjugation must keep the lattice coset"
             if c_idx == 0:  # the identity: counted in the constant
                 continue
+            block, det = twisted[a_idx]
+            if det == 1:
+                constant += 1
+                continue
             snf = smith_normal_form(
-                IntMatrix._unchecked(
-                    tuple(r + s for r, s in zip(shift.rows, blocks[a_idx].rows))
-                )
+                IntMatrix._unchecked(tuple(r + s for r, s in zip(shift.rows, block.rows)))
             )
             weight = math.prod(snf.invariant_factors)
             if weight == 1:
@@ -231,16 +233,12 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     C maps component A to C.A.E^-1 with E = D.C.D^-1, and on a fixed
     component it sends a_A + z to a_A + z + (C - I).z + c_{A,C}.  So it fixes
     [Z^n : L] points there when -c_{A,C} lies in
-    L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise.  C = I fixes
-    |det(I - A.D)| points of component A; every other fixing pair gets one
-    Smith normal form of [C - I | I - A.D], which decides both, and only
-    the pairs with L != Z^n depend on the translation (see
-    :func:`_fixing_pairs`).  The cost does not depend on the determinants.
-    All of this depends on D alone, so :func:`reidemeister_set` computes it
-    once for all its translations.
+    L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise; :func:`_fixing_pairs`
+    decides that per pair at a cost that does not depend on the
+    determinants, and :func:`reidemeister_set` once for all its translations.
     """
     group = phi.group
-    twisted = _twisted_blocks(group, (a @ phi.linear for a in group.matrix_parts))
+    twisted = _twisted_blocks(group, _products(group, phi.linear))
     if twisted is None:
         return INFINITE
     moved = _moved_translations(group, phi.linear)
@@ -251,39 +249,35 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:
     """All Reidemeister numbers of automorphisms with the given linear part.
 
-    Empty when no valid translation exists.  When the determinant test fires
-    the set is {infinity} outright.  Otherwise the translation solution is
-    swept through the base-translation offsets, which exhaust the possible
-    values.  The conjugation permutation, the solve, the matrices I - A.D,
-    the translations D.a_C and the split of the Burnside count into a
-    constant and the live fixing pairs (see :func:`_fixing_pairs`) are
-    computed once; each swept translation is checked against every holonomy
-    representative, and only its image translations and the kept rows of
-    the live pairs are redone.
+    Empty when no valid translation exists, {infinity} when the determinant
+    test fires.  Otherwise the translation solution is swept through the
+    base-translation offsets, which exhaust the possible values.  Everything
+    that depends on D alone is computed once (see :func:`_fixing_pairs`);
+    each swept translation is checked against every holonomy representative,
+    and only its image translations and the live pairs are redone.
     """
     sigma = conjugation_permutation(group, linear)
-    twisted = _twisted_blocks(group, (a @ linear for a in group.matrix_parts))
+    twisted = _twisted_blocks(group, _products(group, linear))
+    d = _translation_part(group, linear, sigma)
+    if d is None:
+        return frozenset()
     if twisted is None:
-        if _translation_part(group, linear, sigma) is None:
-            return frozenset()
         return frozenset((INFINITE,))
-    return _linear_part_set(group, linear, sigma, twisted, base_translations(group))
+    return _linear_part_set(group, linear, sigma, twisted, d, base_translations(group))
 
 
 def _linear_part_set(
     group: CrystGroup,
     linear: IntMatrix,
     sigma: tuple[int, ...],
-    twisted: tuple[list[IntMatrix], int],
+    twisted: Twisted,
+    d: Vec,
     bases: list[Vec],
 ) -> frozenset[int]:
     """:func:`reidemeister_set` for a linear part D that passes the
     determinant test, with its permutation ``sigma``, its
-    :func:`_twisted_blocks` ``twisted`` and the group's base translations
-    already known: every value is finite."""
-    d = _translation_part(group, linear, sigma)
-    if d is None:
-        return frozenset()
+    :func:`_twisted_blocks` ``twisted``, a translation part ``d`` and the
+    group's base translations already known: every value is finite."""
     moved = _moved_translations(group, linear)
     constant, live = _fixing_pairs(group, sigma, twisted)
     return frozenset(
@@ -315,52 +309,66 @@ class RinfVerdict:
 def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     """Decide whether every automorphism has infinite Reidemeister number.
 
-    Walks one linear part per coset F.D of the normaliser closure (see
-    :func:`_coset_leaders`) and looks for one that both admits a translation
-    part and passes the determinant test.  Both properties are constant on
-    a coset and each leader is the first element of its coset in the
-    closure's breadth-first order, so the first passing leader is the first
-    passing closure element; it witnesses failure.  Returns an undecided
-    verdict instead of guessing when the normaliser data is missing or the
-    closure certifies that the normaliser is infinite.  A decided verdict
-    carries the order of the closure it enumerated.
+    Looks for a coset F.D of the normaliser (see :func:`_normaliser_cosets`)
+    that admits a translation part and passes the determinant test, both
+    constant on a coset.  Each leader is its coset's first element in the
+    normaliser's breadth-first order, so the first passing leader is the
+    first passing element; it witnesses failure.  Undecided when the
+    normaliser data is missing or the walk certifies that the normaliser is
+    infinite.  A decided verdict carries the order of the normaliser.
     """
     if group.normaliser_gens is None:
         return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
     try:
-        closure = _normaliser_closure(group)
+        cosets, order = _normaliser_cosets(group)
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
-    for d_mat, sigma, coset in _coset_leaders(group, closure):
-        if _twisted_blocks(group, coset) is None:  # the determinant test
-            continue
-        if _translation_part(group, d_mat, sigma) is not None:
-            return RinfVerdict(RinfStatus.FAILS, witness=d_mat, normaliser_order=closure.order)
-    return RinfVerdict(RinfStatus.HOLDS, normaliser_order=closure.order)
+    for witness, *_ in _passing(group, cosets):
+        return RinfVerdict(RinfStatus.FAILS, witness=witness, normaliser_order=order)
+    return RinfVerdict(RinfStatus.HOLDS, normaliser_order=order)
 
 
-def _coset_leaders(
-    group: CrystGroup, closure: PointGroup
-) -> Iterator[tuple[IntMatrix, tuple[int, ...], list[IntMatrix]]]:
-    """Each coset F.D of the closure as (leader, sigma, [A.D for A in F]).
+def _coset_walk(
+    group: CrystGroup,
+    letters: Sequence[IntMatrix],
+    max_depth: float = math.inf,
+    bound: int = 0,
+    landings: Optional[list[tuple[int, int]]] = None,
+) -> Iterator[tuple[int, int, list[IntMatrix]]]:
+    """Breadth-first walk over the cosets F.D that words in ``letters`` of
+    length <= ``max_depth`` reach from F, coset 0.
 
-    The leader is the coset's first element in breadth-first order and
-    sigma its permutation of the holonomy group.  Composing an automorphism
-    with conjugation by a group element (a, A) turns its linear part D into
-    A.D and keeps its Reidemeister number, so Reidemeister sets,
-    admissibility and the determinant test are constant on F.D.  Costs
-    |F| - 1 products per coset (the holonomy identity comes first) and one
-    :func:`conjugation_permutation` per closure generator, which raises
-    unless it normalises; every element the walk reaches then gets its
-    sigma by one composition along the closure's Schreier vector, so a
-    caller that stops early pays only for what it visited.
+    Yields each new coset as (k, parent, products): its leader products[0]
+    is letters[k] times the leader of coset ``parent``, and products[i] is
+    A_i.leader (see :func:`_products`).  One dict of all products tells
+    each later letter.leader where it lands, so a coset costs |letters| +
+    |F| - 1 products.  The leader is the coset's first element in the
+    elements' breadth-first order: every element of g^-1.Z comes no
+    earlier than its coset's leader.  A positive ``bound`` certifies each
+    leader and counts every product, all in F.N, which is finite iff N is
+    (see :func:`~crysturn.groups._certify_finite`).  ``landings`` gets
+    (Y, i) with letter.leader = A_i.t_Y for each step, in walk order.
     """
-    covered: set[IntMatrix] = set()
-    for d_mat, sigma in zip(closure.elements, _closure_sigmas(group, closure)):
-        if d_mat not in covered:
-            coset = [d_mat, *(a @ d_mat for a in group.matrix_parts[1:])]
-            yield d_mat, sigma, coset
-            covered.update(coset)
+    parts = group.matrix_parts
+    found = {m: (0, i) for i, m in enumerate(parts)}
+    leaders, depths = [parts[0]], [0]
+    for x, leader in enumerate(leaders):  # the list grows as the walk goes
+        if depths[x] == max_depth:
+            break
+        for k, letter in enumerate(letters):
+            cand = letter @ leader
+            landing = found.get(cand)
+            if landing is None:
+                if bound:
+                    _certify_finite(cand, len(found) + len(parts) - 1, bound)
+                landing = (len(leaders), 0)
+                products = list(_products(group, cand))
+                found.update((m, (landing[0], i)) for i, m in enumerate(products))
+                leaders.append(cand)
+                depths.append(depths[x] + 1)
+                yield k, x, products
+            if landings is not None:
+                landings.append(landing)
 
 
 def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
@@ -368,19 +376,58 @@ def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(outer.__getitem__, inner))
 
 
-def _closure_sigmas(group: CrystGroup, closure: PointGroup) -> Iterator[tuple[int, ...]]:
-    """sigma of each closure element, in the closure's order, composed along
-    its Schreier vector from one :func:`conjugation_permutation` per
-    generator; lazy, so each costs |F| lookups only when it is reached."""
-    gen_sigmas = [conjugation_permutation(group, g) for g in closure.generators]
-    sigmas = []
-    for step in closure.schreier:
-        if step is None:  # the identity
-            sigmas.append(tuple(range(group.order)))
-        else:
-            k, parent = step
-            sigmas.append(_compose(gen_sigmas[k], sigmas[parent]))
-        yield sigmas[-1]
+Coset = tuple[IntMatrix, tuple[int, ...], list[IntMatrix]]  # (leader, sigma, products)
+Passing = tuple[IntMatrix, tuple[int, ...], Twisted, Vec]  # (leader, sigma, twisted, d)
+
+
+def _with_sigmas(
+    group: CrystGroup, letters: Sequence[IntMatrix], walk: Iterable[tuple[int, int, list]]
+) -> Iterator[Coset]:
+    """The new cosets of a :func:`_coset_walk` over ``letters``, lazily, with
+    sigma: one :func:`conjugation_permutation` per letter, which raises
+    unless it normalises, and a coset's sigma is its letter's after its
+    parent's, at |F| lookups."""
+    letter_sigmas = [conjugation_permutation(group, letter) for letter in letters]
+    sigmas = [tuple(range(group.order))]
+    for k, parent, products in walk:
+        sigmas.append(_compose(letter_sigmas[k], sigmas[parent]))
+        yield products[0], sigmas[-1], products
+
+
+def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
+    """The cosets F.D != F of the normaliser N (see :func:`_with_sigmas`)
+    and the order of N.
+
+    The walk ends before any conjugation, so an infinite N raises
+    :class:`~crysturn.groups.ClosureCapExceeded` first.  By Schreier's
+    lemma |N| = (number of cosets) x |N ∩ F|, where N ∩ F is generated by
+    t_Y^-1.g.t_X = A_sigma_Y^-1(i) over the leaders t_X and generators g
+    with g.t_X = A_i.t_Y, closed through the holonomy table.
+    """
+    letters = sorted(set(_normaliser_generators(group)), key=lambda m: m.rows)
+    landings: list[tuple[int, int]] = []
+    bound = _order_bound(group.dimension)
+    walk = list(_coset_walk(group, letters, bound=bound, landings=landings))
+    cosets = list(_with_sigmas(group, letters, walk))
+    sigmas = [tuple(range(group.order)), *(sigma for _, sigma, _ in cosets)]
+    schreier = {sigmas[y].index(i) for y, i in landings}
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = list({group.mult_table[s][i] for i in frontier for s in schreier} - reached)
+        reached.update(frontier)
+    return cosets, len(sigmas) * len(reached)
+
+
+def _passing(group: CrystGroup, cosets: Iterable[Coset]) -> Iterator[Passing]:
+    """(leader, sigma, twisted, d) for each coset that passes the
+    determinant test and admits a translation part d, in order: the linear
+    parts of automorphisms with finite Reidemeister numbers."""
+    for leader, sigma, products in cosets:
+        twisted = _twisted_blocks(group, products)
+        if twisted is not None:
+            d = _translation_part(group, leader, sigma)
+            if d is not None:
+                yield leader, sigma, twisted, d
 
 
 def _normaliser_generators(group: CrystGroup) -> list[IntMatrix]:
@@ -392,10 +439,6 @@ def _normaliser_generators(group: CrystGroup) -> list[IntMatrix]:
             "verdicts need them as input"
         )
     return list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
-
-
-def _normaliser_closure(group: CrystGroup) -> PointGroup:
-    return matrix_group_closure(_normaliser_generators(group))
 
 
 @dataclass(frozen=True)
@@ -419,84 +462,51 @@ class ComputedSpectrum:
 
 
 def spectrum(group: CrystGroup) -> ComputedSpectrum:
-    """Union of Reidemeister sets over the normaliser closure.
+    """Union of Reidemeister sets over the normaliser.
 
-    One Reidemeister set per coset F.D of the closure (see
-    :func:`_coset_leaders`) covers every element, since the set is constant
-    on each coset.  The determinant test runs first, on the coset's
-    products A.D: a coset that fails it has the set {infinity} or the empty
-    set, and so adds nothing, because infinity is always in the spectrum
-    (the identity coset, with d = 0 and I - I singular, attains it).  Only
-    the cosets that pass are solved for a translation and counted, reusing
-    the coset's sigma and its matrices I - A.D; the base translations are
-    computed once for the group.  Raises :class:`NormaliserUnavailable`
-    without input data and propagates
-    :class:`~crysturn.groups.ClosureCapExceeded` when the closure certifies
+    One Reidemeister set per coset F.D of the normaliser (see
+    :func:`_normaliser_cosets`) covers every element.  The determinant test
+    runs first, on the coset's products A.D: a coset that fails it adds
+    {infinity} or nothing, and infinity is always in the spectrum (F, with
+    d = 0, attains it).  Only the cosets that pass are solved and counted,
+    reusing the coset's sigma and blocks I - A.D, with the base translations
+    computed once.  Raises :class:`NormaliserUnavailable` without input data
+    and :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
     that the normaliser is infinite.
     """
-    closure = _normaliser_closure(group)
+    cosets, order = _normaliser_cosets(group)
     bases = base_translations(group)
     finite: set[int] = set()
-    for d_mat, sigma, coset in _coset_leaders(group, closure):
-        twisted = _twisted_blocks(group, coset)
-        if twisted is not None:
-            finite.update(_linear_part_set(group, d_mat, sigma, twisted, bases))
+    for passing in _passing(group, cosets):
+        finite.update(_linear_part_set(group, *passing, bases))
     return ComputedSpectrum(
         finite_values=tuple(sorted(finite)),
         contains_infinity=True,
         normaliser_complete=True,
-        normaliser_order=closure.order,
+        normaliser_order=order,
     )
 
 
 def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix]:
     """Breadth-first words in the normaliser generators and their inverses.
 
-    Yields, in discovery order and up to the given length, each word that
-    admits a translation part and passes the determinant test, i.e. each
-    linear part of automorphisms with finite Reidemeister numbers.  The empty
-    word is skipped: the identity always has R = infinity.  Only the
-    letters are conjugated; each word's sigma is composed from its letters'
-    (see :func:`_words`).
+    Yields, in discovery order and up to the given length, the first word
+    of each coset F.D that admits a translation part and passes the
+    determinant test: one linear part per coset of automorphisms with
+    finite Reidemeister numbers.  F itself never passes: the identity has
+    R = infinity.
     """
+    return (leader for leader, *_ in _witness_cosets(group, max_word_length))
+
+
+def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing]:
+    """:func:`_passing` over the cosets of :func:`witness_words`, lazily."""
     if group.normaliser_gens is None:
         raise NormaliserUnavailable("word search requires normaliser generators")
-    for word, sigma in _words(group, max_word_length):
-        twisted = _twisted_blocks(group, (a @ word for a in group.matrix_parts))
-        if twisted is not None and _translation_part(group, word, sigma) is not None:
-            yield word
-
-
-def _words(
-    group: CrystGroup, max_word_length: int
-) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
-    """Each nonempty word of :func:`witness_words`' search once, breadth-first
-    in discovery order, with its sigma.  Each letter gets one
-    :func:`conjugation_permutation`, which raises unless it normalises; a
-    word's sigma is its last letter's composed with its prefix's, at |F|
-    lookups."""
-    letters = [
-        (letter, conjugation_permutation(group, letter))
-        for letter in sorted(
-            {g for g in group.normaliser_gens}
-            | {g.int_inverse() for g in group.normaliser_gens},
-            key=lambda m: m.rows,
-        )
-    ]
-    ident = IntMatrix.identity(group.dimension)
-    seen = {ident}
-    frontier = [(ident, tuple(range(group.order)))]
-    for _ in range(max_word_length):
-        next_frontier = []
-        for cur, cur_sigma in frontier:
-            for letter, letter_sigma in letters:
-                cand = letter @ cur
-                if cand not in seen:
-                    seen.add(cand)
-                    word = (cand, _compose(letter_sigma, cur_sigma))
-                    next_frontier.append(word)
-                    yield word
-        frontier = next_frontier
+    gens = group.normaliser_gens
+    letters = sorted({*gens, *(g.int_inverse() for g in gens)}, key=lambda m: m.rows)
+    walk = _coset_walk(group, letters, max_word_length)
+    yield from _passing(group, _with_sigmas(group, letters, walk))
 
 
 def search_r_infinity_witness(

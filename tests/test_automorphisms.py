@@ -25,13 +25,14 @@ from crysturn.linalg import (
     vector,
     zero_vector,
 )
-from crysturn.reidemeister import reidemeister_number, reidemeister_set, witness_words
+from crysturn.reidemeister import reidemeister_number, reidemeister_set
 from conftest import ROT3, SWAP2
 from oracles import (
     candidate_count,
     conjugation_keeps_group,
     full_stack_base_translations,
     full_stack_translation_part,
+    naive_witness_words,
     union_find_number,
 )
 
@@ -69,8 +70,8 @@ def conjugation_data(draw):
 @functools.lru_cache(maxsize=None)
 def _oracle_linear_parts() -> list:
     """(name, D) for every element of the 11 finite normaliser closures of
-    the catalog and every word of witness_words(., 3) of the 9 entries with
-    an infinite normaliser."""
+    the catalog and every word of naive_witness_words(., 3) of the 9 entries
+    with an infinite normaliser."""
     catalog = builtin_catalog()
     found, finite = [], 0
     for name in catalog.names():
@@ -79,7 +80,7 @@ def _oracle_linear_parts() -> list:
             linears = matrix_group_closure(list(group.normaliser_gens)).elements
             finite += 1
         except ClosureCapExceeded:
-            linears = list(witness_words(group, 3))
+            linears = naive_witness_words(group, 3)
         found.extend((name, linear) for linear in linears)
     assert finite == 11 and len(catalog.names()) == 20
     return found

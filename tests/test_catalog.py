@@ -199,14 +199,14 @@ class TestCheckEntry:
         assert not report.passed
 
     def test_finite_normaliser_enumerated_once(self, monkeypatch):
-        closure = crysturn.reidemeister.matrix_group_closure
+        walk = crysturn.reidemeister._coset_walk
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(None)
-            return closure(*args, **kwargs)
+            return walk(*args, **kwargs)
 
-        monkeypatch.setattr(crysturn.reidemeister, "matrix_group_closure", counted)
+        monkeypatch.setattr(crysturn.reidemeister, "_coset_walk", counted)
         assert check_entry(builtin_catalog().entry("3/3/1/1/1")).passed
         assert len(calls) == 1
 

@@ -177,6 +177,28 @@ class TestBuildGroup:
         glide = AffineMap(vector(["1/3", 0]), IntMatrix.diagonal([1, -1]))
         assert "leaves the group" in structure_violation(CrystGroup(2, [ident, glide]))
 
+    def test_table_from_generator_rows(self, monkeypatch):
+        # the table filled from the generators' rows is the table of every
+        # product, on the catalog and on the signed permutations of Z^3
+        # (|F| = 48), where it costs |gens|.|F| products, not |F|^2
+        catalog = builtin_catalog()
+        groups = [catalog.group(name) for name in catalog.names()]
+        signed = [
+            IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            IntMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+            IntMatrix.diagonal([-1, 1, 1]),
+        ]
+        calls = count_matmul(monkeypatch)
+        groups.append(build_group(3, [AffineMap(zero_vector(3), m) for m in signed]))
+        assert groups[-1].order == 48
+        # as many products again for the closure itself
+        assert len(calls) <= 2 * len(signed) * 48
+        for g in groups:
+            parts = g.matrix_parts
+            assert g.mult_table == tuple(
+                tuple(g.holonomy_index(a @ b) for b in parts) for a in parts
+            ), g
+
     def test_closure_is_the_only_cocycle_check(self, monkeypatch):
         # parsing makes one translation product per generator and element,
         # |gens|.|F| = 12 here; a pairwise cocycle walk would add |F|^2 = 36
@@ -265,18 +287,6 @@ class TestMatrixGroupClosure:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             matrix_group_closure([IntMatrix.diagonal([2, 1])])
-
-    def test_schreier_vector_records_the_walk(self):
-        # each element is its generator times an earlier element, and the
-        # generators come sorted and without repeats
-        gens = list(builtin_catalog().group("3/3/1/1/1").normaliser_gens)
-        closure = matrix_group_closure(gens + gens[:1])
-        assert closure.generators == tuple(sorted(set(gens), key=lambda m: m.rows))
-        assert len(closure.schreier) == closure.order == 48
-        assert closure.schreier[0] is None
-        for i, (k, parent) in enumerate(closure.schreier[1:], start=1):
-            assert parent < i
-            assert closure.elements[i] == closure.generators[k] @ closure.elements[parent]
 
     def test_tables_are_consistent(self):
         # the closure is closed under products and inverses, and the holonomy

@@ -38,9 +38,9 @@ from crysturn.reidemeister import (
     reidemeister_number,
     reidemeister_set,
     search_r_infinity_witness,
-    _closure_sigmas,
     _compose,
-    _words,
+    _normaliser_cosets,
+    _witness_cosets,
     spectrum,
     witness_words,
 )
@@ -525,26 +525,80 @@ class TestCosetWalk:
         assert reidemeister_set(group, d_mat) == reidemeister_set(group, conjugate)
 
 
+def _first_per_coset(group, matrices):
+    """The matrices whose coset F.D no earlier matrix lies in, in order."""
+    covered, first = set(), []
+    for d_mat in matrices:
+        if d_mat not in covered:
+            first.append(d_mat)
+            covered.update(a @ d_mat for a in group.matrix_parts)
+    return first
+
+
+class TestNormaliserOrder:
+    """|<gens>| = (cosets of F) x |<gens> ∩ F|, against the element closure."""
+
+    @staticmethod
+    def assert_closure_order(group):
+        gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
+        order = matrix_group_closure(gens).order
+        assert _normaliser_cosets(group)[1] == order
+        return order
+
+    def test_catalog(self):
+        for group, _ in _finite_normaliser_groups().values():
+            self.assert_closure_order(group)
+
+    def test_dimensions_five_and_six(self):
+        factor = builtin_catalog().group("3/3/1/1/1")
+        assert self.assert_closure_order(_z2_power(5)) == 3840
+        assert self.assert_closure_order(_catalog_product("2/4/1/1/1", "3/3/1/1/1")) == 576
+        assert self.assert_closure_order(_product_group(factor, factor, swap=True)) == 4608
+
+    def test_trivial_normaliser(self):
+        group = build_group(2, [AffineMap(zero_vector(2), ROT3)], normaliser_gens=[])
+        assert self.assert_closure_order(group) == 1
+
+    def test_part_of_the_holonomy(self):
+        # F = <R90> and N = <-I> = {I, R90^2}: one coset, and |N ∩ F| = 2,
+        # not |F| = 4
+        r90 = IntMatrix.from_rows([[0, -1], [1, 0]])
+        group = build_group(
+            2, [AffineMap(zero_vector(2), r90)], normaliser_gens=[-IntMatrix.identity(2)]
+        )
+        assert group.order == 4
+        assert _normaliser_cosets(group)[0] == []  # F is the only coset
+        assert self.assert_closure_order(group) == 2
+
+
 class TestSigmaComposition:
     """sigma composed along the walks against conjugating by the matrix."""
 
     def test_closure_walk_matches_conjugation(self):
+        # each coset's sigma and products, and one leader per coset F.D != F
+        # of the closure, each the first element of its coset in closure order
         for name, (group, closure) in _finite_normaliser_groups().items():
-            expected = [conjugation_permutation(group, d) for d in closure.elements]
-            assert list(_closure_sigmas(group, closure)) == expected, name
+            cosets, _ = _normaliser_cosets(group)
+            for leader, sigma, products in cosets:
+                assert sigma == conjugation_permutation(group, leader), (name, leader)
+                assert products == [a @ leader for a in group.matrix_parts], (name, leader)
+            leaders = [IntMatrix.identity(group.dimension), *(leader for leader, _, _ in cosets)]
+            assert leaders == _first_per_coset(group, closure.elements), name
 
     def test_word_search_matches_naive(self):
         catalog = builtin_catalog()
         for name in catalog.names():
             group = catalog.group(name)
-            assert list(witness_words(group, 3)) == naive_witness_words(group, 3), name
+            expected = _first_per_coset(group, naive_witness_words(group, 3))
+            assert list(witness_words(group, 3)) == expected, name
 
     def test_word_search_carries_each_words_sigma(self):
         catalog = builtin_catalog()
         for name in catalog.names():
             group = catalog.group(name)
-            for word, sigma in _words(group, 3):
+            for word, sigma, _, d in _witness_cosets(group, 3):
                 assert sigma == conjugation_permutation(group, word), (name, word)
+                assert d == find_translation_part(group, word), (name, word)
 
     @pytest.mark.parametrize("name", builtin_catalog().names())
     @settings(max_examples=20, deadline=None)
@@ -578,9 +632,8 @@ class TestSharedWork:
         computed = spectrum(group)
         assert computed.normaliser_order // group.order == 12
         # only the cosets that pass the determinant test get a set: 2 of 12
-        closure = matrix_group_closure(list(group.normaliser_gens))
         passing = [
-            d_mat for d_mat, _, _ in crysturn.reidemeister._coset_leaders(group, closure)
+            d_mat for d_mat, _, _ in _normaliser_cosets(group)[0]
             if not is_always_infinite(group, d_mat)
         ]
         assert len(passing) == 2
@@ -713,7 +766,10 @@ class TestSharedWork:
     def test_catalog_pass_counts(self, monkeypatch):
         # one pass used to make 349 conjugations and 3942 products, when every
         # visited linear part conjugated the holonomy group itself, and 379
-        # Smith normal forms, when the 110 fixing pairs with C = I had one each
+        # Smith normal forms, when the 110 fixing pairs with C = I had one
+        # each; then 98, 2397 and 269, when the normaliser was closed element
+        # by element, the 80 fixing pairs with |det(I - A.D)| = 1 had one
+        # each and each sampled word was solved and conjugated again
         catalog = builtin_catalog()
         for name in catalog.names():
             catalog.group(name)
@@ -729,9 +785,20 @@ class TestSharedWork:
         for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
             monkeypatch.setattr(module, "smith_normal_form", counting)
         assert all(report.passed for report in check_catalog(catalog))
-        assert len(conjugations) <= 110
-        assert len(products) <= 2500
-        assert len(snfs) <= 270
+        assert len(conjugations) <= 71
+        assert len(products) <= 1585
+        assert len(snfs) <= 144
+
+    def test_walk_forms_each_coset_once(self, monkeypatch):
+        # 3/3/1/1/1: 12 cosets of |F| = 4 under 3 generators.  Each coset
+        # takes 3 letter products to leave it and each new one 3 products A.D:
+        # 69, where the element closure made 48 x 3 = 144 and its cosets 36 more
+        group = builtin_catalog().group("3/3/1/1/1")
+        letters = sorted(set(group.normaliser_gens), key=lambda m: m.rows)
+        products = count_matmul(monkeypatch)
+        walk = list(crysturn.reidemeister._coset_walk(group, letters))
+        assert len(letters) == 3 and len(walk) == 11
+        assert len(products) == 12 * 3 + 11 * 3
 
 
 def _transposition(n: int, i: int) -> IntMatrix:
@@ -741,22 +808,28 @@ def _transposition(n: int, i: int) -> IntMatrix:
     return IntMatrix.from_rows([[int(c == perm[r]) for c in range(n)] for r in range(n)])
 
 
+@functools.lru_cache(maxsize=None)
+def _z2_power(n):
+    """Z^n extended by every diagonal sign matrix (|F| = 2^n), normalised by
+    the signed permutations."""
+    holonomy = [
+        AffineMap(zero_vector(n), IntMatrix.diagonal([-1 if j == i else 1 for j in range(n)]))
+        for i in range(n)
+    ]
+    normaliser = [
+        *(_transposition(n, i) for i in range(n - 1)),
+        IntMatrix.diagonal([-1] + [1] * (n - 1)),
+    ]
+    return build_group(n, holonomy, normaliser_gens=normaliser, name=f"Z2^{n}")
+
+
 class TestDimensionFive:
     """Z^5 extended by every diagonal sign matrix (|F| = 32), normalised by
     the signed permutations (order 3840).  Every coset F.D fails the
     determinant test: some sign choice A makes a cycle of A.D fix a vector."""
 
     def test_z2_power_5(self, monkeypatch):
-        n = 5
-        holonomy = [
-            AffineMap(zero_vector(n), IntMatrix.diagonal([-1 if j == i else 1 for j in range(n)]))
-            for i in range(n)
-        ]
-        normaliser = [
-            *(_transposition(n, i) for i in range(n - 1)),
-            IntMatrix.diagonal([-1, 1, 1, 1, 1]),
-        ]
-        group = build_group(n, holonomy, normaliser_gens=normaliser, name="Z2^5")
+        group = _z2_power(5)
         assert group.order == 32
 
         solves = []
