@@ -7,27 +7,24 @@ canonical coset representative per holonomy matrix, with translation
 components reduced into [0, 1).  The representative of the identity matrix
 is always the true identity.
 
-Construction closes the given generators into the finite holonomy group by
-breadth-first products, and that closure is the one proof of group
-structure (see :func:`build_group`).  The supplied normaliser generators
-are checked to actually normalise the holonomy group but are otherwise
-trusted as input data (completeness of the normaliser cannot be certified
-from the group alone).
+Every closure in the package is one breadth-first walk over the cosets of
+a finite matrix group F (:func:`_coset_walk`).  Over F = {I} it closes the
+holonomy group in :func:`build_group`, the one proof of group structure,
+and the matrix groups of :func:`matrix_group_closure`; over the holonomy
+group it walks the normaliser one coset F.D at a time.  It either finishes,
+and the group is finite, or raises :class:`ClosureCapExceeded` on a
+certificate that it is infinite (see :func:`_certify_finite`); there is no
+arbitrary size limit.  The supplied normaliser generators are checked to
+normalise the holonomy group but are otherwise trusted as input data
+(completeness of the normaliser cannot be certified from the group alone).
 
 Translations stay Fractions in :class:`AffineMap`, the public value type.
 A :class:`CrystGroup` also stores its representatives' translations once, as
 integer tuples over one common denominator, which the integer kernels of
 the translation solve, automorphism validation and the Reidemeister count
-read.
-
-Only the holonomy group carries a multiplication table, filled from its
-generators' rows (see :class:`CrystGroup`).  A normaliser closure can be
-far larger and its users only walk its elements, so
-:func:`matrix_group_closure` returns a plain element list.
-
-Both closures either finish, and the group is finite, or raise
-:class:`ClosureCapExceeded` on a certificate that it is infinite (see
-:func:`_certify_finite`); there is no arbitrary size limit.
+read.  Only the holonomy group carries a multiplication table, filled from
+:func:`build_group`'s walk; :func:`matrix_group_closure` returns a plain
+element list.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .linalg import (
     IntMatrix,
@@ -59,8 +56,9 @@ class GroupValidationError(ValueError):
 
 
 class ClosureCapExceeded(RuntimeError):
-    """A closure met a certificate that the matrix group is infinite.  (The
-    name dates from the fixed element cap; ``perfbench`` counts it by name.)"""
+    """The closure walk met a certificate that the matrix group is infinite.
+    (The name dates from the fixed element cap; ``perfbench`` counts it by
+    name.)"""
 
 
 def _minkowski_bound(n: int) -> int:
@@ -90,6 +88,61 @@ def _certify_finite(new: IntMatrix, size: int, bound: int) -> None:
         raise ClosureCapExceeded(f"matrix group is infinite: {new} has trace {trace}")
     if size >= bound:
         raise ClosureCapExceeded(f"matrix group is infinite: more than {bound} elements")
+
+
+def _products(parts: Sequence[IntMatrix], linear: IntMatrix) -> Iterator[IntMatrix]:
+    """D, then A.D for the other matrices A of ``parts``, in order (the
+    identity comes first); lazy, so a determinant test stops multiplying at
+    its first singular block."""
+    yield linear
+    for a in parts[1:]:
+        yield a @ linear
+
+
+Step = tuple[int, int, int, int, Optional[list[IntMatrix]]]  # (x, k, y, i, new)
+
+
+def _coset_walk(
+    parts: Sequence[IntMatrix],
+    letters: Sequence[IntMatrix],
+    max_depth: float = math.inf,
+    bound: int = 0,
+) -> Iterator[Step]:
+    """Breadth-first walk over the cosets F.D that words in ``letters`` of
+    length <= ``max_depth`` reach from coset 0, the finite group F =
+    ``parts`` (identity first).
+
+    Yields every step as (x, k, y, i, new): letters[k] times the leader t_x
+    of coset x is A_i.t_y.  When coset y is new, i = 0, the product is its
+    leader and ``new`` lists its products A_i.t_y (see :func:`_products`);
+    otherwise ``new`` is None.  One dict of all products tells each later
+    letter.leader where it lands, so a coset costs |letters| + |F| - 1
+    products.  The leader is the coset's first element in the elements'
+    breadth-first order: every element of g^-1.Z comes no earlier than its
+    coset's leader.  Positive words suffice: a finite closure of invertible
+    matrices is a group, and an infinite group has no finite one.  A
+    positive ``bound`` certifies each leader and counts every product, all
+    in F.N, which is finite iff N is (see :func:`_certify_finite`).
+    """
+    found = {m: (0, i) for i, m in enumerate(parts)}
+    leaders, depths = [parts[0]], [0]
+    for x, leader in enumerate(leaders):  # the list grows as the walk goes
+        if depths[x] == max_depth:
+            break
+        for k, letter in enumerate(letters):
+            cand = letter @ leader
+            landing = found.get(cand)
+            if landing is not None:
+                yield x, k, *landing, None
+                continue
+            if bound:
+                _certify_finite(cand, len(found) + len(parts) - 1, bound)
+            y = len(leaders)
+            products = list(_products(parts, cand))
+            found.update((m, (y, i)) for i, m in enumerate(products))
+            leaders.append(cand)
+            depths.append(depths[x] + 1)
+            yield x, k, y, 0, products
 
 
 def _scaled(v: Sequence[Fraction], den: int) -> tuple[int, ...]:
@@ -178,9 +231,9 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
 
     Elements are enumerated breadth-first, identity first, from the sorted
     generators, so the discovery order (and anything derived from it, like
-    "first witness" answers) is deterministic.  The result is closed by
-    construction, so the cost is one product per element and generator; no
-    multiplication table is built.  Raises
+    "first witness" answers) is deterministic: the walk of
+    :func:`_coset_walk` over F = {I}, one product per element and
+    generator; no multiplication table is built.  Raises
     :class:`ClosureCapExceeded` as soon as a new element certifies that the
     group is infinite: it has |trace| > n, or |trace| = n without being I or
     -I, or the closure would outgrow every finite subgroup of GL_n(Z).
@@ -193,39 +246,23 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
             raise ValueError(f"generator is not unimodular: {g}")
         if g.nrows != n:
             raise ValueError("generators of mixed dimensions")
-    # Positive products suffice: a finite closure of invertible matrices is a
-    # group, and an infinite group never has a finite positive closure.
     gen_list = sorted(set(gens), key=lambda m: m.rows)
     ident = IntMatrix.identity(n)
-    bound = _order_bound(n)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        next_frontier = []
-        for cur in frontier:
-            for g in gen_list:
-                prod = g @ cur
-                if prod not in seen:
-                    _certify_finite(prod, len(order), bound)
-                    seen.add(prod)
-                    next_frontier.append(prod)
-                    order.append(prod)
-        frontier = next_frontier
-    return PointGroup(order)
+    walk = _coset_walk([ident], gen_list, bound=_order_bound(n))
+    return PointGroup([ident, *(new[0] for _, _, _, _, new in walk if new)])
 
 
 class CrystGroup:
     """A crystallographic group with translation lattice exactly Z^n.
 
     :func:`build_group` makes it, and its closure is the proof that the
-    data form a group; the constructor trusts the closure it is given and
-    checks nothing.  ``f_ext`` holds one affine representative per holonomy
-    matrix, identity first, translations in [0, 1)^n.  ``mult_table`` gives
-    products of holonomy elements by their index in ``f_ext``: row j is
-    left multiplication by A_j.  Each generator's row costs |F| products,
-    and every other row is a generator's row after an earlier row
-    (A_j = G.A_i), at |F| lookups.
+    data form a group; the constructor trusts what it is given, checks
+    nothing and forms no product.  ``f_ext`` holds one affine
+    representative per holonomy matrix, identity first, translations in
+    [0, 1)^n.  ``mult_table`` gives products of holonomy elements by their
+    index in ``f_ext``: row j is left multiplication by A_j.
+    :func:`build_group` fills it from its walk; a group constructed without
+    one has ``None``, which only the Burnside count would read.
     ``normaliser_gens`` is optional input data (generators of the normaliser
     of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
     always relative to it.  ``denominator`` is the least common multiple g
@@ -247,12 +284,11 @@ class CrystGroup:
         labels: Optional[Mapping[str, str]] = None,
         name: str = "",
         generator_indices: Optional[Sequence[int]] = None,
+        mult_table: Optional[Sequence[tuple[int, ...]]] = None,
     ):
         self.dimension = dimension
         self.f_ext = tuple(f_ext)
-        if generator_indices is None:
-            generator_indices = range(len(self.f_ext))
-        self.generator_indices = tuple(generator_indices)
+        self.generator_indices = tuple(generator_indices or range(len(self.f_ext)))
         self.normaliser_gens = tuple(normaliser_gens) if normaliser_gens is not None else None
         self.labels = dict(labels or {})
         self.name = name
@@ -261,16 +297,7 @@ class CrystGroup:
         self.scaled_translations = tuple(
             _scaled(g.translation, self.denominator) for g in self.f_ext
         )
-        index, parts = self.point_group._index, self.matrix_parts
-        gen_rows = [tuple(index.get(parts[k] @ b) for b in parts) for k in self.generator_indices]
-        rows, queue = {0: tuple(range(len(parts)))}, [0]
-        for i in queue:  # breadth-first; the queue grows as rows are found
-            for gen_row in gen_rows:
-                j = gen_row[i]
-                if j not in rows and j is not None:  # None: data not closed
-                    rows[j] = tuple(map(gen_row.__getitem__, rows[i]))
-                    queue.append(j)
-        self.mult_table = tuple(rows[i] for i in range(len(parts)))
+        self.mult_table = None if mult_table is None else tuple(mult_table)
 
     @property
     def order(self) -> int:
@@ -356,19 +383,21 @@ def build_group(
     """Close affine generators over Z^n into a validated crystallographic group.
 
     The lattice Z^n is implicit; ``generators`` list the extra affine
-    generators.  Matrix parts are closed breadth-first, translations are
-    reduced into [0,1)^n, and a conflict between two translations for the
-    same matrix part means the generators do not define a group whose
-    translation lattice is Z^n.  Every element is a reduced word in the
-    generators and each product generator.element is checked, so by
+    generators, and their matrix parts, in the caller's order, are the
+    letters of a :func:`_coset_walk` over F = {I}.  Each step carries the
+    translation along, reduced into [0,1)^n; two translations for one
+    matrix part mean the generators define no group with translation
+    lattice Z^n.  Each product generator.element is checked, so by
     induction on word length every product of two elements, and (the group
     being finite) every inverse, lands on its representative modulo Z^n:
-    the cocycle condition holds with |generators|.|F| products.  The
-    normaliser generators are the one other outside input; each must be a
-    unimodular n x n matrix that normalises the holonomy group.  The group
-    keeps the holonomy indices of its generators (``generator_indices``).
-    Raises :class:`ClosureCapExceeded` when the matrix parts generate an
-    infinite group (see :func:`matrix_group_closure`).
+    the cocycle condition holds with |generators|.|F| products.  The steps
+    also give each generator's row of the multiplication table; every
+    other row is a generator's row after an earlier one (A_y = G.A_x), at
+    |F| lookups.  Each normaliser generator, the one other outside input,
+    must be a unimodular n x n matrix that normalises the holonomy group.
+    The group keeps the holonomy indices of its generators
+    (``generator_indices``).  Raises :class:`ClosureCapExceeded` when the
+    matrix parts generate an infinite group.
     """
     for g in generators:
         if g.dimension != dimension:
@@ -376,52 +405,38 @@ def build_group(
         if not g.linear.is_unimodular():
             raise GroupValidationError(f"generator matrix part is not unimodular: {g.linear}")
 
-    ident = AffineMap.identity(dimension)
-    bound = _order_bound(dimension)
-    reps: dict[IntMatrix, AffineMap] = {ident.linear: ident}
-
-    def record(candidate: AffineMap) -> bool:
-        """Insert a reduced element; returns True when its matrix part is new."""
-        known = reps.get(candidate.linear)
-        if known is None:
-            _certify_finite(candidate.linear, len(reps), bound)
-            reps[candidate.linear] = candidate
-            return True
-        if known.translation != candidate.translation:
-            shown = [", ".join(map(str, t)) for t in (known.translation, candidate.translation)]
+    seeds = [g.reduce_mod1() for g in generators]
+    reps = [AffineMap.identity(dimension)]
+    gen_rows: list[list[int]] = [[] for _ in seeds]  # gen_rows[k][x]: G_k.A_x
+    tree = []  # (k, x) with A_y = G_k.A_x, for each new y in order
+    walk = _coset_walk([reps[0].linear], [s.linear for s in seeds], bound=_order_bound(dimension))
+    for x, k, y, _, new in walk:
+        t = vec_mod1(vec_add(seeds[k].translation, seeds[k].linear.apply(reps[x].translation)))
+        if new:
+            reps.append(AffineMap(t, new[0]))
+            tree.append((k, x))
+        elif reps[y].translation != t:
+            shown = [", ".join(map(str, u)) for u in (reps[y].translation, t)]
             raise GroupValidationError(
                 "cocycle closure violated: two inequivalent translations share a "
                 f"matrix part (({shown[0]}) vs ({shown[1]}))"
             )
-        return False
-
-    # Positive products suffice (see matrix_group_closure); keeping the seeds
-    # in the caller's order makes the representative order reproducible.
-    seeds = [g.reduce_mod1() for g in generators]
-    frontier = [ident]
-    for s in seeds:
-        if record(s):
-            frontier.append(s)
-    while frontier:
-        next_frontier = []
-        for cur in frontier:
-            for s in seeds:
-                prod = s.compose(cur).reduce_mod1()
-                if record(prod):
-                    next_frontier.append(prod)
-        frontier = next_frontier
+        gen_rows[k].append(y)
+    rows = [tuple(range(len(reps)))]
+    for k, x in tree:
+        rows.append(tuple(map(gen_rows[k].__getitem__, rows[x])))
 
     # The identity adds nothing to a generating set, but the trivial group
     # keeps it: the translation solve needs at least one block.
-    position = {m: i for i, m in enumerate(reps)}
-    generator_indices = dict.fromkeys(position[s.linear] for s in seeds if position[s.linear])
+    generator_indices = tuple(dict.fromkeys(row[0] for row in gen_rows if row[0])) or (0,)
     group = CrystGroup(
         dimension,
-        list(reps.values()),
+        reps,
         normaliser_gens=normaliser_gens,
         labels=labels,
         name=name,
-        generator_indices=tuple(generator_indices) or (0,),
+        generator_indices=generator_indices,
+        mult_table=rows,
     )
     for d in group.normaliser_gens or ():
         if not d.is_unimodular() or d.nrows != dimension:

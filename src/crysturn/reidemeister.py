@@ -20,12 +20,13 @@ N.  Inner automorphisms turn D into A.D without changing R, so one linear
 part per coset F.D suffices, and only the cosets that pass the
 determinant test need a translation solve: the others add at most
 infinity, which the identity already gives.  The spectrum, the R-infinity
-decision and the word search walk the cosets breadth first
-(:func:`_coset_walk`), forming each coset's |F| products once.  sigma is a
-homomorphism (sigma of G.C is sigma_G after sigma_C), so only the letters
-conjugate F and each coset's sigma is composed at |F| lookups.  The
-public entry points still conjugate by every matrix a caller supplies,
-which also checks that it normalises.
+decision and the word search walk the cosets breadth first with the
+package's one closure (:func:`~crysturn.groups._coset_walk`), forming
+each coset's |F| products once.  sigma is a homomorphism (sigma of G.C
+is sigma_G after sigma_C), so only the letters conjugate F and each
+coset's sigma is composed at |F| lookups.  The public entry points still
+conjugate by every matrix a caller supplies, which also checks that it
+normalises.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ from .automorphisms import (
 from .groups import (
     ClosureCapExceeded,
     CrystGroup,
-    _certify_finite,
+    Step,
+    _coset_walk,
     _order_bound,
+    _products,
     # perfbench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
@@ -74,16 +77,7 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
     every valid translation part.
     """
     conjugation_permutation(group, linear)  # raises unless linear normalises
-    return _twisted_blocks(group, _products(group, linear)) is None
-
-
-def _products(group: CrystGroup, linear: IntMatrix) -> Iterator[IntMatrix]:
-    """D, then A.D for the other holonomy elements A, in holonomy order (the
-    identity comes first); lazy, so a determinant test stops multiplying at
-    its first singular block."""
-    yield linear
-    for a in group.matrix_parts[1:]:
-        yield a @ linear
+    return _twisted_blocks(group, _products(group.matrix_parts, linear)) is None
 
 
 def _twisted_blocks(group: CrystGroup, products: Iterable[IntMatrix]) -> Optional[Twisted]:
@@ -238,7 +232,7 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     determinants, and :func:`reidemeister_set` once for all its translations.
     """
     group = phi.group
-    twisted = _twisted_blocks(group, _products(group, phi.linear))
+    twisted = _twisted_blocks(group, _products(group.matrix_parts, phi.linear))
     if twisted is None:
         return INFINITE
     moved = _moved_translations(group, phi.linear)
@@ -257,7 +251,7 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     and only its image translations and the live pairs are redone.
     """
     sigma = conjugation_permutation(group, linear)
-    twisted = _twisted_blocks(group, _products(group, linear))
+    twisted = _twisted_blocks(group, _products(group.matrix_parts, linear))
     d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()
@@ -328,49 +322,6 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     return RinfVerdict(RinfStatus.HOLDS, normaliser_order=order)
 
 
-def _coset_walk(
-    group: CrystGroup,
-    letters: Sequence[IntMatrix],
-    max_depth: float = math.inf,
-    bound: int = 0,
-    landings: Optional[list[tuple[int, int]]] = None,
-) -> Iterator[tuple[int, int, list[IntMatrix]]]:
-    """Breadth-first walk over the cosets F.D that words in ``letters`` of
-    length <= ``max_depth`` reach from F, coset 0.
-
-    Yields each new coset as (k, parent, products): its leader products[0]
-    is letters[k] times the leader of coset ``parent``, and products[i] is
-    A_i.leader (see :func:`_products`).  One dict of all products tells
-    each later letter.leader where it lands, so a coset costs |letters| +
-    |F| - 1 products.  The leader is the coset's first element in the
-    elements' breadth-first order: every element of g^-1.Z comes no
-    earlier than its coset's leader.  A positive ``bound`` certifies each
-    leader and counts every product, all in F.N, which is finite iff N is
-    (see :func:`~crysturn.groups._certify_finite`).  ``landings`` gets
-    (Y, i) with letter.leader = A_i.t_Y for each step, in walk order.
-    """
-    parts = group.matrix_parts
-    found = {m: (0, i) for i, m in enumerate(parts)}
-    leaders, depths = [parts[0]], [0]
-    for x, leader in enumerate(leaders):  # the list grows as the walk goes
-        if depths[x] == max_depth:
-            break
-        for k, letter in enumerate(letters):
-            cand = letter @ leader
-            landing = found.get(cand)
-            if landing is None:
-                if bound:
-                    _certify_finite(cand, len(found) + len(parts) - 1, bound)
-                landing = (len(leaders), 0)
-                products = list(_products(group, cand))
-                found.update((m, (landing[0], i)) for i, m in enumerate(products))
-                leaders.append(cand)
-                depths.append(depths[x] + 1)
-                yield k, x, products
-            if landings is not None:
-                landings.append(landing)
-
-
 def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation sigma of G.C from outer = sigma_G and inner = sigma_C."""
     return tuple(map(outer.__getitem__, inner))
@@ -381,7 +332,7 @@ Passing = tuple[IntMatrix, tuple[int, ...], Twisted, Vec]  # (leader, sigma, twi
 
 
 def _with_sigmas(
-    group: CrystGroup, letters: Sequence[IntMatrix], walk: Iterable[tuple[int, int, list]]
+    group: CrystGroup, letters: Sequence[IntMatrix], walk: Iterable[Step]
 ) -> Iterator[Coset]:
     """The new cosets of a :func:`_coset_walk` over ``letters``, lazily, with
     sigma: one :func:`conjugation_permutation` per letter, which raises
@@ -389,9 +340,10 @@ def _with_sigmas(
     parent's, at |F| lookups."""
     letter_sigmas = [conjugation_permutation(group, letter) for letter in letters]
     sigmas = [tuple(range(group.order))]
-    for k, parent, products in walk:
-        sigmas.append(_compose(letter_sigmas[k], sigmas[parent]))
-        yield products[0], sigmas[-1], products
+    for x, k, _, _, products in walk:
+        if products:
+            sigmas.append(_compose(letter_sigmas[k], sigmas[x]))
+            yield products[0], sigmas[-1], products
 
 
 def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
@@ -405,12 +357,10 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
     with g.t_X = A_i.t_Y, closed through the holonomy table.
     """
     letters = sorted(set(_normaliser_generators(group)), key=lambda m: m.rows)
-    landings: list[tuple[int, int]] = []
-    bound = _order_bound(group.dimension)
-    walk = list(_coset_walk(group, letters, bound=bound, landings=landings))
+    walk = list(_coset_walk(group.matrix_parts, letters, bound=_order_bound(group.dimension)))
     cosets = list(_with_sigmas(group, letters, walk))
     sigmas = [tuple(range(group.order)), *(sigma for _, sigma, _ in cosets)]
-    schreier = {sigmas[y].index(i) for y, i in landings}
+    schreier = {sigmas[y].index(i) for _, _, y, i, _ in walk}
     reached, frontier = {0}, [0]
     while frontier:
         frontier = list({group.mult_table[s][i] for i in frontier for s in schreier} - reached)
@@ -505,7 +455,7 @@ def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing
         raise NormaliserUnavailable("word search requires normaliser generators")
     gens = group.normaliser_gens
     letters = sorted({*gens, *(g.int_inverse() for g in gens)}, key=lambda m: m.rows)
-    walk = _coset_walk(group, letters, max_word_length)
+    walk = _coset_walk(group.matrix_parts, letters, max_word_length)
     yield from _passing(group, _with_sigmas(group, letters, walk))
 
 

@@ -9,8 +9,11 @@ from crysturn.automorphisms import Automorphism, find_translation_part
 from crysturn.groups import (
     AffineMap,
     CrystGroup,
+    GroupValidationError,
+    PointGroup,
+    _certify_finite,
+    _order_bound,
     conjugation_permutation,
-    matrix_group_closure,
 )
 from crysturn.linalg import (
     IntMatrix,
@@ -91,6 +94,73 @@ def structure_violation(group: CrystGroup) -> Optional[str]:
         if {d @ a for a in group.matrix_parts} != {a @ d for a in group.matrix_parts}:
             return f"normaliser generator does not normalise the holonomy group: {d}"
     return None
+
+
+def element_closure(gens: list[IntMatrix]) -> PointGroup:
+    """The closure of unimodular matrices by a frontier loop over elements:
+    breadth-first from the identity, the sorted distinct generators on the
+    left, each new element certified as the library's walk certifies it."""
+    n = gens[0].nrows
+    gen_list = sorted(set(gens), key=lambda m: m.rows)
+    ident = IntMatrix.identity(n)
+    bound = _order_bound(n)
+    seen, order, frontier = {ident}, [ident], [ident]
+    while frontier:
+        next_frontier = []
+        for cur in frontier:
+            for g in gen_list:
+                prod = g @ cur
+                if prod not in seen:
+                    _certify_finite(prod, len(order), bound)
+                    seen.add(prod)
+                    next_frontier.append(prod)
+                    order.append(prod)
+        frontier = next_frontier
+    return PointGroup(order)
+
+
+def frontier_build_group(dimension: int, generators: list[AffineMap]) -> CrystGroup:
+    """A group from affine generators by a frontier loop over affine
+    elements, with the multiplication table of every product.
+
+    The generators, reduced mod 1, are recorded in the caller's order, then
+    each frontier element is multiplied by each of them on the left; a new
+    matrix part is certified, a known one must carry the same translation.
+    """
+    ident = AffineMap.identity(dimension)
+    bound = _order_bound(dimension)
+    reps = {ident.linear: ident}
+
+    def record(candidate: AffineMap) -> bool:
+        known = reps.get(candidate.linear)
+        if known is None:
+            _certify_finite(candidate.linear, len(reps), bound)
+            reps[candidate.linear] = candidate
+            return True
+        if known.translation != candidate.translation:
+            shown = [", ".join(map(str, t)) for t in (known.translation, candidate.translation)]
+            raise GroupValidationError(
+                "cocycle closure violated: two inequivalent translations share a "
+                f"matrix part (({shown[0]}) vs ({shown[1]}))"
+            )
+        return False
+
+    seeds = [g.reduce_mod1() for g in generators]
+    frontier = [ident] + [s for s in seeds if record(s)]
+    while frontier:
+        next_frontier = []
+        for cur in frontier:
+            for s in seeds:
+                prod = s.compose(cur).reduce_mod1()
+                if record(prod):
+                    next_frontier.append(prod)
+        frontier = next_frontier
+    position = {m: i for i, m in enumerate(reps)}
+    indices = dict.fromkeys(position[s.linear] for s in seeds if position[s.linear])
+    table = [tuple(position[a @ b] for b in reps) for a in reps]
+    return CrystGroup(
+        dimension, list(reps.values()), generator_indices=tuple(indices) or (0,), mult_table=table
+    )
 
 
 def averaging_number(phi: Automorphism) -> ReidCount:
@@ -265,7 +335,7 @@ def full_closure_spectrum(group: CrystGroup) -> ComputedSpectrum:
     Visits all |N| elements of the normaliser closure, where the library
     visits one per coset of the holonomy group.
     """
-    closure = matrix_group_closure(list(group.normaliser_gens))
+    closure = element_closure(list(group.normaliser_gens))
     values = set().union(*(reidemeister_set(group, d_mat) for d_mat in closure.elements))
     return ComputedSpectrum(
         finite_values=tuple(sorted(v for v in values if v != INFINITE)),

@@ -39,7 +39,7 @@ from crysturn.reidemeister import (
     reidemeister_number,
     spectrum,
 )
-from oracles import averaging_number
+from oracles import averaging_number, element_closure
 
 CASES = 1000
 
@@ -93,7 +93,7 @@ def test_criterion_1_golden_spectra():
     catalog = builtin_catalog()
     for name, (normaliser_order, finite_values) in TABLE_FINITE_ROWS.items():
         group = catalog.group(name)
-        closure = matrix_group_closure(list(group.normaliser_gens))
+        closure = element_closure(list(group.normaliser_gens))
         assert closure.order == normaliser_order, name
         computed = spectrum(group)
         assert computed.finite_values == finite_values, name

@@ -1,11 +1,14 @@
 """The names the benchmark's tracer and workloads read from crysturn.
 
 ``perfbench/spans.py`` wraps functions and class constructors by name, and
-``perfbench/run.py`` reads fields of the computed spectrum; a name deleted
-from the package would break ``perfbench/run.py --trace 1`` silently.
+``perfbench/run.py`` builds its workloads and oracles from the package's
+names and reads fields of the computed spectrum; a name deleted from the
+package would break ``perfbench/run.py`` silently.
 """
 
+import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 from crysturn.reidemeister import ComputedSpectrum
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+RUN = SPANS.parent / "run.py"
 
 
 def _load_spans():
@@ -52,3 +56,49 @@ def test_traced_class_defines_its_own_init(module, name):
 def test_spectrum_fields_read_by_the_benchmark():
     fields = {f.name for f in dataclasses.fields(ComputedSpectrum)}
     assert {"contains_infinity", "normaliser_complete"} <= fields
+
+
+def _dotted(node):
+    """(root name, attribute path) of a chain like ``cr.linalg.IntMatrix``."""
+    path = []
+    while isinstance(node, ast.Attribute):
+        path.append(node.attr)
+        node = node.value
+    return (node.id, tuple(reversed(path))) if isinstance(node, ast.Name) else (None, ())
+
+
+def _names_read_by_run() -> set:
+    """Every attribute path below the package ``cr`` in ``perfbench/run.py``,
+    through aliases such as ``lib = cr.reidemeister``."""
+    tree = ast.parse(RUN.read_text(encoding="utf-8"))
+    aliases = {"cr": ()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            root, path = _dotted(node.value)
+            if root == "cr" and path:
+                assert aliases.setdefault(node.targets[0].id, path) == path
+    names = set()
+    for node in ast.walk(tree):
+        root, path = _dotted(node)
+        if root in aliases and path:
+            names.add(".".join(aliases[root] + path))
+    return names
+
+
+RUN_NAMES = sorted(_names_read_by_run())
+
+
+def test_run_names_are_found():
+    assert {
+        "closed_forms.reidemeister_point_reflection",
+        "closed_forms.reidemeister_3_2_1_2_1",
+        "reidemeister.search_r_infinity_witness",
+        "cli.main",
+    } <= set(RUN_NAMES)
+
+
+@pytest.mark.parametrize("name", RUN_NAMES)
+def test_run_name_resolves(name):
+    package = importlib.import_module("crysturn")
+    importlib.import_module("crysturn.cli")
+    functools.reduce(getattr, name.split("."), package)

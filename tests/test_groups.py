@@ -19,7 +19,7 @@ from crysturn.groups import (
     matrix_group_closure,
 )
 from crysturn.linalg import IntMatrix, vector, zero_vector
-from oracles import structure_violation
+from oracles import element_closure, frontier_build_group, structure_violation
 
 R3 = IntMatrix.from_rows([[0, -1], [1, -1]])  # order-3 rotation of the hexagonal lattice
 NEG_I2 = IntMatrix.from_rows([[-1, 0], [0, -1]])
@@ -146,6 +146,18 @@ class TestBuildGroup:
         with pytest.raises(GroupValidationError):
             build_group(2, [g1, g2])
 
+    def test_conflict_found_before_the_shear(self):
+        # walk order: both -I seeds come before the shear is ever reached
+        gens = [amap([0, 0], [[-1, 0], [0, -1]]), amap(["1/2", 0], [[-1, 0], [0, -1]]),
+                amap([0, 0], [[1, 1], [0, 1]])]
+        with pytest.raises(GroupValidationError, match="cocycle"):
+            build_group(2, gens)
+
+    def test_shear_certified_before_the_conflict(self):
+        gens = [amap(["1/2", 0], [[1, 1], [0, 1]]), amap([0, 0], [[1, 1], [0, 1]])]
+        with pytest.raises(ClosureCapExceeded, match="trace 2"):
+            build_group(2, gens)
+
     def test_normaliser_generator_checked(self):
         with pytest.raises(GroupValidationError):
             build_group(
@@ -191,8 +203,8 @@ class TestBuildGroup:
         calls = count_matmul(monkeypatch)
         groups.append(build_group(3, [AffineMap(zero_vector(3), m) for m in signed]))
         assert groups[-1].order == 48
-        # as many products again for the closure itself
-        assert len(calls) <= 2 * len(signed) * 48
+        # the closure's own products give the table too
+        assert len(calls) <= len(signed) * 48
         for g in groups:
             parts = g.matrix_parts
             assert g.mult_table == tuple(
@@ -267,6 +279,66 @@ class TestBieberbach:
                     power = power.compose(rep)
                 if power.is_identity():
                     assert not g.is_bieberbach()
+
+
+FRACTIONS = ("0", "1/2", "1/3", "1/4", "2/3")
+
+
+@st.composite
+def signed_permutation_generators(draw):
+    """(n, affine generators): 1-3 signed permutations of Z^n, n = 1..4, one
+    of them sometimes times an elementary shear, with translations drawn
+    from FRACTIONS for about one generator in four and 0 for the others."""
+    n = draw(st.integers(1, 4))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        mats.append(IntMatrix.from_rows(
+            [[signs[r] * int(c == perm[r]) for c in range(n)] for r in range(n)]
+        ))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        shear = IntMatrix.from_rows([[int(r == c or (r, c) == (i, j)) for c in range(n)]
+                                     for r in range(n)])
+        k = draw(st.integers(0, len(mats) - 1))
+        mats[k] = mats[k] @ shear
+    # most random translations conflict, so most generators keep 0
+    return n, [
+        AffineMap(vector(draw(st.lists(st.sampled_from(FRACTIONS), min_size=n, max_size=n)))
+                  if draw(st.integers(0, 3)) == 0 else zero_vector(n), m)
+        for m in mats
+    ]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ClosureCapExceeded, GroupValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestWalkAgainstFrontierLoops:
+    """The coset walk over F = {I} against frontier loops over elements."""
+
+    @given(signed_permutation_generators())
+    @settings(max_examples=100, deadline=None)
+    def test_closures_match(self, drawn):
+        n, gens = drawn
+        linears = [g.linear for g in gens]
+        got, want = _outcome(matrix_group_closure, linears), _outcome(element_closure, linears)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.elements == want.elements
+        got, want = _outcome(build_group, n, gens), _outcome(frontier_build_group, n, gens)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.f_ext == want.f_ext
+            assert got.generator_indices == want.generator_indices
+            assert got.mult_table == want.mult_table
 
 
 class TestMatrixGroupClosure:

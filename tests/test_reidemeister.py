@@ -25,7 +25,6 @@ from crysturn.groups import (
     CrystGroup,
     build_group,
     conjugation_permutation,
-    matrix_group_closure,
 )
 from crysturn.linalg import IntMatrix, vec_add, vector, zero_vector
 from crysturn.reidemeister import (
@@ -49,6 +48,7 @@ from test_groups import count_matmul
 from oracles import (
     averaging_number,
     candidate_count,
+    element_closure,
     full_closure_spectrum,
     naive_witness_words,
     pairwise_burnside_number,
@@ -135,7 +135,7 @@ def _catalog_linear_parts(group, word_length=2):
     <= ``word_length``."""
     gens = list(group.normaliser_gens)
     try:
-        return list(matrix_group_closure(gens).elements)
+        return list(element_closure(gens).elements)
     except ClosureCapExceeded:
         letters = set(gens) | {g.int_inverse() for g in gens}
         words = {IntMatrix.identity(group.dimension)}
@@ -237,7 +237,9 @@ class TestAgainstPairwise:
         group = builtin_catalog().group("2/4/1/1/1")
         reps = list(group.f_ext)
         reps[1] = AffineMap(vec_add(reps[1].translation, vector(["1/2", 0])), reps[1].linear)
-        corrupt = CrystGroup(2, reps, normaliser_gens=group.normaliser_gens)
+        corrupt = CrystGroup(
+            2, reps, normaliser_gens=group.normaliser_gens, mult_table=group.mult_table
+        )
         phi = Automorphism(corrupt, zero_vector(2), -IntMatrix.identity(2))
         with pytest.raises(AssertionError, match="twisted conjugation must keep the lattice coset"):
             reidemeister_number(phi)
@@ -455,7 +457,7 @@ def _finite_normaliser_groups():
     for name in catalog.names():
         group = catalog.group(name)
         try:
-            found[name] = (group, matrix_group_closure(list(group.normaliser_gens)))
+            found[name] = (group, element_closure(list(group.normaliser_gens)))
         except ClosureCapExceeded:
             continue
     return found
@@ -541,7 +543,7 @@ class TestNormaliserOrder:
     @staticmethod
     def assert_closure_order(group):
         gens = list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
-        order = matrix_group_closure(gens).order
+        order = element_closure(gens).order
         assert _normaliser_cosets(group)[1] == order
         return order
 
@@ -796,8 +798,9 @@ class TestSharedWork:
         group = builtin_catalog().group("3/3/1/1/1")
         letters = sorted(set(group.normaliser_gens), key=lambda m: m.rows)
         products = count_matmul(monkeypatch)
-        walk = list(crysturn.reidemeister._coset_walk(group, letters))
-        assert len(letters) == 3 and len(walk) == 11
+        walk = list(crysturn.reidemeister._coset_walk(group.matrix_parts, letters))
+        new = [step for step in walk if step[-1] is not None]
+        assert len(letters) == 3 and len(walk) == 12 * 3 and len(new) == 11
         assert len(products) == 12 * 3 + 11 * 3
 
 
