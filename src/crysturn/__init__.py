@@ -7,16 +7,7 @@ from .automorphisms import (
     find_translation_part,
 )
 from .catalog import builtin_catalog, load_group, save_group
-from .closed_forms import (
-    SpectrumDescription,
-    free_abelian_spectrum,
-    parse_spectrum,
-    point_reflection_spectrum,
-    product_spectrum,
-    reflection_class_count,
-    reidemeister_3_2_1_2_1,
-    reidemeister_point_reflection,
-)
+from .closed_forms import SpectrumDescription, parse_spectrum, product_spectrum
 from .groups import (
     AffineMap,
     ClosureCapExceeded,
@@ -29,11 +20,8 @@ from .groups import (
 from .linalg import (
     IntMatrix,
     SnfDecomposition,
-    coset_representatives,
     in_lattice_image,
-    mod2_solution_count,
     smith_normal_form,
-    solve_exact,
     vector,
 )
 from .reidemeister import (

@@ -12,7 +12,8 @@ group is its permutation sigma (:func:`conjugation_permutation`, defined in
   :class:`Automorphism` and :func:`~crysturn.reidemeister.reidemeister_set`,
 * the finite set of base translations through which every automorphism
   acting trivially on Z^n factors, up to inner automorphisms,
-* a validated :class:`Automorphism` value with application and composition.
+* a validated :class:`Automorphism` value, the input of
+  :func:`~crysturn.reidemeister.reidemeister_number`.
 
 The translation solve and the base translations stack one block per
 holonomy generator (:attr:`~crysturn.groups.CrystGroup.generator_indices`),
@@ -37,16 +38,8 @@ from fractions import Fraction
 from itertools import product as _mixed_radix
 from typing import Optional
 
-from .groups import AffineMap, CrystGroup, conjugation_permutation
-from .linalg import (
-    IntMatrix,
-    Vec,
-    smith_normal_form,
-    vec_add,
-    vec_mod1,
-    vector,
-    zero_vector,
-)
+from .groups import CrystGroup, conjugation_permutation
+from .linalg import IntMatrix, Vec, smith_normal_form, vec_mod1, vector
 
 
 def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
@@ -192,33 +185,3 @@ class Automorphism:
         moved = _moved_translations(self.group, self.linear)
         _translation_images(self.group, sigma, moved, self.translation)
         object.__setattr__(self, "sigma", sigma)
-
-    @classmethod
-    def identity(cls, group: CrystGroup) -> "Automorphism":
-        return cls(group, zero_vector(group.dimension), IntMatrix.identity(group.dimension))
-
-    @classmethod
-    def inner(cls, group: CrystGroup, gamma: AffineMap) -> "Automorphism":
-        """Conjugation by a group element."""
-        if not group.contains(gamma):
-            raise ValueError("inner automorphisms require a group element")
-        return cls(group, gamma.translation, gamma.linear)
-
-    def __call__(self, gamma: AffineMap) -> AffineMap:
-        """Apply to a group element; the image is again a group element."""
-        if not self.group.contains(gamma):
-            raise ValueError("element does not belong to the group")
-        conjugator = AffineMap(self.translation, self.linear)
-        image = conjugator.compose(gamma).compose(conjugator.inverse())
-        assert self.group.contains(image)
-        return image
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other: conjugation by the product of the affine data."""
-        if self.group is not other.group:
-            raise ValueError("cannot compose automorphisms of different groups")
-        return Automorphism(
-            self.group,
-            vec_add(self.translation, self.linear.apply(other.translation)),
-            self.linear @ other.linear,
-        )

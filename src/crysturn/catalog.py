@@ -49,6 +49,7 @@ _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 _ALLOWED_KEYS = {"name", "dimension", "labels", "generators", "normalizer_generators", "expected"}
 _ALLOWED_LABELS = {"bbnwz", "it", "carat"}
 _ALLOWED_EXPECTED = {"spectrum", "r_infinity"}
+_WORD_LENGTH = 5  # longest word check_entry searches with an infinite normaliser
 
 
 class GroupFileError(ValueError):
@@ -163,11 +164,8 @@ def parse_group_document(text: str) -> CrystGroup:
 
 
 def load_group(source: Union[str, Path]) -> CrystGroup:
-    """Load a group from a file path, or from raw JSON text."""
-    if not isinstance(source, Path):
-        if source.lstrip().startswith("{"):
-            return parse_group_document(source)
-        source = Path(source)
+    """Load a group from a file path."""
+    source = Path(source)
     try:
         text = source.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -267,7 +265,7 @@ class EntryReport:
     details: tuple[str, ...]
 
 
-def check_entry(entry: CatalogEntry, word_length: int = 5) -> EntryReport:
+def check_entry(entry: CatalogEntry) -> EntryReport:
     """Compare the computed results of one entry against its annotations.
 
     For a finite normaliser closure the spectrum is computed once and
@@ -300,7 +298,7 @@ def check_entry(entry: CatalogEntry, word_length: int = 5) -> EntryReport:
         computed = None
     finite_normaliser = computed is not None
     # One word search serves both the witness and the spectrum samples.
-    samples = [] if finite_normaliser else list(islice(_witness_cosets(group, word_length), 3))
+    samples = [] if finite_normaliser else list(islice(_witness_cosets(group, _WORD_LENGTH), 3))
 
     if expected.r_infinity is not None:
         if finite_normaliser:

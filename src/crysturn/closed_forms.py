@@ -1,11 +1,17 @@
-"""Closed-form counting formulas and symbolic spectrum descriptions.
+"""Symbolic spectrum descriptions, and two closed counting formulas.
 
 A symbolic spectrum is a set of positive integers described as a union of
 finite sets and scaled copies kN of the naturals, minus a finite set of
 exceptions, together with an infinity flag.  The representation covers
 exactly the shapes that arise for crystallographic groups (finite sets,
 kN, unions, things like 2N minus {2}); products outside the representable
-algebra raise instead of approximating.
+algebra raise instead of approximating.  Catalog annotations are written
+in it (:func:`parse_spectrum`).
+
+The closed formulas :func:`reidemeister_point_reflection` and
+:func:`reidemeister_3_2_1_2_1` answer nothing the general algorithm does
+not; no command calls them, and they stay only as the reference values of
+the ``perfbench`` workload ``reidnr-large-det``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .automorphisms import Automorphism
 from .groups import AffineMap, CrystGroup, build_group
@@ -137,22 +142,6 @@ def parse_spectrum(text: str) -> SpectrumDescription:
     )
 
 
-def reflection_class_count(b_mat: IntMatrix, b_vec: Sequence[int]) -> ReidCount:
-    """Classes of x ~ y iff x - y or x + y + b lies in the lattice image.
-
-    Plain cosets of the image pair up under the reflection x -> -x - b except
-    for the self-paired ones, counted by the GF(2) solution count, giving
-    (|det|_inf + solutions) / 2; infinite when the matrix is singular.
-    """
-    det = b_mat.det()
-    if det == 0:
-        return INFINITE
-    pairs = mod2_solution_count(b_mat, b_vec)
-    total = abs(det) + pairs
-    assert total % 2 == 0, "coset count and fixed-coset count must share parity"
-    return total // 2
-
-
 def reidemeister_point_reflection(dim: int, translation: Vec, linear: IntMatrix) -> ReidCount:
     """Closed formula for automorphisms of <Z^n, point reflection>, n >= 2.
 
@@ -226,28 +215,6 @@ def reidemeister_3_2_1_2_1(translation: Vec, linear: IntMatrix) -> ReidCount:
         total += abs(det)
     delta = 1 if d3 % 1 == 0 else 0
     return total // 2 + 4 * delta
-
-
-def free_abelian_spectrum(dim: int) -> SpectrumDescription:
-    """Spectrum of Z^n: all naturals plus infinity for n >= 2, {2, inf} for n = 1."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    if dim == 1:
-        return SpectrumDescription(finite=frozenset({2}), includes_infinity=True)
-    return SpectrumDescription(scaled=frozenset({1}), includes_infinity=True)
-
-
-def point_reflection_spectrum(dim: int) -> SpectrumDescription:
-    """Spectrum of <Z^n, -I>: 2N u {3, inf} in the plane, N minus {1} above."""
-    if dim < 2:
-        raise ValueError("point reflection groups need dimension >= 2")
-    if dim == 2:
-        return SpectrumDescription(
-            finite=frozenset({3}), scaled=frozenset({2}), includes_infinity=True
-        )
-    return SpectrumDescription(
-        scaled=frozenset({1}), removed=frozenset({1}), includes_infinity=True
-    )
 
 
 def product_spectrum(s1: SpectrumDescription, s2: SpectrumDescription) -> SpectrumDescription:

@@ -179,8 +179,6 @@ class AffineMap:
             self.linear @ other.linear,
         )
 
-    __mul__ = compose
-
     def inverse(self) -> "AffineMap":
         """(-D^-1.d, D^-1); requires a unimodular linear part."""
         if not self.linear.is_unimodular():
@@ -262,7 +260,8 @@ class CrystGroup:
     [0, 1)^n.  ``mult_table`` gives products of holonomy elements by their
     index in ``f_ext``: row j is left multiplication by A_j.
     :func:`build_group` fills it from its walk; a group constructed without
-    one has ``None``, which only the Burnside count would read.
+    one has ``None``, and the Burnside count and the normaliser walk, its
+    readers, raise ValueError on it.
     ``normaliser_gens`` is optional input data (generators of the normaliser
     of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
     always relative to it.  ``denominator`` is the least common multiple g

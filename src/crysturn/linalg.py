@@ -2,9 +2,15 @@
 
 Small dense matrices with arbitrary-precision integer entries, rational
 vectors built on :class:`fractions.Fraction`, Smith normal form with
-transformation matrices, and the lattice predicates built on top of it:
-coset representatives, image membership, exact solving and GF(2) solution
-counting.  Everything here is a pure function on immutable values.
+transformation matrices, and lattice-image membership built on it.
+Everything here is a pure function on immutable values.
+
+No command calls :func:`rational_inverse`, :func:`rat_apply`,
+:func:`mod2_solution_count` or :func:`coset_representatives`.  The first
+two serve ``scripts/gen_catalog_data.py``; ``perfbench`` traces
+:func:`rational_inverse` and :func:`coset_representatives`, and
+:func:`mod2_solution_count` serves the closed formula that checks its
+``reidnr-large-det`` workload.
 
 The hot kernels stay in plain ints.  Products, sums, negations, stacks,
 Smith transforms and inverses of valid matrices are built without
@@ -430,12 +436,3 @@ def in_lattice_image(b: IntMatrix, v: Sequence[Scalar]) -> bool:
         if t[i] % s != 0:
             return False
     return all(t[i] == 0 for i in range(r, b.nrows))
-
-
-def solve_exact(b: IntMatrix, v: Sequence[Scalar]) -> Vec:
-    """The unique exact rational solution of b . x = v, for nonsingular b."""
-    if not b.is_square:
-        raise ValueError("exact solve requires a square matrix")
-    if len(v) != b.nrows:
-        raise ValueError("vector length does not match matrix")
-    return rat_apply(rational_inverse(b), v)

@@ -144,7 +144,7 @@ def _fixing_pairs(
     condition on D alone, asserted here once per fixing pair.
     """
     constant = sum(det for _, det in twisted)
-    mult = group.mult_table
+    mult = _mult_table(group)
     parts, scaled = group.matrix_parts, group.scaled_translations
     g = group.denominator
     ident = parts[0]
@@ -311,10 +311,10 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     normaliser data is missing or the walk certifies that the normaliser is
     infinite.  A decided verdict carries the order of the normaliser.
     """
-    if group.normaliser_gens is None:
-        return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
     try:
         cosets, order = _normaliser_cosets(group)
+    except NormaliserUnavailable:
+        return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
     for witness, *_ in _passing(group, cosets):
@@ -357,13 +357,14 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
     with g.t_X = A_i.t_Y, closed through the holonomy table.
     """
     letters = sorted(set(_normaliser_generators(group)), key=lambda m: m.rows)
+    mult = _mult_table(group)
     walk = list(_coset_walk(group.matrix_parts, letters, bound=_order_bound(group.dimension)))
     cosets = list(_with_sigmas(group, letters, walk))
     sigmas = [tuple(range(group.order)), *(sigma for _, sigma, _ in cosets)]
     schreier = {sigmas[y].index(i) for _, _, y, i, _ in walk}
     reached, frontier = {0}, [0]
     while frontier:
-        frontier = list({group.mult_table[s][i] for i in frontier for s in schreier} - reached)
+        frontier = list({mult[s][i] for i in frontier for s in schreier} - reached)
         reached.update(frontier)
     return cosets, len(sigmas) * len(reached)
 
@@ -389,6 +390,14 @@ def _normaliser_generators(group: CrystGroup) -> list[IntMatrix]:
             "verdicts need them as input"
         )
     return list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
+
+
+def _mult_table(group: CrystGroup) -> Sequence[tuple[int, ...]]:
+    """The holonomy multiplication table, which only
+    :func:`~crysturn.groups.build_group` fills in."""
+    if group.mult_table is None:
+        raise ValueError(f"{group!r} has no multiplication table; make it with build_group")
+    return group.mult_table
 
 
 @dataclass(frozen=True)
@@ -451,9 +460,7 @@ def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix
 
 def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing]:
     """:func:`_passing` over the cosets of :func:`witness_words`, lazily."""
-    if group.normaliser_gens is None:
-        raise NormaliserUnavailable("word search requires normaliser generators")
-    gens = group.normaliser_gens
+    gens = _normaliser_generators(group)
     letters = sorted({*gens, *(g.int_inverse() for g in gens)}, key=lambda m: m.rows)
     walk = _coset_walk(group.matrix_parts, letters, max_word_length)
     yield from _passing(group, _with_sigmas(group, letters, walk))

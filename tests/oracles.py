@@ -20,6 +20,7 @@ from crysturn.linalg import (
     Vec,
     coset_representatives,
     is_integral,
+    mod2_solution_count,
     rat_apply,
     rational_inverse,
     smith_normal_form,
@@ -389,3 +390,31 @@ def pairwise_burnside_number(phi: Automorphism) -> ReidCount:
     count, rem = divmod(total, group.order)
     assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
     return count
+
+
+def solve_exact(b: IntMatrix, v) -> Vec:
+    """The unique rational solution of b . x = v for nonsingular b, through
+    the Fraction Gauss-Jordan inverse rather than the Smith normal form the
+    lattice predicates use."""
+    return rat_apply(rational_inverse(b), v)
+
+
+def reflection_class_count(b_mat: IntMatrix, b_vec) -> ReidCount:
+    """Classes of x ~ y iff x - y or x + y + b lies in the lattice image.
+
+    Plain cosets of the image pair up under the reflection x -> -x - b except
+    for the self-paired ones, counted by the GF(2) solution count, giving
+    (|det|_inf + solutions) / 2; infinite when the matrix is singular.
+    """
+    det = b_mat.det()
+    if det == 0:
+        return INFINITE
+    total = abs(det) + mod2_solution_count(b_mat, b_vec)
+    assert total % 2 == 0, "coset count and fixed-coset count must share parity"
+    return total // 2
+
+
+def conjugate(phi: Automorphism, gamma: AffineMap) -> AffineMap:
+    """phi(gamma) = (d, D).gamma.(d, D)^-1, composed as affine maps in Fractions."""
+    conj = AffineMap(phi.translation, phi.linear)
+    return conj.compose(gamma).compose(conj.inverse())

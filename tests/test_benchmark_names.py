@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps functions and class constructors by name, and
 ``perfbench/run.py`` builds its workloads and oracles from the package's
 names and reads fields of the computed spectrum; a name deleted from the
-package would break ``perfbench/run.py`` silently.
+package would break ``perfbench/run.py`` silently.  The other way round,
+no production module may name a function kept only for the benchmark.
 """
 
 import ast
@@ -102,3 +103,31 @@ def test_run_name_resolves(name):
     package = importlib.import_module("crysturn")
     importlib.import_module("crysturn.cli")
     functools.reduce(getattr, name.split("."), package)
+
+
+# Kept in the package only because the benchmark or
+# scripts/gen_catalog_data.py reads them.  No production path may come to
+# depend on one, so they can move to the tests or the script when the
+# benchmark stops reading them.
+BENCHMARK_ONLY = (
+    "closed_forms.reidemeister_point_reflection",
+    "closed_forms.reidemeister_3_2_1_2_1",
+    "linalg.mod2_solution_count",
+    "linalg.rational_inverse",
+    "linalg.rat_apply",
+    "linalg.coset_representatives",
+)
+
+
+@pytest.mark.parametrize("module", ["cli", "catalog", "groups", "automorphisms", "reidemeister"])
+def test_production_module_names_no_benchmark_oracle(module):
+    path = Path(importlib.import_module(f"crysturn.{module}").__file__)
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {name.split(".")[1] for name in BENCHMARK_ONLY}

@@ -103,17 +103,17 @@ class TestLoadGroup:
 class TestRoundTrip:
     def test_plane(self):
         g = builtin_catalog().group("2/1/1/1/1")
-        assert load_group(dump_group(g)).f_ext == g.f_ext
+        assert parse_group_document(dump_group(g)).f_ext == g.f_ext
 
     def test_threefold_keeps_normaliser(self):
         g = builtin_catalog().group("2/4/1/1/1")
-        back = load_group(dump_group(g))
+        back = parse_group_document(dump_group(g))
         assert back.f_ext == g.f_ext
         assert back.normaliser_gens == g.normaliser_gens
 
     def test_rational_translations_exact(self):
         g = builtin_catalog().group("3/3/1/1/4")
-        back = load_group(dump_group(g))
+        back = parse_group_document(dump_group(g))
         assert back.f_ext == g.f_ext
 
     def test_save_and_reload(self, tmp_path):
@@ -127,7 +127,7 @@ class TestRoundTrip:
     def test_document_roundtrip_is_identity(self):
         g = builtin_catalog().group("3/3/1/4/2")
         doc = group_document(g)
-        again = group_document(load_group(json.dumps(doc)))
+        again = group_document(parse_group_document(json.dumps(doc)))
         assert doc == again
 
 

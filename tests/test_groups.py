@@ -14,6 +14,7 @@ from crysturn.groups import (
     ClosureCapExceeded,
     CrystGroup,
     GroupValidationError,
+    _coset_walk,
     _minkowski_bound,
     build_group,
     matrix_group_closure,
@@ -425,6 +426,16 @@ class TestFinitenessCertificate:
         with pytest.raises(ClosureCapExceeded, match="trace 8"):
             matrix_group_closure([IntMatrix.from_rows(g)])
         assert len(calls) == products
+
+    def test_coset_walk_bound_counts_elements(self):
+        # 3/3/1/1/1's normaliser: 12 cosets of |F| = 4, 48 elements, so a
+        # bound of 48 lets the walk finish and 47 proves it infinite
+        group = builtin_catalog().group("3/3/1/1/1")
+        letters = sorted(set(group.normaliser_gens), key=lambda m: m.rows)
+        walk = list(_coset_walk(group.matrix_parts, letters, bound=48))
+        assert sum(new is not None for *_, new in walk) == 11
+        with pytest.raises(ClosureCapExceeded, match="more than 47 elements"):
+            list(_coset_walk(group.matrix_parts, letters, bound=47))
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_minus_identity_is_finite(self, n):

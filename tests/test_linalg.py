@@ -14,11 +14,10 @@ from crysturn.linalg import (
     mod2_solution_count,
     rational_inverse,
     smith_normal_form,
-    solve_exact,
     vec_sub,
     vector,
 )
-from oracles import naive_apply, naive_matmul
+from oracles import naive_apply, naive_matmul, solve_exact
 
 
 def int_matrices_of_shape(nrows, ncols, max_entry):
@@ -228,6 +227,8 @@ class TestInLatticeImage:
 
 
 class TestSolveExact:
+    """The rational solver the lattice tests cross-check against."""
+
     def test_identity(self):
         v = vector([1, 2, 3])
         assert solve_exact(IntMatrix.identity(3), v) == v

@@ -93,7 +93,8 @@ class TestAveraging:
         assert averaging_number(phi) == 1
 
     def test_plane_identity_infinite(self, z_plane):
-        assert averaging_number(Automorphism.identity(z_plane)) == INFINITE
+        identity = Automorphism(z_plane, zero_vector(2), IntMatrix.identity(2))
+        assert averaging_number(identity) == INFINITE
 
     def test_torsion_rejected(self, point_reflection_2d):
         phi = Automorphism(point_reflection_2d, zero_vector(2), IntMatrix.from_rows([[0, 1], [1, 2]]))
@@ -122,7 +123,22 @@ class TestReidemeisterNumber:
         assert reidemeister_number(phi) == 2
 
     def test_infinite_when_det_vanishes(self, z_plane):
-        assert reidemeister_number(Automorphism.identity(z_plane)) == INFINITE
+        identity = Automorphism(z_plane, zero_vector(2), IntMatrix.identity(2))
+        assert reidemeister_number(identity) == INFINITE
+
+    def test_group_without_table_rejected(self):
+        # a CrystGroup constructed directly has no holonomy multiplication table
+        source = builtin_catalog().group("2/4/1/1/1")
+        group = CrystGroup(2, source.f_ext, normaliser_gens=source.normaliser_gens)
+        minus = -IntMatrix.identity(2)
+        for call in (
+            lambda: reidemeister_number(Automorphism(group, zero_vector(2), minus)),
+            lambda: reidemeister_set(group, minus),
+            lambda: spectrum(group),
+            lambda: decide_r_infinity(group),
+        ):
+            with pytest.raises(ValueError, match="build_group"):
+                call()
 
     def test_companion_family_3d(self, point_reflection_3d):
         for m in (1, 2, 3):
@@ -226,7 +242,11 @@ class TestAgainstPairwise:
                                    max_size=group.dimension))
         rep = data.draw(st.sampled_from(group.f_ext))
         gamma = AffineMap(vec_add(rep.translation, vector(shift)), rep.linear)
-        psi = phi.compose(Automorphism.inner(group, gamma))
+        # phi after conjugation by gamma
+        psi = Automorphism(
+            group, vec_add(phi.translation, phi.linear.apply(gamma.translation)),
+            phi.linear @ gamma.linear,
+        )
         value = reidemeister_number(psi)
         assert value == pairwise_burnside_number(psi) == reidemeister_number(phi), name
 
@@ -392,6 +412,11 @@ class TestWitnessSearch:
         with pytest.raises(NormaliserUnavailable):
             search_r_infinity_witness(build_group(1, []), 2)
 
+    def test_trivial_normaliser_has_no_word(self):
+        # the empty generator list stands for {I}, whose one letter lands in F
+        group = build_group(2, [AffineMap(zero_vector(2), ROT3)], normaliser_gens=[])
+        assert list(witness_words(group, 3)) == []
+
     def test_witness_is_first_shared_word(self):
         from crysturn.catalog import builtin_catalog
 
@@ -413,7 +438,9 @@ class TestInvariants:
                 rep = group.f_ext[rng.randrange(group.order)]
                 shift = vector([rng.randint(-3, 3) for _ in range(2)])
                 gamma = AffineMap(vec_add(rep.translation, shift), rep.linear)
-                twisted = phi.compose(Automorphism.inner(group, gamma))
+                twisted = Automorphism(
+                    group, vec_add(d, d_mat.apply(gamma.translation)), d_mat @ gamma.linear
+                )
                 assert reidemeister_number(twisted) == base
 
     def test_averaging_agrees_on_torsion_free(self, z_line, z_plane, screw_group):
