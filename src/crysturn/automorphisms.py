@@ -9,9 +9,11 @@ group is its permutation sigma (:func:`conjugation_permutation`, defined in
 * the solver that, given D and sigma, finds a translation d making
   conjugation by (d, D) an automorphism (or reports that none exists),
 * the one check that conjugation by (d, D) keeps the group, shared by
-  :class:`Automorphism` and :func:`~crysturn.reidemeister.reidemeister_set`,
+  :class:`Automorphism` and :func:`~crysturn.reidemeister.reidemeister_set`
+  (once per linear part),
 * the finite set of base translations through which every automorphism
-  acting trivially on Z^n factors, up to inner automorphisms,
+  acting trivially on Z^n factors, up to inner automorphisms, and the
+  integer vectors (I - A).b by which they move image translations,
 * a validated :class:`Automorphism` value, the input of
   :func:`~crysturn.reidemeister.reidemeister_number`.
 
@@ -131,9 +133,23 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     return sorted(out)
 
 
+def _base_offsets(group: CrystGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """For each of the :func:`base_translations` b, the integer vectors
+    (I - A).b (see the module docstring) in holonomy order: conjugation by
+    (d + b, D) moves the image translation of (a_C, C) under (d, D) by
+    (I - E).b, E = A_sigma(C)."""
+    offsets = []
+    for base in base_translations(group):
+        den, b = group.scale(base)
+        moved = [tuple(x - y for x, y in zip(b, a.apply(b))) for a in group.matrix_parts]
+        assert not any(x % den for v in moved for x in v), "(I - A).b must be integral"
+        offsets.append(tuple(tuple(x // den for x in v) for v in moved))
+    return offsets
+
+
 def _moved_translations(group: CrystGroup, linear: IntMatrix) -> list[tuple[int, ...]]:
     """D.a_C for every representative, scaled by g: the part of each image
-    translation that does not depend on d, shared by every d swept."""
+    translation that does not depend on d."""
     return [linear.apply(a) for a in group.scaled_translations]
 
 

@@ -33,7 +33,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Optional, Union
 
-from .automorphisms import base_translations
+from .automorphisms import _base_offsets
 from .closed_forms import parse_spectrum
 from .groups import (
     AffineMap,
@@ -335,9 +335,9 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
             if not samples:
                 ok = False
                 details.append("no sample automorphisms found for spectrum membership check")
-            bases = base_translations(group)
+            offsets = _base_offsets(group)
             for sample in samples:
-                for value in _linear_part_set(group, *sample, bases):
+                for value in _linear_part_set(group, *sample, offsets):
                     if not desc.contains(value):
                         ok = False
                         details.append(

@@ -57,12 +57,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_group(source: str) -> CrystGroup:
-    if Path(source).is_file():
+    try:
+        is_file = Path(source).is_file()
+    except OSError:  # a name the file system refuses, such as one too long
+        is_file = False
+    if is_file:
         return load_group(Path(source))
     catalog = builtin_catalog()
     if source in catalog:
         return catalog.group(source)
-    raise CliUsageError(f"no such file or catalog entry: {source}")
+    raise CliUsageError(f"no such file or catalog entry: {source!r}")
 
 
 def _positive_int(raw: str) -> int:

@@ -38,11 +38,9 @@ from .linalg import (
     IntMatrix,
     Vec,
     in_lattice_image,
-    is_integral,
     vec_add,
     vec_mod1,
     vec_neg,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -170,29 +168,8 @@ class AffineMap:
     def dimension(self) -> int:
         return len(self.translation)
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """(d1, D1)(d2, D2) = (d1 + D1.d2, D1.D2)."""
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch in affine product")
-        return AffineMap(
-            vec_add(self.translation, self.linear.apply(other.translation)),
-            self.linear @ other.linear,
-        )
-
-    def inverse(self) -> "AffineMap":
-        """(-D^-1.d, D^-1); requires a unimodular linear part."""
-        if not self.linear.is_unimodular():
-            raise ValueError("inverse requires a unimodular linear part")
-        inv = self.linear.int_inverse()
-        return AffineMap(vec_neg(inv.apply(self.translation)), inv)
-
     def reduce_mod1(self) -> "AffineMap":
         return AffineMap(vec_mod1(self.translation), self.linear)
-
-    def is_identity(self) -> bool:
-        return self.linear == IntMatrix.identity(self.dimension) and all(
-            x == 0 for x in self.translation
-        )
 
     def __str__(self) -> str:
         t = ",".join(str(x) for x in self.translation)
@@ -213,12 +190,6 @@ class PointGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index(self, m: IntMatrix) -> int:
-        try:
-            return self._index[m]
-        except KeyError:
-            raise ValueError("matrix is not an element of the point group") from None
 
     def __contains__(self, m: IntMatrix) -> bool:
         return m in self._index
@@ -315,22 +286,6 @@ class CrystGroup:
         """
         den = self.denominator * math.lcm(*(x.denominator for x in d))
         return den, _scaled(d, den)
-
-    def holonomy_index(self, m: IntMatrix) -> int:
-        return self.point_group.index(m)
-
-    def representative(self, m: IntMatrix) -> AffineMap:
-        """The canonical F_ext representative with the given matrix part."""
-        return self.f_ext[self.holonomy_index(m)]
-
-    def contains(self, elem: AffineMap) -> bool:
-        """Membership: matrix part in the holonomy group, offset integral."""
-        if elem.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        i = self.point_group._index.get(elem.linear)
-        if i is None:
-            return False
-        return is_integral(vec_sub(elem.translation, self.f_ext[i].translation))
 
     def is_bieberbach(self) -> bool:
         """Torsion-freeness: no (x + a, A) with A != I has finite order.

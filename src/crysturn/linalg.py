@@ -15,7 +15,8 @@ two serve ``scripts/gen_catalog_data.py``; ``perfbench`` traces
 The hot kernels stay in plain ints.  Products, sums, negations, stacks,
 Smith transforms and inverses of valid matrices are built without
 re-validating their entries, and :meth:`IntMatrix.int_inverse` is integer
-row reduction.
+row reduction.  A product combines rows (:meth:`IntMatrix.__matmul__`), so
+the sparse holonomy and normaliser matrices cost few multiplications.
 Rational vectors enter the integer kernels scaled by a common denominator
 (see :meth:`crysturn.groups.CrystGroup.scale`); Fractions are the value
 type at the boundary only.
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _mixed_radix
-from operator import mul as _mul
+from operator import add as _add, mul as _mul, neg as _neg
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -146,12 +147,21 @@ class IntMatrix:
         return self.nrows == self.ncols
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product by rows: row i is the sum over j of self[i][j] times
+        row j of ``other``.  A zero entry costs nothing and an entry of +-1
+        adds the row or its negation, so a signed permutation matrix on the
+        left costs at most n row negations instead of n^3 multiplications."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix._unchecked(
-            tuple(tuple(sum(map(_mul, row, col)) for col in cols) for row in self.rows)
-        )
+        rows = []
+        for row in self.rows:
+            acc = None
+            for a, b in zip(row, other.rows):
+                if a:
+                    term = b if a == 1 else map(_neg, b) if a == -1 else map(a.__mul__, b)
+                    acc = tuple(term) if acc is None else tuple(map(_add, acc, term))
+            rows.append(acc or (0,) * other.ncols)
+        return IntMatrix._unchecked(tuple(rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:

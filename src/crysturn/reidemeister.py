@@ -11,9 +11,12 @@ fixing pair (component A, element C) at a time (see :func:`_fixing_pairs`):
 the identity fixes |det(I - A.D)| points of A, a pair with
 |det(I - A.D)| = 1 fixes one, and only the other pairs need a Smith normal
 form.  All of that and D's permutation sigma of F
-(:func:`conjugation_permutation`) depend on the linear part D alone, so a
-Reidemeister set redoes, per translation, only the translation check and
-the few live pairs, on integers over one common denominator.
+(:func:`conjugation_permutation`) depend on the linear part D alone, and
+so do the image translations of its translation part d, over one common
+denominator: the other translations swept, d + b over the base
+translations b, shift them by integer vectors (I - E).b that depend on the
+group alone.  So a Reidemeister set redoes, per translation, only the few
+live pairs, on integers.
 
 A spectrum is the union of the Reidemeister sets over a finite normaliser
 N.  Inner automorphisms turn D into A.D without changing R, so one linear
@@ -39,10 +42,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphisms import (
     Automorphism,
+    _base_offsets,
     _moved_translations,
     _translation_images,
     _translation_part,
-    base_translations,
     conjugation_permutation,
 )
 from .groups import (
@@ -56,7 +59,7 @@ from .groups import (
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
 )
-from .linalg import IntMatrix, Vec, smith_normal_form, vec_add
+from .linalg import IntMatrix, Vec, smith_normal_form
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
@@ -137,8 +140,9 @@ def _fixing_pairs(
 
     Translations are read scaled by g.  The offset of a pair for a
     translation d over den = g.lift (see :func:`_burnside_count`) is
-    lift.lead - A.img_C, and :func:`~crysturn.automorphisms._translation_images`
-    raises for every swept d unless img_C = lift.g.a_E (mod den).  So the
+    lift.lead - A.img_C, and img_C = lift.g.a_E (mod den) for every swept d
+    (:func:`~crysturn.automorphisms._translation_images` checks it for the
+    translation part, and the integral base offsets keep it).  So the
     offset is lift.(lead - A.g.a_E) modulo den, and it lies in den.Z^n, as
     twisted conjugation requires, iff lead - A.g.a_E lies in g.Z^n: a
     condition on D alone, asserted here once per fixing pair.
@@ -186,15 +190,17 @@ def _fixing_pairs(
 def _burnside_count(
     group: CrystGroup,
     den: int,
-    images: list[tuple[int, ...]],
+    images: Sequence[tuple[int, ...]] | dict[int, tuple[int, ...]],
     constant: int,
     live: list[_LivePair],
 ) -> int:
     """The part of the Burnside count that depends on the translation d.
 
-    ``den`` and ``images`` come from
-    :func:`~crysturn.automorphisms._translation_images`: images[C] is den
-    times the translation part d + D.a_C - E.d of the image of (a_C, C).
+    ``den`` is any multiple of the group's denominator g that makes the
+    image translations integral (the test is homogeneous in den), and
+    images[C] is den times the translation part d + D.a_C - E.d of the
+    image of (a_C, C), read for the live pairs' C only (see
+    :func:`~crysturn.automorphisms._translation_images`).
     ``constant`` and ``live`` come from :func:`_fixing_pairs`.  A live pair
     fixes ``weight`` points when its offset lift.lead - A.img_C = den.c_{A,C}
     lies in den.L, and none otherwise; with P.L = diag(s_i).Z^n that is
@@ -246,9 +252,9 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     Empty when no valid translation exists, {infinity} when the determinant
     test fires.  Otherwise the translation solution is swept through the
     base-translation offsets, which exhaust the possible values.  Everything
-    that depends on D alone is computed once (see :func:`_fixing_pairs`);
-    each swept translation is checked against every holonomy representative,
-    and only its image translations and the live pairs are redone.
+    that depends on D alone is computed once (see :func:`_fixing_pairs` and
+    :func:`_linear_part_set`); per swept translation only the live pairs
+    are redone.
     """
     sigma = conjugation_permutation(group, linear)
     twisted = _twisted_blocks(group, _products(group.matrix_parts, linear))
@@ -257,7 +263,7 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
         return frozenset()
     if twisted is None:
         return frozenset((INFINITE,))
-    return _linear_part_set(group, linear, sigma, twisted, d, base_translations(group))
+    return _linear_part_set(group, linear, sigma, twisted, d, _base_offsets(group))
 
 
 def _linear_part_set(
@@ -266,20 +272,23 @@ def _linear_part_set(
     sigma: tuple[int, ...],
     twisted: Twisted,
     d: Vec,
-    bases: list[Vec],
+    offsets: list[tuple[tuple[int, ...], ...]],
 ) -> frozenset[int]:
     """:func:`reidemeister_set` for a linear part D that passes the
     determinant test, with its permutation ``sigma``, its
     :func:`_twisted_blocks` ``twisted``, a translation part ``d`` and the
-    group's base translations already known: every value is finite."""
-    moved = _moved_translations(group, linear)
+    group's :func:`~crysturn.automorphisms._base_offsets` already known:
+    every value is finite.  One denominator and one check of the image
+    translations, both for d, serve every swept d + b, whose images differ
+    from those of d by the integer vectors (I - E).b."""
     constant, live = _fixing_pairs(group, sigma, twisted)
-    return frozenset(
-        _burnside_count(
-            group, *_translation_images(group, sigma, moved, vec_add(base, d)), constant, live
-        )
-        for base in bases
-    )
+    den, images = _translation_images(group, sigma, _moved_translations(group, linear), d)
+    read = [(c, images[c], sigma[c]) for c, _, _ in live]
+
+    def shifted(off: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
+        return {c: tuple(x + den * y for x, y in zip(image, off[e])) for c, image, e in read}
+
+    return frozenset(_burnside_count(group, den, shifted(off), constant, live) for off in offsets)
 
 
 class RinfStatus(Enum):
@@ -428,16 +437,16 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     runs first, on the coset's products A.D: a coset that fails it adds
     {infinity} or nothing, and infinity is always in the spectrum (F, with
     d = 0, attains it).  Only the cosets that pass are solved and counted,
-    reusing the coset's sigma and blocks I - A.D, with the base translations
+    reusing the coset's sigma and blocks I - A.D, with the base offsets
     computed once.  Raises :class:`NormaliserUnavailable` without input data
     and :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
     that the normaliser is infinite.
     """
     cosets, order = _normaliser_cosets(group)
-    bases = base_translations(group)
+    offsets = _base_offsets(group)
     finite: set[int] = set()
     for passing in _passing(group, cosets):
-        finite.update(_linear_part_set(group, *passing, bases))
+        finite.update(_linear_part_set(group, *passing, offsets))
     return ComputedSpectrum(
         finite_values=tuple(sorted(finite)),
         contains_infinity=True,

@@ -25,6 +25,7 @@ from crysturn.linalg import (
     rational_inverse,
     smith_normal_form,
     vec_add,
+    vec_neg,
     vec_sub,
 )
 from crysturn.reidemeister import (
@@ -34,6 +35,45 @@ from crysturn.reidemeister import (
     is_always_infinite,
     reidemeister_set,
 )
+
+
+def compose(f: AffineMap, g: AffineMap) -> AffineMap:
+    """(d1, D1)(d2, D2) = (d1 + D1.d2, D1.D2)."""
+    if f.dimension != g.dimension:
+        raise ValueError("dimension mismatch in affine product")
+    return AffineMap(vec_add(f.translation, f.linear.apply(g.translation)), f.linear @ g.linear)
+
+
+def inverse(f: AffineMap) -> AffineMap:
+    """(-D^-1.d, D^-1); requires a unimodular linear part."""
+    if not f.linear.is_unimodular():
+        raise ValueError("inverse requires a unimodular linear part")
+    inv = f.linear.int_inverse()
+    return AffineMap(vec_neg(inv.apply(f.translation)), inv)
+
+
+def is_identity(f: AffineMap) -> bool:
+    return f == AffineMap.identity(f.dimension)
+
+
+def holonomy_index(group: CrystGroup, m: IntMatrix) -> int:
+    """The index of the holonomy matrix m among the group's representatives;
+    ValueError if m is not one of them."""
+    return group.matrix_parts.index(m)
+
+
+def representative(group: CrystGroup, m: IntMatrix) -> AffineMap:
+    """The canonical representative with matrix part m."""
+    return group.f_ext[holonomy_index(group, m)]
+
+
+def contains(group: CrystGroup, elem: AffineMap) -> bool:
+    """Membership: matrix part in the holonomy group, offset integral."""
+    if elem.dimension != group.dimension:
+        raise ValueError("dimension mismatch")
+    if elem.linear not in group.point_group:
+        return False
+    return is_integral(vec_sub(elem.translation, representative(group, elem.linear).translation))
 
 
 def naive_matmul(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -83,10 +123,10 @@ def structure_violation(group: CrystGroup) -> Optional[str]:
         if any(not 0 <= x < 1 for x in rep.translation):
             return f"translation not reduced into [0, 1): {rep}"
     for rep in group.f_ext:
-        if not group.contains(rep.inverse()):
+        if not contains(group, inverse(rep)):
             return f"inverse leaves the group: {rep}"
         for other in group.f_ext:
-            if not group.contains(rep.compose(other)):
+            if not contains(group, compose(rep, other)):
                 return f"product leaves the group: {rep} * {other}"
     for d in group.normaliser_gens or ():
         if d.shape != (n, n) or not d.is_unimodular():
@@ -152,7 +192,7 @@ def frontier_build_group(dimension: int, generators: list[AffineMap]) -> CrystGr
         next_frontier = []
         for cur in frontier:
             for s in seeds:
-                prod = s.compose(cur).reduce_mod1()
+                prod = compose(s, cur).reduce_mod1()
                 if record(prod):
                     next_frontier.append(prod)
         frontier = next_frontier
@@ -205,8 +245,8 @@ def conjugation_keeps_group(group: CrystGroup, translation: Vec, linear: IntMatr
     if not linear.is_unimodular():
         return False
     conj = AffineMap(translation, linear)
-    conj_inv = conj.inverse()
-    return all(group.contains(conj.compose(rep).compose(conj_inv)) for rep in group.f_ext)
+    conj_inv = inverse(conj)
+    return all(contains(group, compose(compose(conj, rep), conj_inv)) for rep in group.f_ext)
 
 
 def full_stack_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
@@ -281,7 +321,7 @@ def union_find_number(phi: Automorphism) -> ReidCount:
     for b_idx, b in enumerate(group.matrix_parts):
         for c_idx, (c, c_inv) in enumerate(zip(group.matrix_parts, c_invs)):
             a = c @ b @ d_mat @ c_inv @ d_inv
-            mergers.setdefault((group.holonomy_index(a), b_idx), []).append(c_idx)
+            mergers.setdefault((holonomy_index(group, a), b_idx), []).append(c_idx)
 
     inverses = {idx: rational_inverse(mats[idx]) for idx in range(group.order)}
     dsu = _UnionFind(len(candidates))
@@ -417,4 +457,4 @@ def reflection_class_count(b_mat: IntMatrix, b_vec) -> ReidCount:
 def conjugate(phi: Automorphism, gamma: AffineMap) -> AffineMap:
     """phi(gamma) = (d, D).gamma.(d, D)^-1, composed as affine maps in Fractions."""
     conj = AffineMap(phi.translation, phi.linear)
-    return conj.compose(gamma).compose(conj.inverse())
+    return compose(compose(conj, gamma), inverse(conj))

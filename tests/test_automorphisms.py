@@ -33,7 +33,9 @@ from oracles import (
     conjugation_keeps_group,
     full_stack_base_translations,
     full_stack_translation_part,
+    holonomy_index,
     naive_witness_words,
+    representative,
     union_find_number,
 )
 
@@ -100,8 +102,8 @@ class TestConjugationPermutation:
 
     def test_swap_exchanges_rotations(self, p3_group):
         sigma = conjugation_permutation(p3_group, SWAP2)
-        i = p3_group.holonomy_index(ROT3)
-        j = p3_group.holonomy_index(ROT3 @ ROT3)
+        i = holonomy_index(p3_group, ROT3)
+        j = holonomy_index(p3_group, ROT3 @ ROT3)
         assert sigma[i] == j and sigma[j] == i
 
     def test_non_normalising_rejected(self, p3_group):
@@ -258,7 +260,7 @@ class TestAutomorphism:
 
     def test_half_shift_on_point_reflection(self, point_reflection_2d):
         phi = Automorphism(point_reflection_2d, vector(["1/2", 0]), IntMatrix.identity(2))
-        gen = point_reflection_2d.representative(-IntMatrix.identity(2))
+        gen = representative(point_reflection_2d, -IntMatrix.identity(2))
         assert conjugate(phi, gen) == AffineMap(vector([1, 0]), -IntMatrix.identity(2))
 
     def test_rejects_invalid_data(self, p3_group):

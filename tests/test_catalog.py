@@ -20,7 +20,7 @@ from crysturn.catalog import (
     save_group,
 )
 from crysturn.linalg import IntMatrix, vector
-from oracles import structure_violation
+from oracles import representative, structure_violation
 
 
 class TestLoadGroup:
@@ -90,7 +90,7 @@ class TestLoadGroup:
         }
         with pytest.warns(UserWarning, match="canonicalized"):
             g = parse_group_document(json.dumps(doc))
-        rep = g.representative(IntMatrix.diagonal([1, -1]))
+        rep = representative(g, IntMatrix.diagonal([1, -1]))
         assert rep.translation == vector(["1/2", "0"])
 
     def test_load_from_path(self, tmp_path):

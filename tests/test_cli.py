@@ -4,6 +4,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crysturn import cli
 from crysturn.catalog import dump_group, builtin_catalog
@@ -403,6 +405,29 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_name_too_long_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "x" * 300)
+        assert code == EXIT_USAGE
+        assert out == "" and "no such file or catalog entry: 'xxx" in err
+
+    def test_nul_byte_is_not_printed_raw(self, capsys):
+        code, _, err = run(capsys, "spectrum", "a\x00b")
+        assert code == EXIT_USAGE
+        assert "\x00" not in err and "'a\\x00b'" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["validate", "rinf", "spectrum", "delta-base"]),
+        # long texts reach the file-name limit of 255 bytes
+        source=st.one_of(st.text(), st.text(min_size=260, max_size=400)),
+    )
+    def test_any_group_argument_never_exits_internal(self, command, source):
+        try:
+            code = main([command, source])
+        except SystemExit as exc:  # argparse's own exit, as for "-h"
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BAD_DATA, EXIT_UNDECIDED)
 
     def test_text_and_json_agree(self, capsys):
         _, text_out, _ = run(capsys, "spectrum", "2/4/1/1/1")

@@ -330,6 +330,35 @@ class TestKernelsAgainstNaive:
         assert (a @ b).rows == naive_matmul(a, b)
         assert (a @ b).shape == (nrows, ncols)
 
+    # Mostly signed-permutation-like entries, which the product adds,
+    # subtracts or skips, with a few large ones like the a = 10**12
+    # companion matrices, which it multiplies.
+    SPARSE = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 10**12, -(10**12)))
+
+    @staticmethod
+    def sparse_matrix(data, nrows, ncols):
+        rows = data.draw(
+            st.lists(
+                st.lists(TestKernelsAgainstNaive.SPARSE, min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+        for i in data.draw(st.sets(st.integers(0, nrows - 1))):
+            rows[i] = [0] * ncols
+        return IntMatrix.from_rows(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matmul_sparse(self, data):
+        nrows, inner, ncols = (data.draw(st.integers(1, 6)) for _ in range(3))
+        a = self.sparse_matrix(data, nrows, inner)
+        b = self.sparse_matrix(data, inner, ncols)
+        product = a @ b
+        assert product.rows == naive_matmul(a, b)
+        assert product.shape == (nrows, ncols)
+        assert all(type(x) is int for row in product.rows for x in row)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_apply(self, data):

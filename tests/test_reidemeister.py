@@ -3,6 +3,7 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ import crysturn.linalg
 import crysturn.reidemeister
 from crysturn.automorphisms import (
     Automorphism,
+    _base_offsets,
     base_translations,
     find_translation_part,
 )
-from crysturn.catalog import builtin_catalog, check_catalog
+from crysturn.catalog import _WORD_LENGTH, builtin_catalog, check_catalog
 from crysturn.closed_forms import reidemeister_3_2_1_2_1, reidemeister_point_reflection
 from crysturn.groups import (
     AffineMap,
@@ -38,7 +40,9 @@ from crysturn.reidemeister import (
     reidemeister_set,
     search_r_infinity_witness,
     _compose,
+    _linear_part_set,
     _normaliser_cosets,
+    _passing,
     _witness_cosets,
     spectrum,
     witness_words,
@@ -643,6 +647,36 @@ class TestSigmaComposition:
             matrix = letter @ matrix
             sigma = _compose(conjugation_permutation(group, letter), sigma)
         assert sigma == conjugation_permutation(group, matrix)
+
+
+class TestIntegerSweep:
+    """The set of one linear part, swept on integers from the translation
+    part's image translations and the base offsets (I - E).b, against one
+    validated automorphism per base translation b."""
+
+    def test_catalog_linear_parts(self):
+        catalog = builtin_catalog()
+        finite, infinite, checked = 0, 0, 0
+        for name in catalog.names():
+            group = catalog.group(name)
+            try:
+                passing = list(_passing(group, _normaliser_cosets(group)[0]))
+                finite += 1
+            except ClosureCapExceeded:
+                # the samples check_entry takes for an infinite normaliser
+                passing = list(islice(_witness_cosets(group, _WORD_LENGTH), 3))
+                infinite += 1
+            bases = base_translations(group)
+            offsets = _base_offsets(group)
+            for leader, sigma, twisted, d in passing:
+                expected = {
+                    reidemeister_number(Automorphism(group, vec_add(d, base), leader))
+                    for base in bases
+                }
+                got = _linear_part_set(group, leader, sigma, twisted, d, offsets)
+                assert got == expected, (name, leader)
+                checked += 1
+        assert (finite, infinite, checked) == (11, 9, 41)
 
 
 class TestSharedWork:
