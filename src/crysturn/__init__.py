@@ -20,7 +20,6 @@ from .groups import (
 from .linalg import (
     IntMatrix,
     SnfDecomposition,
-    in_lattice_image,
     smith_normal_form,
     vector,
 )

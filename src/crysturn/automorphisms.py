@@ -26,10 +26,13 @@ onto D.F.D^-1 = F, is the group.  For D = I this says that the A with
 (I - A).d in Z^n form a subgroup of F: (I - A.B).d = (I - A).d + A.(I - B).d.
 The validation still checks every representative.
 
-Translations are Fractions in every argument and result.  Inside, the solve
-and the validation run on ints: the group's translations scaled by its
-common denominator g (:attr:`~crysturn.groups.CrystGroup.denominator`), and
-a translation d scaled by g times the lcm of its own denominators.
+Fractions only in and out: translations are Fractions in the arguments
+and results of the public functions, and every kernel runs on integer
+numerators over one denominator (g, the group's
+:attr:`~crysturn.groups.CrystGroup.denominator`, for its translations; a
+multiple of g for a translation part; the lcm of the invariant factors for
+the base translations).  An :class:`Automorphism` scales its translation
+once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ from itertools import product as _mixed_radix
 from typing import Optional
 
 from .groups import CrystGroup, conjugation_permutation
-from .linalg import IntMatrix, Vec, smith_normal_form, vec_mod1, vector
+from .linalg import IntMatrix, Vec, smith_normal_form, vector
+
+Scaled = tuple[int, tuple[int, ...]]  # (den, den.d): a translation d over den
+Images = tuple[int, tuple[tuple[int, ...], ...]]  # (den, den times each image)
 
 
 def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
@@ -62,9 +68,9 @@ def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]
     return IntMatrix.vstack(blocks), tuple(rhs)
 
 
-def _rationals(snf_q: IntMatrix, numerators: list[int], den: int) -> Vec:
-    """Q.(numerators / den) as Fractions: one division per component."""
-    return tuple(Fraction(x, den) for x in snf_q.apply(numerators))
+def _rationals(den: int, numerators: tuple[int, ...]) -> Vec:
+    """The translation numerators / den as Fractions, at the public boundary."""
+    return tuple(Fraction(x, den) for x in numerators)
 
 
 def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
@@ -83,14 +89,16 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     n = group.dimension
     if linear.shape != (n, n):
         raise ValueError("automorphism data does not match the group dimension")
-    return _translation_part(group, linear, conjugation_permutation(group, linear))
+    d = _translation_part(group, linear, conjugation_permutation(group, linear))
+    return None if d is None else _rationals(*d)
 
 
 def _translation_part(
     group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]
-) -> Optional[Vec]:
+) -> Optional[Scaled]:
     """:func:`find_translation_part` for a linear part whose permutation
-    ``sigma`` (see :func:`conjugation_permutation`) is already known."""
+    ``sigma`` (see :func:`conjugation_permutation`) is already known, as
+    (den, den.d) with den = g times the lcm of the invariant factors."""
     n = group.dimension
     g = group.denominator
     m_mat, rhs = _stacked_system(group, linear, sigma)
@@ -103,7 +111,7 @@ def _translation_part(
     d_prime = [0] * n
     for i, s in enumerate(snf.invariant_factors):
         d_prime[i] = -t[i] * (den // (s * g))
-    return _rationals(snf.q, d_prime, den)
+    return den, snf.q.apply(d_prime)
 
 
 def base_translations(group: CrystGroup) -> list[Vec]:
@@ -119,6 +127,13 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     (d, I) by an inner automorphism, and the list is sorted.  Entries may
     induce equal Reidemeister numbers; no pruning is attempted.
     """
+    den, bases = _base_numerators(group)
+    return [_rationals(den, b) for b in bases]
+
+
+def _base_numerators(group: CrystGroup) -> tuple[int, list[tuple[int, ...]]]:
+    """:func:`base_translations` as (den, sorted numerators over den), den
+    the lcm of the invariant factors; numerators reduced into [0, den)."""
     n = group.dimension
     m_mat, _ = _stacked_system(group, IntMatrix.identity(n), tuple(range(group.order)))
     snf = smith_normal_form(m_mat)
@@ -129,8 +144,8 @@ def base_translations(group: CrystGroup) -> list[Vec]:
         d_prime = [0] * n
         for i, (y, s) in enumerate(zip(combo, factors)):
             d_prime[i] = y * (den // s)
-        out.append(vec_mod1(_rationals(snf.q, d_prime, den)))
-    return sorted(out)
+        out.append(tuple(x % den for x in snf.q.apply(d_prime)))
+    return den, sorted(out)
 
 
 def _base_offsets(group: CrystGroup) -> list[tuple[tuple[int, ...], ...]]:
@@ -138,9 +153,9 @@ def _base_offsets(group: CrystGroup) -> list[tuple[tuple[int, ...], ...]]:
     (I - A).b (see the module docstring) in holonomy order: conjugation by
     (d + b, D) moves the image translation of (a_C, C) under (d, D) by
     (I - E).b, E = A_sigma(C)."""
+    den, bases = _base_numerators(group)
     offsets = []
-    for base in base_translations(group):
-        den, b = group.scale(base)
+    for b in bases:
         moved = [tuple(x - y for x, y in zip(b, a.apply(b))) for a in group.matrix_parts]
         assert not any(x % den for v in moved for x in v), "(I - A).b must be integral"
         offsets.append(tuple(tuple(x // den for x in v) for v in moved))
@@ -154,17 +169,18 @@ def _moved_translations(group: CrystGroup, linear: IntMatrix) -> list[tuple[int,
 
 
 def _translation_images(
-    group: CrystGroup, sigma: tuple[int, ...], moved: list[tuple[int, ...]], translation: Vec
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Check that conjugation by (d, D) = (translation, linear) keeps the group.
+    group: CrystGroup, sigma: tuple[int, ...], moved: list[tuple[int, ...]], translation: Scaled
+) -> Images:
+    """Check that conjugation by (d, D) keeps the group.
 
-    ``moved`` is :func:`_moved_translations` of D.  Conjugation sends each
-    representative (a_C, C) to (d + D.a_C - E.d, E) with
-    E = D.C.D^-1 = A_sigma(C); every image translation must be a_sigma(C)
-    modulo Z^n, or ValueError.  Returns den = g . lcm(denominators of d) and
-    the image translations times den, in holonomy order.
+    ``moved`` is :func:`_moved_translations` of D and ``translation`` is
+    (den, den.d), den a multiple of g that makes den.d integral.
+    Conjugation sends each representative (a_C, C) to (d + D.a_C - E.d, E)
+    with E = D.C.D^-1 = A_sigma(C); every image translation must be
+    a_sigma(C) modulo Z^n, or ValueError.  Returns den and the image
+    translations times den, in holonomy order.
     """
-    den, d = group.scale(translation)
+    den, d = translation
     lift = den // group.denominator
     parts, scaled = group.matrix_parts, group.scaled_translations
     images = []
@@ -173,7 +189,7 @@ def _translation_images(
         if any((x - lift * w) % den for x, w in zip(image, scaled[j])):
             raise ValueError(f"not an automorphism: conjugate of {rep} leaves the group")
         images.append(image)
-    return den, images
+    return den, tuple(images)
 
 
 @dataclass(frozen=True)
@@ -184,13 +200,16 @@ class Automorphism:
     caller: D must normalise the holonomy group and every canonical
     representative must conjugate back into the group (see
     :func:`_translation_images`).  ``sigma`` keeps the permutation that D
-    induces on the holonomy group (see :func:`conjugation_permutation`).
+    induces on the holonomy group (see :func:`conjugation_permutation`) and
+    ``images`` the (den, image translations times den) that the check
+    validated, which the Reidemeister count reads.
     """
 
     group: CrystGroup
     translation: Vec
     linear: IntMatrix
     sigma: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    images: Images = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "translation", vector(self.translation))
@@ -199,5 +218,6 @@ class Automorphism:
             raise ValueError("automorphism data does not match the group dimension")
         sigma = conjugation_permutation(self.group, self.linear)
         moved = _moved_translations(self.group, self.linear)
-        _translation_images(self.group, sigma, moved, self.translation)
+        images = _translation_images(self.group, sigma, moved, self.group.scale(self.translation))
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "images", images)

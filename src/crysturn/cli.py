@@ -10,6 +10,7 @@ infinite, or normaliser data missing), 4 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -98,7 +99,10 @@ _ABSENT = "absent"
 _INFINITE_NORMALISER = "infinite"
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing does not
+    change it, so in-process callers of :func:`main` share one."""
     parser = _Parser(prog="crysturn", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)

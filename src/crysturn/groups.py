@@ -18,13 +18,16 @@ arbitrary size limit.  The supplied normaliser generators are checked to
 normalise the holonomy group but are otherwise trusted as input data
 (completeness of the normaliser cannot be certified from the group alone).
 
-Translations stay Fractions in :class:`AffineMap`, the public value type.
-A :class:`CrystGroup` also stores its representatives' translations once, as
-integer tuples over one common denominator, which the integer kernels of
-the translation solve, automorphism validation and the Reidemeister count
-read.  Only the holonomy group carries a multiplication table, filled from
-:func:`build_group`'s walk; :func:`matrix_group_closure` returns a plain
-element list.
+Fractions only in and out: translations are Fractions in
+:class:`AffineMap`, the public value type, and every kernel carries them as
+integer numerators over one common denominator.  :func:`build_group` walks
+on numerators and makes each representative's :class:`AffineMap` once, at
+the end; a :class:`CrystGroup` stores its representatives' translations
+once more as numerators (``scaled_translations``), which the Bieberbach
+test, the translation solve, automorphism validation and the Reidemeister
+count read.  Only the holonomy group carries a multiplication table,
+filled from :func:`build_group`'s walk; :func:`matrix_group_closure`
+returns a plain element list.
 """
 
 from __future__ import annotations
@@ -34,16 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .linalg import (
-    IntMatrix,
-    Vec,
-    in_lattice_image,
-    vec_add,
-    vec_mod1,
-    vec_neg,
-    vector,
-    zero_vector,
-)
+from .linalg import IntMatrix, Vec, smith_normal_form, vector, zero_vector
 
 # Largest order of a finite subgroup of GL_n(Z), n = 1..8 (Feit; Plesken-Pohst)
 _MAX_FINITE_ORDER = (2, 12, 48, 1152, 3840, 103680, 2903040, 696729600)
@@ -168,9 +162,6 @@ class AffineMap:
     def dimension(self) -> int:
         return len(self.translation)
 
-    def reduce_mod1(self) -> "AffineMap":
-        return AffineMap(vec_mod1(self.translation), self.linear)
-
     def __str__(self) -> str:
         t = ",".join(str(x) for x in self.translation)
         return f"({t}; {self.linear})"
@@ -292,18 +283,25 @@ class CrystGroup:
 
         (x + a, A) with A of order m is torsion iff (sum_i A^i)(x + a) = 0,
         so torsion with matrix part A exists iff N_A . x = -N_A . a has an
-        integral solution.  N_A sums the powers of A until one is I.
+        integral solution.  N_A sums the powers of A until one is I.  On the
+        translations scaled by g (``scaled_translations``) that asks whether
+        t = N_A.(g.a), up to sign, lies in g.N_A.Z^n: with P.N_A.Q = S, whether
+        (P.t)_i is a multiple of g.s_i for each invariant factor s_i and 0
+        past the rank.
         """
         ident = IntMatrix.identity(self.dimension)
-        for rep in self.f_ext:
-            if rep.linear == ident:
+        g = self.denominator
+        for linear, a in zip(self.matrix_parts, self.scaled_translations):
+            if linear == ident:
                 continue
-            acc, power = ident, rep.linear
+            acc, power = ident, linear
             while power != ident:
                 acc = acc + power
-                power = power @ rep.linear
-            target = vec_neg(acc.apply(rep.translation))
-            if in_lattice_image(acc, target):
+                power = power @ linear
+            snf = smith_normal_form(acc)
+            t = snf.p.apply(acc.apply(a))
+            factors = snf.invariant_factors
+            if not any(t[snf.rank :]) and all(x % (g * s) == 0 for x, s in zip(t, factors)):
                 return False
         return True
 
@@ -339,15 +337,17 @@ def build_group(
     The lattice Z^n is implicit; ``generators`` list the extra affine
     generators, and their matrix parts, in the caller's order, are the
     letters of a :func:`_coset_walk` over F = {I}.  Each step carries the
-    translation along, reduced into [0,1)^n; two translations for one
-    matrix part mean the generators define no group with translation
-    lattice Z^n.  Each product generator.element is checked, so by
-    induction on word length every product of two elements, and (the group
-    being finite) every inverse, lands on its representative modulo Z^n:
-    the cocycle condition holds with |generators|.|F| products.  The steps
-    also give each generator's row of the multiplication table; every
-    other row is a generator's row after an earlier one (A_y = G.A_x), at
-    |F| lookups.  Each normaliser generator, the one other outside input,
+    translation along, reduced into [0,1)^n, as integer numerators over the
+    lcm ``den`` of the generators' denominators: every translation of the
+    closure lies in (1/den).Z^n, so reduction and comparison are mod den.
+    Two translations for one matrix part mean the generators define no
+    group with translation lattice Z^n.  Each product generator.element is
+    checked, so by induction on word length every product of two elements,
+    and (the group being finite) every inverse, lands on its representative
+    modulo Z^n: the cocycle condition holds with |generators|.|F| products.
+    The steps also give each generator's row of the multiplication table;
+    every other row is a generator's row after an earlier one
+    (A_y = G.A_x), at |F| lookups.  Each normaliser generator, the one other outside input,
     must be a unimodular n x n matrix that normalises the holonomy group.
     The group keeps the holonomy indices of its generators
     (``generator_indices``).  Raises :class:`ClosureCapExceeded` when the
@@ -359,23 +359,31 @@ def build_group(
         if not g.linear.is_unimodular():
             raise GroupValidationError(f"generator matrix part is not unimodular: {g.linear}")
 
-    seeds = [g.reduce_mod1() for g in generators]
-    reps = [AffineMap.identity(dimension)]
+    den = math.lcm(*(x.denominator for g in generators for x in g.translation))
+    seeds = [tuple(x % den for x in _scaled(g.translation, den)) for g in generators]
+    linears = [IntMatrix.identity(dimension)]
+    translations = [(0,) * dimension]  # numerators over den
     gen_rows: list[list[int]] = [[] for _ in seeds]  # gen_rows[k][x]: G_k.A_x
     tree = []  # (k, x) with A_y = G_k.A_x, for each new y in order
-    walk = _coset_walk([reps[0].linear], [s.linear for s in seeds], bound=_order_bound(dimension))
+    letters = [g.linear for g in generators]
+    walk = _coset_walk([linears[0]], letters, bound=_order_bound(dimension))
     for x, k, y, _, new in walk:
-        t = vec_mod1(vec_add(seeds[k].translation, seeds[k].linear.apply(reps[x].translation)))
+        moved = letters[k].apply(translations[x])
+        t = tuple((u + v) % den for u, v in zip(seeds[k], moved))
         if new:
-            reps.append(AffineMap(t, new[0]))
+            linears.append(new[0])
+            translations.append(t)
             tree.append((k, x))
-        elif reps[y].translation != t:
-            shown = [", ".join(map(str, u)) for u in (reps[y].translation, t)]
+        elif translations[y] != t:
+            shown = [", ".join(str(Fraction(v, den)) for v in u) for u in (translations[y], t)]
             raise GroupValidationError(
                 "cocycle closure violated: two inequivalent translations share a "
                 f"matrix part (({shown[0]}) vs ({shown[1]}))"
             )
         gen_rows[k].append(y)
+    reps = [
+        AffineMap(tuple(Fraction(v, den) for v in t), m) for t, m in zip(translations, linears)
+    ]
     rows = [tuple(range(len(reps)))]
     for k, x in tree:
         rows.append(tuple(map(gen_rows[k].__getitem__, rows[x])))

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
 Small dense matrices with arbitrary-precision integer entries, rational
-vectors built on :class:`fractions.Fraction`, Smith normal form with
-transformation matrices, and lattice-image membership built on it.
-Everything here is a pure function on immutable values.
+vectors built on :class:`fractions.Fraction`, and Smith normal form with
+transformation matrices.  Everything here is a pure function on immutable
+values.
 
 No command calls :func:`rational_inverse`, :func:`rat_apply`,
 :func:`mod2_solution_count` or :func:`coset_representatives`.  The first
@@ -17,8 +17,8 @@ Smith transforms and inverses of valid matrices are built without
 re-validating their entries, and :meth:`IntMatrix.int_inverse` is integer
 row reduction.  A product combines rows (:meth:`IntMatrix.__matmul__`), so
 the sparse holonomy and normaliser matrices cost few multiplications.
-Rational vectors enter the integer kernels scaled by a common denominator
-(see :meth:`crysturn.groups.CrystGroup.scale`); Fractions are the value
+Translations run through the integer kernels as numerators over one
+common denominator (see :mod:`crysturn.groups`); Fractions are the value
 type at the boundary only.
 """
 
@@ -62,24 +62,6 @@ def _check_same_length(u: Sequence, v: Sequence) -> None:
 def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     _check_same_length(u, v)
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    _check_same_length(u, v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u: Sequence[Scalar]) -> tuple:
-    return tuple(-a for a in u)
-
-
-def vec_mod1(u: Sequence[Scalar]) -> tuple:
-    """Reduce every component into [0, 1)."""
-    return tuple(a % 1 for a in u)
-
-
-def is_integral(u: Sequence[Scalar]) -> bool:
-    return all(a % 1 == 0 for a in u)
 
 
 @dataclass(frozen=True)
@@ -337,14 +319,22 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         a[i] = [-x for x in a[i]]
         p[i] = [-x for x in p[i]]
 
-    t = 0
-    while t < min(nrows, ncols):
-        # Smallest nonzero entry of the remaining submatrix becomes the pivot.
-        pivot = None
+    def find_pivot(t):
+        # The row-major first entry of least absolute value in the remaining
+        # submatrix; none is smaller than 1, so the first 1 ends the search.
+        pivot, best = None, math.inf
         for i in range(t, nrows):
             for j in range(t, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = abs(a[i][j])
+                if x and x < best:
+                    if x == 1:
+                        return i, j
+                    pivot, best = (i, j), x
+        return pivot
+
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = find_pivot(t)
         if pivot is None:
             break
         if pivot[0] != t:
@@ -354,15 +344,17 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
 
         stable = True
         for i in range(t + 1, nrows):
-            if a[i][t] != 0:
-                add_row(i, t, -(a[i][t] // a[t][t]))
-                if a[i][t] != 0:
-                    stable = False
+            k = a[i][t] // a[t][t]
+            if k:
+                add_row(i, t, -k)
+            if a[i][t]:
+                stable = False
         for j in range(t + 1, ncols):
-            if a[t][j] != 0:
-                add_col(j, t, -(a[t][j] // a[t][t]))
-                if a[t][j] != 0:
-                    stable = False
+            k = a[t][j] // a[t][t]
+            if k:
+                add_col(j, t, -k)
+            if a[t][j]:
+                stable = False
         if not stable:
             continue
         # Row and column are clear; enforce divisibility over the submatrix.
@@ -431,18 +423,3 @@ def coset_representatives(b: IntMatrix) -> list[tuple[int, ...]]:
     p_inv = snf.p.int_inverse()
     factors = snf.invariant_factors
     return [p_inv.apply(combo) for combo in _mixed_radix(*(range(s) for s in factors))]
-
-
-def in_lattice_image(b: IntMatrix, v: Sequence[Scalar]) -> bool:
-    """Whether v = b . z for some integer vector z (b square, may be singular)."""
-    if not b.is_square:
-        raise ValueError("lattice image requires a square matrix")
-    if len(v) != b.ncols:
-        raise ValueError("vector length does not match matrix")
-    snf = smith_normal_form(b)
-    t = snf.p.apply(tuple(Fraction(x) for x in v))
-    r = snf.rank
-    for i, s in enumerate(snf.invariant_factors):
-        if t[i] % s != 0:
-            return False
-    return all(t[i] == 0 for i in range(r, b.nrows))

@@ -42,6 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphisms import (
     Automorphism,
+    Scaled,
     _base_offsets,
     _moved_translations,
     _translation_images,
@@ -59,7 +60,7 @@ from .groups import (
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
 )
-from .linalg import IntMatrix, Vec, smith_normal_form
+from .linalg import IntMatrix, smith_normal_form
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
@@ -236,14 +237,14 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise; :func:`_fixing_pairs`
     decides that per pair at a cost that does not depend on the
     determinants, and :func:`reidemeister_set` once for all its translations.
+    The image translations are the ones the :class:`Automorphism` validated
+    (``phi.images``); they are not checked again.
     """
     group = phi.group
     twisted = _twisted_blocks(group, _products(group.matrix_parts, phi.linear))
     if twisted is None:
         return INFINITE
-    moved = _moved_translations(group, phi.linear)
-    den, images = _translation_images(group, phi.sigma, moved, phi.translation)
-    return _burnside_count(group, den, images, *_fixing_pairs(group, phi.sigma, twisted))
+    return _burnside_count(group, *phi.images, *_fixing_pairs(group, phi.sigma, twisted))
 
 
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:
@@ -271,16 +272,17 @@ def _linear_part_set(
     linear: IntMatrix,
     sigma: tuple[int, ...],
     twisted: Twisted,
-    d: Vec,
+    d: Scaled,
     offsets: list[tuple[tuple[int, ...], ...]],
 ) -> frozenset[int]:
     """:func:`reidemeister_set` for a linear part D that passes the
     determinant test, with its permutation ``sigma``, its
-    :func:`_twisted_blocks` ``twisted``, a translation part ``d`` and the
-    group's :func:`~crysturn.automorphisms._base_offsets` already known:
-    every value is finite.  One denominator and one check of the image
-    translations, both for d, serve every swept d + b, whose images differ
-    from those of d by the integer vectors (I - E).b."""
+    :func:`_twisted_blocks` ``twisted``, a translation part ``d`` as
+    (den, den.d) (see :func:`~crysturn.automorphisms._translation_part`)
+    and the group's :func:`~crysturn.automorphisms._base_offsets` already
+    known: every value is finite.  One denominator and one check of the
+    image translations, both for d, serve every swept d + b, whose images
+    differ from those of d by the integer vectors (I - E).b."""
     constant, live = _fixing_pairs(group, sigma, twisted)
     den, images = _translation_images(group, sigma, _moved_translations(group, linear), d)
     read = [(c, images[c], sigma[c]) for c, _, _ in live]
@@ -337,7 +339,7 @@ def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
 
 
 Coset = tuple[IntMatrix, tuple[int, ...], list[IntMatrix]]  # (leader, sigma, products)
-Passing = tuple[IntMatrix, tuple[int, ...], Twisted, Vec]  # (leader, sigma, twisted, d)
+Passing = tuple[IntMatrix, tuple[int, ...], Twisted, Scaled]  # (leader, sigma, twisted, d)
 
 
 def _with_sigmas(
@@ -380,8 +382,9 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
 
 def _passing(group: CrystGroup, cosets: Iterable[Coset]) -> Iterator[Passing]:
     """(leader, sigma, twisted, d) for each coset that passes the
-    determinant test and admits a translation part d, in order: the linear
-    parts of automorphisms with finite Reidemeister numbers."""
+    determinant test and admits a translation part d, as (den, den.d), in
+    order: the linear parts of automorphisms with finite Reidemeister
+    numbers."""
     for leader, sigma, products in cosets:
         twisted = _twisted_blocks(group, products)
         if twisted is not None:

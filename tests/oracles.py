@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Optional, Sequence
 
 from crysturn.automorphisms import Automorphism, find_translation_part
 from crysturn.groups import (
@@ -17,16 +17,14 @@ from crysturn.groups import (
 )
 from crysturn.linalg import (
     IntMatrix,
+    Scalar,
     Vec,
     coset_representatives,
-    is_integral,
     mod2_solution_count,
     rat_apply,
     rational_inverse,
     smith_normal_form,
     vec_add,
-    vec_neg,
-    vec_sub,
 )
 from crysturn.reidemeister import (
     INFINITE,
@@ -35,6 +33,59 @@ from crysturn.reidemeister import (
     is_always_infinite,
     reidemeister_set,
 )
+
+
+def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
+    if len(u) != len(v):
+        raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_neg(u: Sequence[Scalar]) -> tuple:
+    return tuple(-a for a in u)
+
+
+def vec_mod1(u: Sequence[Scalar]) -> tuple:
+    """Reduce every component into [0, 1)."""
+    return tuple(a % 1 for a in u)
+
+
+def is_integral(u: Sequence[Scalar]) -> bool:
+    return all(a % 1 == 0 for a in u)
+
+
+def in_lattice_image(b: IntMatrix, v: Sequence[Scalar]) -> bool:
+    """Whether v = b . z for some integer vector z (b square, may be
+    singular), in Fractions through the Smith normal form."""
+    if not b.is_square:
+        raise ValueError("lattice image requires a square matrix")
+    if len(v) != b.ncols:
+        raise ValueError("vector length does not match matrix")
+    snf = smith_normal_form(b)
+    t = snf.p.apply(tuple(Fraction(x) for x in v))
+    r = snf.rank
+    for i, s in enumerate(snf.invariant_factors):
+        if t[i] % s != 0:
+            return False
+    return all(t[i] == 0 for i in range(r, b.nrows))
+
+
+def is_bieberbach(group: CrystGroup) -> bool:
+    """Torsion-freeness in Fractions: for each representative (a, A) with
+    A != I and N_A the sum of the powers of A until one is I, whether
+    -N_A.a misses the lattice image N_A.Z^n.  The library tests the same
+    condition on the translations scaled by the group's denominator."""
+    ident = IntMatrix.identity(group.dimension)
+    for rep in group.f_ext:
+        if rep.linear == ident:
+            continue
+        acc, power = ident, rep.linear
+        while power != ident:
+            acc = acc + power
+            power = power @ rep.linear
+        if in_lattice_image(acc, vec_neg(acc.apply(rep.translation))):
+            return False
+    return True
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -186,13 +237,14 @@ def frontier_build_group(dimension: int, generators: list[AffineMap]) -> CrystGr
             )
         return False
 
-    seeds = [g.reduce_mod1() for g in generators]
+    seeds = [AffineMap(vec_mod1(g.translation), g.linear) for g in generators]
     frontier = [ident] + [s for s in seeds if record(s)]
     while frontier:
         next_frontier = []
         for cur in frontier:
             for s in seeds:
-                prod = compose(s, cur).reduce_mod1()
+                prod = compose(s, cur)
+                prod = AffineMap(vec_mod1(prod.translation), prod.linear)
                 if record(prod):
                     next_frontier.append(prod)
         frontier = next_frontier

@@ -22,11 +22,9 @@ from crysturn.groups import AffineMap, matrix_group_closure
 from crysturn.linalg import (
     IntMatrix,
     coset_representatives,
-    in_lattice_image,
     mod2_solution_count,
     smith_normal_form,
     vec_add,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -36,7 +34,14 @@ from crysturn.reidemeister import (
     reidemeister_number,
     spectrum,
 )
-from oracles import averaging_number, element_closure, reflection_class_count, solve_exact
+from oracles import (
+    averaging_number,
+    element_closure,
+    in_lattice_image,
+    reflection_class_count,
+    solve_exact,
+    vec_sub,
+)
 
 CASES = 1000
 

@@ -18,10 +18,7 @@ from crysturn.catalog import builtin_catalog
 from crysturn.groups import AffineMap, ClosureCapExceeded, build_group, matrix_group_closure
 from crysturn.linalg import (
     IntMatrix,
-    is_integral,
     vec_add,
-    vec_mod1,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -34,9 +31,12 @@ from oracles import (
     full_stack_base_translations,
     full_stack_translation_part,
     holonomy_index,
+    is_integral,
     naive_witness_words,
     representative,
     union_find_number,
+    vec_mod1,
+    vec_sub,
 )
 
 # Catalog groups for the validation cross-check: translation denominators

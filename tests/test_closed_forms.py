@@ -14,9 +14,9 @@ from crysturn.closed_forms import (
     reidemeister_3_2_1_2_1,
     reidemeister_point_reflection,
 )
-from crysturn.linalg import IntMatrix, in_lattice_image, vec_add, vector, zero_vector
+from crysturn.linalg import IntMatrix, vec_add, vector, zero_vector
 from crysturn.reidemeister import INFINITE, reidemeister_number
-from oracles import reflection_class_count
+from oracles import in_lattice_image, reflection_class_count, vec_sub
 
 # The spectra of Z, Z^2, <Z^2, -I> and <Z^n, -I> for n >= 3
 LINE, PLANE = parse_spectrum("{2, ∞}"), parse_spectrum("N ∪ {∞}")
@@ -27,7 +27,7 @@ SPACE_REFLECTION = parse_spectrum("N ∪ {∞} ∖ {1}")
 def brute_reflection_classes(b, b_vec, box=4):
     """Directly enumerate classes of x ~ y iff x-y or x+y+b in im(B),
     restricted to one representative set of the plain cosets."""
-    from crysturn.linalg import coset_representatives, vec_sub
+    from crysturn.linalg import coset_representatives
 
     reps = coset_representatives(b)
     classes = []

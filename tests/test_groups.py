@@ -27,6 +27,7 @@ from oracles import (
     frontier_build_group,
     holonomy_index,
     inverse,
+    is_bieberbach,
     is_identity,
     representative,
     structure_violation,
@@ -39,6 +40,38 @@ G32121 = IntMatrix.from_rows([[1, -1, 0], [0, -1, 0], [0, 0, -1]])
 
 def amap(translation, matrix):
     return AffineMap(vector(translation), IntMatrix.from_rows(matrix))
+
+
+def count_fractions(monkeypatch) -> list:
+    """Record one entry per Fraction constructed from here on."""
+    new = Fraction.__new__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
+def block_diagonal(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The block-diagonal matrix with blocks x and y."""
+    left, right = (0,) * x.nrows, (0,) * y.nrows
+    return IntMatrix.from_rows([*(row + right for row in x.rows), *(left + row for row in y.rows)])
+
+
+def product_generators(g1: CrystGroup, g2: CrystGroup) -> list[AffineMap]:
+    """Generators of G1 x G2: the generators of each factor, block-diagonal
+    with the identity on the other block, translations concatenated with 0."""
+    n1, n2 = g1.dimension, g2.dimension
+    i1, i2 = IntMatrix.identity(n1), IntMatrix.identity(n2)
+    left = [g1.f_ext[i] for i in g1.generator_indices]
+    right = [g2.f_ext[i] for i in g2.generator_indices]
+    return [
+        *(AffineMap(g.translation + zero_vector(n2), block_diagonal(g.linear, i2)) for g in left),
+        *(AffineMap(zero_vector(n1) + g.translation, block_diagonal(i1, g.linear)) for g in right),
+    ]
 
 
 def count_matmul(monkeypatch) -> list:
@@ -350,6 +383,68 @@ class TestWalkAgainstFrontierLoops:
             assert got.f_ext == want.f_ext
             assert got.generator_indices == want.generator_indices
             assert got.mult_table == want.mult_table
+
+
+@st.composite
+def conjugated_catalog_products(draw):
+    """(n, affine generators): a catalog group, or the product of two with
+    n <= 6 and |F| <= 48, conjugated by an affine map (t, U) with U a
+    product of elementary n x n matrices, so that translations of
+    denominators up to 4 times the group's enter the walk."""
+    catalog = builtin_catalog()
+    groups = [catalog.group(name) for name in catalog.names()]
+    g1 = draw(st.sampled_from(groups))
+    partners = [g for g in groups if g.dimension + g1.dimension <= 6 and g.order * g1.order <= 48]
+    g2 = draw(st.one_of(st.none(), st.sampled_from(partners)))
+    if g2 is None:
+        gens = [g1.f_ext[i] for i in g1.generator_indices]
+    else:
+        gens = product_generators(g1, g2)
+    n = gens[0].dimension
+    conj = draw(unimodular_affine_maps(n))
+    return n, [compose(compose(conj, g), inverse(conj)) for g in gens]
+
+
+class TestIntegerWalkAgainstFractions:
+    """The integer walk of build_group and the Bieberbach test on scaled
+    translations against the Fraction frontier loop and the Fraction
+    lattice-image test."""
+
+    @given(conjugated_catalog_products())
+    @settings(max_examples=100, deadline=None)
+    def test_products_and_conjugates(self, drawn):
+        n, gens = drawn
+        got, want = build_group(n, gens), frontier_build_group(n, gens)
+        assert got.f_ext == want.f_ext
+        assert got.generator_indices == want.generator_indices
+        assert got.mult_table == want.mult_table
+        assert got.is_bieberbach() == is_bieberbach(want)
+
+    def test_catalog_bieberbach(self):
+        catalog = builtin_catalog()
+        verdicts = [catalog.group(name).is_bieberbach() for name in catalog.names()]
+        assert verdicts == [is_bieberbach(catalog.group(name)) for name in catalog.names()]
+        assert verdicts.count(True) == 6
+
+    def test_fractions_built(self, monkeypatch):
+        # the signed permutations of Z^4 (|F| = 384), conjugated by the
+        # translation t so that the representatives carry translations of
+        # denominator 210; the Fraction walk built 63009 Fractions here, the
+        # integer walk builds each representative's translation (once as
+        # numerator / den and once more in AffineMap)
+        n = 4
+        t = vector(["1/3", "1/5", "1/7", "1/2"])
+        swaps = [(i, i + 1) for i in range(n - 1)]  # adjacent transpositions
+        mats = [
+            *(IntMatrix.from_rows([[int({r, c} == {i, j} or r == c not in (i, j))
+                                    for c in range(n)] for r in range(n)]) for i, j in swaps),
+            IntMatrix.diagonal([-1] + [1] * (n - 1)),
+        ]
+        gens = [AffineMap(tuple(x - y for x, y in zip(t, m.apply(t))), m) for m in mats]
+        fractions = count_fractions(monkeypatch)
+        group = build_group(n, gens)
+        assert group.order == 384 and group.denominator == 210
+        assert len(fractions) <= 2 * group.order * n
 
 
 class TestMatrixGroupClosure:

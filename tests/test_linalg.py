@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from crysturn.linalg import (
     IntMatrix,
     coset_representatives,
-    in_lattice_image,
     mod2_solution_count,
     rational_inverse,
     smith_normal_form,
-    vec_sub,
     vector,
 )
-from oracles import naive_apply, naive_matmul, solve_exact
+from oracles import in_lattice_image, naive_apply, naive_matmul, solve_exact, vec_sub
 
 
 def int_matrices_of_shape(nrows, ncols, max_entry):
@@ -105,6 +103,42 @@ class TestSmithNormalForm:
             if b != 0:
                 assert a != 0 and b % a == 0
         assert all(f > 0 for f in snf.invariant_factors)
+
+    # P, S and Q themselves, not only the factors: find-d prints Q.d', so a
+    # different but valid decomposition would change its output
+    PINNED = (
+        (  # a fixing-pair block [C - I | I - A.D]
+            ((-1, 0, 1, 2, 0, 0), (1, -1, 0, 0, 2, 0), (0, 1, -1, 0, 0, 2)),
+            ((-1, 0, 0), (-1, -1, 0), (1, 1, 1)),
+            ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0)),
+            ((1, 0, 2, 1, -2, -2), (0, 1, 2, 1, 0, -2), (0, 0, 0, 1, 0, 0),
+             (0, 0, 1, 0, -1, -1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)),
+        ),
+        (  # a translation solve stacked over two holonomy generators
+            ((2, 1, 1), (0, 1, -1), (0, -1, 1), (1, -1, 0), (-1, 1, 0), (1, 1, 2)),
+            ((1, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0), (1, 0, -1, 2, 0, 0),
+             (0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 0), (-1, 0, -1, 1, 0, 1)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 4), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+            ((0, 0, 1), (1, -1, 1), (0, 1, -3)),
+        ),
+        (  # entries near 10^12
+            ((10**12, 3, 7), (2, 10**12 + 1, -5), (4, 6, -10**12)),
+            ((0, 1, 0), (1, -499999999997000000000003, -500000000000),
+             (125000000000124999999999250000000002,
+              -62499999999687499999999625000000003624999999993750000000000,
+              -62500000000062499999999625000000001000000000001)),
+            ((1, 0, 0), (0, 2, 0), (0, 0, 500000000000499999999996000000000002)),
+            ((-500000000000, 125000000000124999999998250000000007,
+              -250000000000249999999996000000000011),
+             (1, -249999999998750000000004, 499999999997500000000007),
+             (0, 249999999998750000000002, -499999999997500000000003)),
+        ),
+    )
+
+    @pytest.mark.parametrize("rows, p, s, q", PINNED)
+    def test_pinned_transforms(self, rows, p, s, q):
+        snf = smith_normal_form(IntMatrix.from_rows(rows))
+        assert (snf.p.rows, snf.s.rows, snf.q.rows) == (p, s, q)
 
     @given(int_matrices(square=True))
     @settings(max_examples=200)

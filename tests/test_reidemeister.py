@@ -48,7 +48,7 @@ from crysturn.reidemeister import (
     witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
-from test_groups import count_matmul
+from test_groups import block_diagonal, count_fractions, count_matmul, product_generators
 from oracles import (
     averaging_number,
     candidate_count,
@@ -629,9 +629,10 @@ class TestSigmaComposition:
         catalog = builtin_catalog()
         for name in catalog.names():
             group = catalog.group(name)
-            for word, sigma, _, d in _witness_cosets(group, 3):
+            for word, sigma, _, (den, d) in _witness_cosets(group, 3):
                 assert sigma == conjugation_permutation(group, word), (name, word)
-                assert d == find_translation_part(group, word), (name, word)
+                solved = tuple(Fraction(x, den) for x in d)
+                assert solved == find_translation_part(group, word), (name, word)
 
     @pytest.mark.parametrize("name", builtin_catalog().names())
     @settings(max_examples=20, deadline=None)
@@ -669,8 +670,9 @@ class TestIntegerSweep:
             bases = base_translations(group)
             offsets = _base_offsets(group)
             for leader, sigma, twisted, d in passing:
+                solved = tuple(Fraction(x, d[0]) for x in d[1])
                 expected = {
-                    reidemeister_number(Automorphism(group, vec_add(d, base), leader))
+                    reidemeister_number(Automorphism(group, vec_add(solved, base), leader))
                     for base in bases
                 }
                 got = _linear_part_set(group, leader, sigma, twisted, d, offsets)
@@ -703,19 +705,13 @@ class TestSharedWork:
         assert visited == passing
 
     def test_spectrum_builds_few_fractions(self, monkeypatch):
-        # Translations enter the kernels as ints over the group's common
-        # denominator: 180 Fractions here, against 12616 with Fraction kernels.
+        # Translations run through the kernels as ints over one denominator:
+        # no Fraction here, against 180 when the solve and the base
+        # translations still returned Fractions and 12616 with Fraction kernels.
         group = builtin_catalog().group("3/3/1/1/1")
-        real = Fraction.__new__
-        calls = []
-
-        def counting(cls, *args, **kwargs):
-            calls.append(None)
-            return real(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        calls = count_fractions(monkeypatch)
         assert spectrum(group).finite_values == (2,)
-        assert len(calls) <= 600
+        assert calls == []
 
     def test_translation_solves_stack_generator_blocks(self, monkeypatch):
         # one n-row block per holonomy generator: 8 rows for 4/9/2/1/1
@@ -852,6 +848,37 @@ class TestSharedWork:
         assert len(products) <= 1585
         assert len(snfs) <= 144
 
+    def test_number_reads_the_validated_images(self, monkeypatch):
+        # the count used to run the image check a second time on the same (d, D)
+        automorphisms = _catalog_automorphisms()
+        checks = []
+        real = crysturn.automorphisms._translation_images
+
+        def counting(*args):
+            checks.append(None)
+            return real(*args)
+
+        for module in (crysturn.automorphisms, crysturn.reidemeister):
+            monkeypatch.setattr(module, "_translation_images", counting)
+        for _, phi in automorphisms:
+            fresh = Automorphism(phi.group, phi.translation, phi.linear)
+            assert len(checks) == 1
+            assert reidemeister_number(fresh) == reidemeister_number(phi) != INFINITE
+            assert len(checks) == 1 and fresh.images == phi.images
+            checks.clear()
+
+    def test_catalog_pass_builds_no_fraction(self, monkeypatch):
+        # translations run as integer numerators from the group's scaled
+        # translations to the Burnside count; a pass used to build 1373
+        # Fractions, in the base translations, the translation solve and the
+        # Bieberbach test, and turn most of them straight back into ints
+        catalog = builtin_catalog()
+        for name in catalog.names():
+            catalog.group(name)
+        fractions = count_fractions(monkeypatch)
+        assert all(report.passed for report in check_catalog(catalog))
+        assert fractions == []
+
     def test_walk_forms_each_coset_once(self, monkeypatch):
         # 3/3/1/1/1: 12 cosets of |F| = 4 under 3 generators.  Each coset
         # takes 3 letter products to leave it and each new one 3 products A.D:
@@ -914,12 +941,6 @@ class TestDimensionFive:
         assert verdict.normaliser_order == 3840
 
 
-def _block_diagonal(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    """The block-diagonal matrix with blocks x and y."""
-    left, right = (0,) * x.nrows, (0,) * y.nrows
-    return IntMatrix.from_rows([*(row + right for row in x.rows), *(left + row for row in y.rows)])
-
-
 def _product_group(g1, g2, swap=False):
     """G1 x G2 with block-diagonal holonomy and concatenated translations,
     normalised by the block-diagonal matrices (D1, I) and (I, D2) for the
@@ -927,21 +948,15 @@ def _product_group(g1, g2, swap=False):
     ``swap`` (G1 = G2)."""
     n1, n2 = g1.dimension, g2.dimension
     i1, i2 = IntMatrix.identity(n1), IntMatrix.identity(n2)
-    gens = [
-        *(AffineMap(g1.f_ext[i].translation + zero_vector(n2), _block_diagonal(g1.f_ext[i].linear, i2))
-          for i in g1.generator_indices),
-        *(AffineMap(zero_vector(n1) + g2.f_ext[i].translation, _block_diagonal(i1, g2.f_ext[i].linear))
-          for i in g2.generator_indices),
-    ]
     normaliser = [
-        *(_block_diagonal(d, i2) for d in g1.normaliser_gens),
-        *(_block_diagonal(i1, d) for d in g2.normaliser_gens),
+        *(block_diagonal(d, i2) for d in g1.normaliser_gens),
+        *(block_diagonal(i1, d) for d in g2.normaliser_gens),
     ]
     if swap:
         normaliser.append(IntMatrix.from_rows(
             [*((0,) * n1 + row for row in i1.rows), *(row + (0,) * n1 for row in i1.rows)]
         ))
-    return build_group(n1 + n2, gens, normaliser_gens=normaliser)
+    return build_group(n1 + n2, product_generators(g1, g2), normaliser_gens=normaliser)
 
 
 @functools.lru_cache(maxsize=None)
@@ -983,6 +998,6 @@ class TestProductGroups:
         ))
         group = _catalog_product(name1, name2)
         phi = Automorphism(
-            group, phi1.translation + phi2.translation, _block_diagonal(phi1.linear, phi2.linear)
+            group, phi1.translation + phi2.translation, block_diagonal(phi1.linear, phi2.linear)
         )
         assert reidemeister_number(phi) == reidemeister_number(phi1) * reidemeister_number(phi2)
