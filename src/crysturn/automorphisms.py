@@ -80,7 +80,8 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     holonomy generators (k.n rows; the module docstring says why the
     generators suffice): with P.M.Q = S and t = P.rhs, a solution exists
     iff the rows of S that are zero see integral entries of t; the
-    canonical solution takes d'_i = -t_i / s_i on the nonzero rows.
+    canonical solution takes d'_i = -t_i / s_i on the nonzero rows and
+    d = Q.d'.  The elimination carries rhs and reads t and Q, never P.
     Returns None when no valid translation exists.  The right-hand side is
     scaled by g, so t is an integer vector, the test reads t_i % g and
     d'_i = -t_i / (s_i g).  Raises ValueError unless ``linear`` is an
@@ -102,8 +103,8 @@ def _translation_part(
     n = group.dimension
     g = group.denominator
     m_mat, rhs = _stacked_system(group, linear, sigma)
-    snf = smith_normal_form(m_mat)
-    t = snf.p.apply(rhs)
+    snf = smith_normal_form(m_mat, right=(rhs,))
+    t = [row[0] for row in snf.p.rows]
     r = snf.rank
     if any(t[i] % g for i in range(r, m_mat.nrows)):
         return None
@@ -136,7 +137,7 @@ def _base_numerators(group: CrystGroup) -> tuple[int, list[tuple[int, ...]]]:
     the lcm of the invariant factors; numerators reduced into [0, den)."""
     n = group.dimension
     m_mat, _ = _stacked_system(group, IntMatrix.identity(n), tuple(range(group.order)))
-    snf = smith_normal_form(m_mat)
+    snf = smith_normal_form(m_mat, right=())
     factors = snf.invariant_factors
     den = math.lcm(*factors)
     out = []

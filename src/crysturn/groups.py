@@ -298,8 +298,8 @@ class CrystGroup:
             while power != ident:
                 acc = acc + power
                 power = power @ linear
-            snf = smith_normal_form(acc)
-            t = snf.p.apply(acc.apply(a))
+            snf = smith_normal_form(acc, right=(acc.apply(a),), below=())
+            t = [row[0] for row in snf.p.rows]
             factors = snf.invariant_factors
             if not any(t[snf.rank :]) and all(x % (g * s) == 0 for x, s in zip(t, factors)):
                 return False

@@ -1,9 +1,8 @@
 """Exact linear algebra over the integers and rationals.
 
 Small dense matrices with arbitrary-precision integer entries, rational
-vectors built on :class:`fractions.Fraction`, and Smith normal form with
-transformation matrices.  Everything here is a pure function on immutable
-values.
+vectors built on :class:`fractions.Fraction`, and Smith normal form.
+Everything here is a pure function on immutable values.
 
 No command calls :func:`rational_inverse`, :func:`rat_apply`,
 :func:`mod2_solution_count` or :func:`coset_representatives`.  The first
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _mixed_radix
 from operator import add as _add, mul as _mul, neg as _neg
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vec = tuple[Fraction, ...]
@@ -46,8 +45,9 @@ def _as_int(x) -> int:
 
 
 def vector(entries: Iterable) -> Vec:
-    """Exact rational vector from ints, Fractions or strings like ``"3/4"``."""
-    return tuple(Fraction(e) for e in entries)
+    """Exact rational vector from ints, Fractions or strings like ``"3/4"``;
+    a Fraction entry is kept as it is."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vector(n: int) -> Vec:
@@ -265,59 +265,60 @@ def rat_apply(rows: Sequence[Sequence[Fraction]], v: Sequence[Scalar]) -> Vec:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Smith normal form data: p @ matrix @ q == s exactly.
+    """Smith normal form data.
 
-    ``p`` and ``q`` are unimodular, ``s`` is diagonal with nonnegative
-    entries and each diagonal entry divides the next.
+    ``s`` is diagonal with nonnegative entries and each diagonal entry
+    divides the next.  With the default transforms ``p`` and ``q`` are
+    unimodular and p @ matrix @ q == s exactly; :func:`smith_normal_form`
+    says what they hold when the caller carries its own.
     """
 
-    p: IntMatrix
-    s: IntMatrix
-    q: IntMatrix
+    p: Optional[IntMatrix]
+    q: Optional[IntMatrix]
     invariant_factors: tuple[int, ...]
+    shape: tuple[int, int]
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
 
+    @property
+    def s(self) -> IntMatrix:
+        """diag(invariant factors), padded with zeros to ``shape``: the
+        elimination leaves nothing else, so S is built only on request."""
+        nrows, ncols = self.shape
+        diag = self.invariant_factors + (0,) * nrows
+        return IntMatrix._unchecked(
+            tuple(tuple(diag[i] if i == j else 0 for j in range(ncols)) for i in range(nrows))
+        )
 
-def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with transformations, by elementary row/column ops.
+
+def smith_normal_form(
+    m: IntMatrix,
+    right: Optional[Sequence[Sequence[int]]] = None,
+    below: Optional[Sequence[Sequence[int]]] = None,
+) -> SnfDecomposition:
+    """Smith normal form P.m.Q = S by elementary row/column ops.
 
     Pivots are chosen with minimal absolute value; a pivot only advances once
     it divides every entry of the remaining submatrix, which yields the
     divisibility chain directly.  Invariant factors are returned positive.
+
+    Transforms are carried only onto what the caller reads.  The row
+    operations also act on the columns ``right`` (vectors of m.nrows
+    entries) placed to the right of m, and the column operations on the
+    rows ``below`` (of m.ncols entries) placed under it, so ``p`` is
+    P.[right] and ``q`` is [below].Q, or None where nothing is carried.
+    Each defaults to the identity, which gives P and Q themselves.
     """
     nrows, ncols = m.shape
-    a = [list(row) for row in m.rows]
-    p = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    q = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, k):
-        # row_i += k * row_j
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        p[i] = [x + k * y for x, y in zip(p[i], p[j])]
-
-    def add_col(j, i, k):
-        # col_j += k * col_i
-        for row in a:
-            row[j] += k * row[i]
-        for row in q:
-            row[j] += k * row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        p[i] = [-x for x in p[i]]
+    if right is None:
+        right = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    if below is None:
+        below = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    # rows 0..nrows-1 are [m | right]; the rest are the rows below
+    a = [[*row, *x] for row, x in zip(m.rows, zip(*right))] if right else list(map(list, m.rows))
+    a += map(list, below)
 
     def find_pivot(t):
         # The row-major first entry of least absolute value in the remaining
@@ -337,48 +338,52 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         pivot = find_pivot(t)
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        top = a[t]
+        d = top[t]
 
         stable = True
         for i in range(t + 1, nrows):
-            k = a[i][t] // a[t][t]
-            if k:
-                add_row(i, t, -k)
+            k = a[i][t] // d
+            if k:  # row_i -= k * row_t
+                a[i] = [x - k * y for x, y in zip(a[i], top)]
             if a[i][t]:
                 stable = False
         for j in range(t + 1, ncols):
-            k = a[t][j] // a[t][t]
+            k = top[j] // d
             if k:
-                add_col(j, t, -k)
-            if a[t][j]:
+                for row in a:  # col_j -= k * col_t
+                    row[j] -= k * row[t]
+            if top[j]:
                 stable = False
         if not stable:
             continue
-        # Row and column are clear; enforce divisibility over the submatrix.
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
+        # Row and column are clear; enforce divisibility over the submatrix
+        # (a unit pivot divides everything).
+        if d not in (1, -1):
+            rest = range(t + 1, nrows)
+            offender = next((i for i in rest if any(x % d for x in a[i][t + 1 : ncols])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
+                a[t] = [x + y for x, y in zip(top, a[offender])]
+                continue
+        if d < 0:
+            a[t] = [-x for x in top]
         t += 1
 
-    factors = tuple(a[i][i] for i in range(min(nrows, ncols)) if a[i][i] != 0)
-
     def wrap(rows):
-        return IntMatrix._unchecked(tuple(map(tuple, rows)))
+        rows = tuple(map(tuple, rows))
+        return IntMatrix._unchecked(rows) if rows and rows[0] else None
 
-    return SnfDecomposition(p=wrap(p), s=wrap(a), q=wrap(q), invariant_factors=factors)
+    return SnfDecomposition(
+        p=wrap(row[ncols:] for row in a[:nrows]),
+        q=wrap(a[nrows:]),
+        invariant_factors=tuple(a[i][i] for i in range(t)),
+        shape=(nrows, ncols),
+    )
 
 
 def mod2_solution_count(b_mat: IntMatrix, b_vec: Sequence[Scalar]) -> int:

@@ -111,7 +111,8 @@ class _LivePair(NamedTuple):
     the invariant factors s_i of its Smith normal form P.[C - I | I - A.D].Q.
     ``rows`` keeps, for each i with s_i > 1, the row (P.A)_i, the entry
     (P.lead)_i with lead = g.(a_C + (C - I).a_A) for the group's common
-    denominator g, and s_i.
+    denominator g, and s_i.  The Smith normal form carries [A | lead] and
+    forms neither P nor Q.
     """
 
     c_index: int
@@ -171,17 +172,17 @@ def _fixing_pairs(
                 constant += 1
                 continue
             snf = smith_normal_form(
-                IntMatrix._unchecked(tuple(r + s for r, s in zip(shift.rows, block.rows)))
+                IntMatrix._unchecked(tuple(r + s for r, s in zip(shift.rows, block.rows))),
+                right=(*zip(*a_linear.rows), lead),
+                below=(),
             )
             weight = math.prod(snf.invariant_factors)
             if weight == 1:
                 constant += 1
                 continue
-            columns = tuple(zip(*a_linear.rows))
-            p_lead = snf.p.apply(lead)
             rows = tuple(
-                (tuple(sum(map(operator.mul, p_row, col)) for col in columns), p_lead[i], s)
-                for i, (p_row, s) in enumerate(zip(snf.p.rows, snf.invariant_factors))
+                (p_row[:-1], p_row[-1], s)
+                for p_row, s in zip(snf.p.rows, snf.invariant_factors)
                 if s > 1
             )
             live.append(_LivePair(c_idx, weight, rows))

@@ -220,6 +220,29 @@ class TestCheckEntry:
         assert any("normalizer_generators" in d for d in report.details)
 
 
+class TestAnswersScript:
+    def test_two_entries(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "answers.py"), "3/3/1/1/1", "klein-bottle"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        # 10 group commands, then find-d and reidnr on k generators and k^2 products
+        assert len(lines) == (10 + 2 * (3 + 9)) + (10 + 2 * (2 + 4))
+        assert lines[0] == {
+            "argv": ["validate", "3/3/1/1/1"], "exit": 0, "stderr": "",
+            "stdout": "valid group: 3/3/1/1/1\ndimension 3, holonomy order 4, Bieberbach: False\n",
+        }
+        spectra = [json.loads(x["stdout"]) for x in lines if x["argv"][:2] == ["--json", "spectrum"]]
+        assert [x["result"]["finite_values"] for x in spectra] == [[2], []]
+        assert {x["meta"]["elapsed_ms"] for x in spectra} == {"masked"}
+        reidnr = [x for x in lines if x["argv"][0] == "reidnr"]
+        assert len(reidnr) == 12 + 6 and all(x["exit"] == 0 for x in reidnr)
+
+
 class TestTableReport:
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_cap_below_one_is_usage_error(self, cap):

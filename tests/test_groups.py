@@ -430,8 +430,8 @@ class TestIntegerWalkAgainstFractions:
         # the signed permutations of Z^4 (|F| = 384), conjugated by the
         # translation t so that the representatives carry translations of
         # denominator 210; the Fraction walk built 63009 Fractions here, the
-        # integer walk builds each representative's translation (once as
-        # numerator / den and once more in AffineMap)
+        # integer walk builds each entry of each representative's translation
+        # once (twice while AffineMap wrapped every Fraction anew)
         n = 4
         t = vector(["1/3", "1/5", "1/7", "1/2"])
         swaps = [(i, i + 1) for i in range(n - 1)]  # adjacent transpositions
@@ -444,7 +444,7 @@ class TestIntegerWalkAgainstFractions:
         fractions = count_fractions(monkeypatch)
         group = build_group(n, gens)
         assert group.order == 384 and group.denominator == 210
-        assert len(fractions) <= 2 * group.order * n
+        assert len(fractions) <= group.order * n
 
 
 class TestMatrixGroupClosure:

@@ -35,6 +35,29 @@ def int_matrices(max_dim=5, max_entry=5, square=False):
     return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(build)
 
 
+@st.composite
+def carried_systems(draw):
+    """A matrix, columns carried to its right and rows carried below it:
+    any shape up to 12 x 8, a k.n x n stack or an n x 2n fixing-pair block."""
+    entries = draw(st.sampled_from([
+        st.integers(-1, 1), st.integers(-3, 3), st.integers(-10**12, 10**12),
+    ]))
+    nrows, ncols = draw(st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 8)),
+        st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda kn: (kn[0] * kn[1], kn[1])),
+        st.integers(1, 4).map(lambda n: (n, 2 * n)),
+    ))
+
+    def block(height, width):
+        row = st.tuples(*[entries] * width)
+        return draw(st.lists(row, min_size=height, max_size=height))
+
+    m = IntMatrix.from_rows(block(nrows, ncols))
+    right = block(draw(st.integers(0, 3)), nrows)
+    below = block(draw(st.integers(0, 3)), ncols)
+    return m, right, below
+
+
 class TestDet:
     def test_identity(self):
         assert IntMatrix.identity(2).det() == 1
@@ -139,6 +162,22 @@ class TestSmithNormalForm:
     def test_pinned_transforms(self, rows, p, s, q):
         snf = smith_normal_form(IntMatrix.from_rows(rows))
         assert (snf.p.rows, snf.s.rows, snf.q.rows) == (p, s, q)
+
+    @given(carried_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_carried_transforms_match_full(self, system):
+        # one elimination carries P onto the columns on the right and Q onto
+        # the rows below; the result must be P.X and Y.Q of the full transforms,
+        # which are themselves carried identities, so they are checked first
+        m, right, below = system
+        full = smith_normal_form(m)
+        assert full.p @ m @ full.q == full.s
+        carried = smith_normal_form(m, right=right, below=below)
+        assert carried.invariant_factors == full.invariant_factors
+        expect_p = naive_matmul(full.p, IntMatrix.from_rows(zip(*right))) if right else None
+        expect_q = naive_matmul(IntMatrix.from_rows(below), full.q) if below else None
+        assert (carried.p and carried.p.rows) == expect_p
+        assert (carried.q and carried.q.rows) == expect_q
 
     @given(int_matrices(square=True))
     @settings(max_examples=200)

@@ -719,9 +719,9 @@ class TestSharedWork:
         rows = []
         real = crysturn.automorphisms.smith_normal_form
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             rows.append(m.nrows)
-            return real(m)
+            return real(m, *args, **kwargs)
 
         monkeypatch.setattr(crysturn.automorphisms, "smith_normal_form", counting)
         catalog = builtin_catalog()
@@ -767,9 +767,9 @@ class TestSharedWork:
         calls = []
         real = crysturn.linalg.smith_normal_form
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             calls.append(m)
-            return real(m)
+            return real(m, *args, **kwargs)
 
         for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
             monkeypatch.setattr(module, "smith_normal_form", counting)
@@ -837,9 +837,9 @@ class TestSharedWork:
         snfs = []
         real = crysturn.linalg.smith_normal_form
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             snfs.append(None)
-            return real(m)
+            return real(m, *args, **kwargs)
 
         for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
             monkeypatch.setattr(module, "smith_normal_form", counting)
