@@ -28,7 +28,7 @@ def main() -> None:
     header = f"{'entry':<14} {'|F|':>4} {'tf':>3} {'|N_F|':>8} {'R-inf':>7}  spectrum"
     print(header)
     print("-" * len(header))
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name in catalog.names():
         entry = catalog.entry(name)
         group = entry.group()
@@ -46,7 +46,7 @@ def main() -> None:
                 spec += " + inf"
         tf = "*" if group.is_bieberbach() else ""
         print(f"{name:<14} {group.order:>4} {tf:>3} {nf:>8} {rinf:>7}  {spec}")
-    print(f"\n{len(catalog.names())} entries in {time.time() - t0:.1f}s")
+    print(f"\n{len(catalog.names())} entries in {time.perf_counter() - t0:.1f}s")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Optional, Union
 
-from .automorphisms import _base_offsets
 from .closed_forms import parse_spectrum
 from .groups import (
     AffineMap,
@@ -43,7 +42,7 @@ from .groups import (
     build_group,
 )
 from .linalg import IntMatrix, vector
-from .reidemeister import _linear_part_set, _witness_cosets, spectrum
+from .reidemeister import _linear_part_set, _offsets_on_demand, _witness_cosets, spectrum
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 _ALLOWED_KEYS = {"name", "dimension", "labels", "generators", "normalizer_generators", "expected"}
@@ -335,7 +334,7 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
             if not samples:
                 ok = False
                 details.append("no sample automorphisms found for spectrum membership check")
-            offsets = _base_offsets(group)
+            offsets = _offsets_on_demand(group)
             for sample in samples:
                 for value in _linear_part_set(group, *sample, offsets):
                     if not desc.contains(value):

@@ -176,25 +176,7 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _bareiss([list(row) for row in self.rows])
 
     def is_unimodular(self) -> bool:
         return self.is_square and self.det() in (1, -1)
@@ -233,6 +215,37 @@ class IntMatrix:
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"
+
+
+def _det_identity_minus(rows: Sequence[Sequence[int]]) -> int:
+    """det(I - M) from the rows of a square M, forming no matrix I - M."""
+    a = [list(map(_neg, row)) for row in rows]
+    for i, row in enumerate(a):
+        row[i] += 1
+    return _bareiss(a)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """The determinant of the square rows ``a``, which it overwrites, by
+    fraction-free (Bareiss) elimination."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def rational_inverse(m: IntMatrix) -> tuple[Vec, ...]:

@@ -5,18 +5,23 @@ classes; it is a positive integer or infinity.  Infinity is represented by
 ``math.inf`` so counts sort and compare naturally; all finite values stay
 exact ints.
 
-A determinant test decides infinitude outright; otherwise Burnside's lemma
-counts the orbits of the holonomy group F on the lattice classes, one
-fixing pair (component A, element C) at a time (see :func:`_fixing_pairs`):
-the identity fixes |det(I - A.D)| points of A, a pair with
-|det(I - A.D)| = 1 fixes one, and only the other pairs need a Smith normal
-form.  All of that and D's permutation sigma of F
+A determinant test decides infinitude outright, reading det(I - A.D) off
+the rows of each product A.D without forming I - A.D; otherwise Burnside's
+lemma counts the orbits of the holonomy group F on the lattice classes,
+one fixing pair (component A, element C) at a time (see
+:func:`_fixing_pairs`): the identity fixes |det(I - A.D)| points of A, a
+pair with |det(I - A.D)| = 1 fixes one, and only the other pairs need a
+Smith normal form, the only place the rows [C - I | I - A.D] are formed.
+All of that and D's permutation sigma of F
 (:func:`conjugation_permutation`) depend on the linear part D alone, and
 so do the image translations of its translation part d, over one common
 denominator: the other translations swept, d + b over the base
 translations b, shift them by integer vectors (I - E).b that depend on the
 group alone.  So a Reidemeister set redoes, per translation, only the few
-live pairs, on integers.
+live pairs, on integers.  A set with no live pair is the one value
+constant / |F| whatever the translation, so it reads no base translation;
+a spectrum or a catalog check makes them at most once, when a live pair
+first reads them (:func:`_offsets_on_demand`).
 
 A spectrum is the union of the Reidemeister sets over a finite normaliser
 N.  Inner automorphisms turn D into A.D without changing R, so one linear
@@ -34,11 +39,12 @@ normalises.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphisms import (
     Automorphism,
@@ -60,13 +66,15 @@ from .groups import (
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
 )
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, _det_identity_minus, smith_normal_form
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
 
-# (blocks I - A.D with |det(I - A.D)|, in holonomy order) from _twisted_blocks
+# (products A.D with |det(I - A.D)|, in holonomy order) from _twisted_blocks
 Twisted = list[tuple[IntMatrix, int]]
+# the base offsets of a group, made on the first call (see _offsets_on_demand)
+Offsets = Callable[[], list[tuple[tuple[int, ...], ...]]]
 
 
 class NormaliserUnavailable(RuntimeError):
@@ -81,25 +89,24 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
     every valid translation part.
     """
     conjugation_permutation(group, linear)  # raises unless linear normalises
-    return _twisted_blocks(group, _products(group.matrix_parts, linear)) is None
+    return _twisted_blocks(_products(group.matrix_parts, linear)) is None
 
 
-def _twisted_blocks(group: CrystGroup, products: Iterable[IntMatrix]) -> Optional[Twisted]:
-    """(I - A.D, |det(I - A.D)|) for the products A.D over the holonomy
-    group, in holonomy order; the determinants are the points the identity
-    of F fixes in the Burnside count (see :func:`_fixing_pairs`).
+def _twisted_blocks(products: Iterable[IntMatrix]) -> Optional[Twisted]:
+    """The products A.D over the holonomy group, in holonomy order, each
+    with |det(I - A.D)| read off its rows, with no block I - A.D formed;
+    the determinants are the points the identity of F fixes in the
+    Burnside count (see :func:`_fixing_pairs`).
 
     None as soon as one of them is singular, so a lazy ``products`` stops
     there.
     """
-    ident = group.matrix_parts[0]  # the holonomy identity comes first
     twisted = []
     for product in products:
-        block = ident - product
-        det = abs(block.det())
+        det = abs(_det_identity_minus(product.rows))
         if det == 0:
             return None
-        twisted.append((block, det))
+        twisted.append((product, det))
     return twisted
 
 
@@ -126,9 +133,10 @@ def _fixing_pairs(
     """The part of the Burnside count that depends on the linear part D alone.
 
     ``sigma`` is D's permutation of the holonomy group and ``twisted`` is
-    :func:`_twisted_blocks` of D.  C fixes component A iff C.A.E^-1 = A with
-    E = D.C.D^-1 = A_sigma(C), that is iff C.A = A.E, which the holonomy
-    multiplication table answers.  Returns a constant and the live pairs:
+    :func:`_twisted_blocks` of D, the products A.D with |det(I - A.D)|.
+    C fixes component A iff C.A.E^-1 = A with E = D.C.D^-1 = A_sigma(C),
+    that is iff C.A = A.E, which the holonomy multiplication table
+    answers.  Returns a constant and the live pairs:
     the fixed points of every swept translation are the constant plus the
     weights of the live pairs it satisfies (see :func:`_burnside_count`).
 
@@ -136,9 +144,11 @@ def _fixing_pairs(
       |det(I - A.D)| points each.
     * L contains (I - A.D)Z^n, which is Z^n when |det(I - A.D)| = 1: one
       point, into the constant, with no Smith normal form.
-    * Each other fixing pair gets one Smith normal form.  Index 1 means
-      L = Z^n, which holds every offset: one point, into the constant.
-      Any other pair is live, and only its rows with s_i > 1 are kept.
+    * Each other fixing pair gets one Smith normal form, of the rows
+      [C - I | I - A.D], formed for it alone (C - I once per C).  Index 1
+      means L = Z^n, which holds every offset: one point, into the
+      constant.  Any other pair is live, and only its rows with s_i > 1
+      are kept.
 
     Translations are read scaled by g.  The offset of a pair for a
     translation d over den = g.lift (see :func:`_burnside_count`) is
@@ -153,26 +163,34 @@ def _fixing_pairs(
     mult = _mult_table(group)
     parts, scaled = group.matrix_parts, group.scaled_translations
     g = group.denominator
-    ident = parts[0]
     live = []
     for c_idx, (c_linear, a_c) in enumerate(zip(parts, scaled)):
         e_idx = sigma[c_idx]
-        shift = c_linear - ident
+        shift = None  # the rows of C - I, formed for C's first Smith normal form
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
-            lead = tuple(x + y for x, y in zip(a_c, shift.apply(a_a)))
+            lead = tuple(x + y - z for x, y, z in zip(a_c, c_linear.apply(a_a), a_a))
             assert not any(
                 (x - y) % g for x, y in zip(lead, a_linear.apply(scaled[e_idx]))
             ), "twisted conjugation must keep the lattice coset"
             if c_idx == 0:  # the identity: counted in the constant
                 continue
-            block, det = twisted[a_idx]
+            product, det = twisted[a_idx]
             if det == 1:
                 constant += 1
                 continue
+            if shift is None:
+                shift = [
+                    tuple(x - (i == j) for j, x in enumerate(row))
+                    for i, row in enumerate(c_linear.rows)
+                ]
+            block = tuple(
+                s + tuple((i == j) - x for j, x in enumerate(row))
+                for i, (s, row) in enumerate(zip(shift, product.rows))
+            )
             snf = smith_normal_form(
-                IntMatrix._unchecked(tuple(r + s for r, s in zip(shift.rows, block.rows))),
+                IntMatrix._unchecked(block),
                 right=(*zip(*a_linear.rows), lead),
                 below=(),
             )
@@ -242,7 +260,7 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     (``phi.images``); they are not checked again.
     """
     group = phi.group
-    twisted = _twisted_blocks(group, _products(group.matrix_parts, phi.linear))
+    twisted = _twisted_blocks(_products(group.matrix_parts, phi.linear))
     if twisted is None:
         return INFINITE
     return _burnside_count(group, *phi.images, *_fixing_pairs(group, phi.sigma, twisted))
@@ -253,19 +271,20 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
 
     Empty when no valid translation exists, {infinity} when the determinant
     test fires.  Otherwise the translation solution is swept through the
-    base-translation offsets, which exhaust the possible values.  Everything
-    that depends on D alone is computed once (see :func:`_fixing_pairs` and
+    base-translation offsets, which exhaust the possible values, unless no
+    fixing pair is live: then the set is one value.  Everything that
+    depends on D alone is computed once (see :func:`_fixing_pairs` and
     :func:`_linear_part_set`); per swept translation only the live pairs
     are redone.
     """
     sigma = conjugation_permutation(group, linear)
-    twisted = _twisted_blocks(group, _products(group.matrix_parts, linear))
+    twisted = _twisted_blocks(_products(group.matrix_parts, linear))
     d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()
     if twisted is None:
         return frozenset((INFINITE,))
-    return _linear_part_set(group, linear, sigma, twisted, d, _base_offsets(group))
+    return _linear_part_set(group, linear, sigma, twisted, d, _offsets_on_demand(group))
 
 
 def _linear_part_set(
@@ -274,24 +293,37 @@ def _linear_part_set(
     sigma: tuple[int, ...],
     twisted: Twisted,
     d: Scaled,
-    offsets: list[tuple[tuple[int, ...], ...]],
+    offsets: Offsets,
 ) -> frozenset[int]:
     """:func:`reidemeister_set` for a linear part D that passes the
     determinant test, with its permutation ``sigma``, its
-    :func:`_twisted_blocks` ``twisted``, a translation part ``d`` as
-    (den, den.d) (see :func:`~crysturn.automorphisms._translation_part`)
-    and the group's :func:`~crysturn.automorphisms._base_offsets` already
-    known: every value is finite.  One denominator and one check of the
-    image translations, both for d, serve every swept d + b, whose images
-    differ from those of d by the integer vectors (I - E).b."""
+    :func:`_twisted_blocks` ``twisted`` and a translation part ``d`` as
+    (den, den.d) (see :func:`~crysturn.automorphisms._translation_part`):
+    every value is finite.  One denominator and one check of the image
+    translations, both for d, serve every swept d + b, whose images differ
+    from those of d by the integer vectors (I - E).b, read only by the live
+    pairs.  So without a live pair the count is constant / |F| for every
+    b, and the set is that one value, its divisibility still asserted;
+    only a live pair calls ``offsets`` (see :func:`_offsets_on_demand`)."""
     constant, live = _fixing_pairs(group, sigma, twisted)
     den, images = _translation_images(group, sigma, _moved_translations(group, linear), d)
+    if not live:
+        return frozenset((_burnside_count(group, den, images, constant, live),))
     read = [(c, images[c], sigma[c]) for c, _, _ in live]
 
     def shifted(off: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
         return {c: tuple(x + den * y for x, y in zip(image, off[e])) for c, image, e in read}
 
-    return frozenset(_burnside_count(group, den, shifted(off), constant, live) for off in offsets)
+    counts = (_burnside_count(group, den, shifted(off), constant, live) for off in offsets())
+    return frozenset(counts)
+
+
+def _offsets_on_demand(group: CrystGroup) -> Offsets:
+    """The group's :func:`~crysturn.automorphisms._base_offsets`, made on
+    the first call and kept by the returned function alone: one spectrum or
+    entry check makes them at most once, and only if a live pair reads
+    them."""
+    return functools.cache(functools.partial(_base_offsets, group))
 
 
 class RinfStatus(Enum):
@@ -387,7 +419,7 @@ def _passing(group: CrystGroup, cosets: Iterable[Coset]) -> Iterator[Passing]:
     order: the linear parts of automorphisms with finite Reidemeister
     numbers."""
     for leader, sigma, products in cosets:
-        twisted = _twisted_blocks(group, products)
+        twisted = _twisted_blocks(products)
         if twisted is not None:
             d = _translation_part(group, leader, sigma)
             if d is not None:
@@ -441,13 +473,14 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     runs first, on the coset's products A.D: a coset that fails it adds
     {infinity} or nothing, and infinity is always in the spectrum (F, with
     d = 0, attains it).  Only the cosets that pass are solved and counted,
-    reusing the coset's sigma and blocks I - A.D, with the base offsets
-    computed once.  Raises :class:`NormaliserUnavailable` without input data
-    and :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
+    reusing the coset's sigma and products A.D; the base offsets are made
+    at most once, for the first live pair.  Raises
+    :class:`NormaliserUnavailable` without input data and
+    :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
     that the normaliser is infinite.
     """
     cosets, order = _normaliser_cosets(group)
-    offsets = _base_offsets(group)
+    offsets = _offsets_on_demand(group)
     finite: set[int] = set()
     for passing in _passing(group, cosets):
         finite.update(_linear_part_set(group, *passing, offsets))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crysturn.linalg import (
     IntMatrix,
+    _det_identity_minus,
     coset_representatives,
     mod2_solution_count,
     rational_inverse,
@@ -58,6 +59,24 @@ def carried_systems(draw):
     return m, right, below
 
 
+@st.composite
+def identity_minus_cases(draw):
+    """A square M, n = 1..6, with entries from {-1, 0, 1}, -3..3 or +-10^12,
+    and whether I - M was made singular: one of its rows set to a multiple
+    of another, or to zero when n = 1 or the two rows are one."""
+    entries = draw(st.sampled_from([
+        st.integers(-1, 1), st.integers(-3, 3), st.integers(-10**12, 10**12),
+    ]))
+    n = draw(st.integers(1, 6))
+    rows = [list(draw(st.tuples(*[entries] * n))) for _ in range(n)]
+    singular = draw(st.booleans())
+    if singular:
+        i, j, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(entries)
+        # row i of I - M becomes c times row j of I - M (zero when i = j)
+        rows[i] = [(i == k) - (0 if i == j else c * ((j == k) - x)) for k, x in enumerate(rows[j])]
+    return IntMatrix.from_rows(rows), singular
+
+
 class TestDet:
     def test_identity(self):
         assert IntMatrix.identity(2).det() == 1
@@ -92,6 +111,17 @@ class TestDet:
                 f = a[r][col] / a[col][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         assert m.det() == detval
+
+    @given(identity_minus_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_identity_minus_from_rows(self, case):
+        # the determinant test reads det(I - M) off the rows of M, forming no
+        # block; it must be the determinant of the block I - M
+        m, singular = case
+        got = _det_identity_minus(m.rows)
+        assert got == (IntMatrix.identity(m.nrows) - m).det()
+        if singular:
+            assert got == 0
 
 
 class TestSmithNormalForm:

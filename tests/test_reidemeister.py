@@ -40,9 +40,12 @@ from crysturn.reidemeister import (
     reidemeister_set,
     search_r_infinity_witness,
     _compose,
+    _fixing_pairs,
     _linear_part_set,
     _normaliser_cosets,
+    _offsets_on_demand,
     _passing,
+    _twisted_blocks,
     _witness_cosets,
     spectrum,
     witness_words,
@@ -85,6 +88,22 @@ class TestAlwaysInfinite:
     def test_non_normalising_rejected(self, p3_group):
         with pytest.raises(ValueError):
             is_always_infinite(p3_group, IntMatrix.from_rows([[1, 1], [0, 1]]))
+
+    def test_blocks_stop_at_first_singular_product(self):
+        # the products are kept with |det(I - A.D)|; a singular one ends the
+        # test there, so a lazy product list is read no further
+        neg, ident = -IntMatrix.identity(2), IntMatrix.identity(2)
+        read = []
+
+        def products(mats):
+            for m in mats:
+                read.append(m)
+                yield m
+
+        assert _twisted_blocks(products([neg, neg, ident, neg])) is None
+        assert read == [neg, neg, ident]
+        scaled = IntMatrix.diagonal([-1, -2])
+        assert _twisted_blocks(products([neg, scaled])) == [(neg, 4), (scaled, 6)]
 
 
 class TestAveraging:
@@ -655,6 +674,20 @@ class TestIntegerSweep:
     part's image translations and the base offsets (I - E).b, against one
     validated automorphism per base translation b."""
 
+    @staticmethod
+    def assert_sets(group, passing, offsets):
+        """The set of each (leader, sigma, twisted, d) in ``passing`` is the
+        count of (d + b, leader) over every base translation b."""
+        bases = base_translations(group)
+        for leader, sigma, twisted, d in passing:
+            solved = tuple(Fraction(x, d[0]) for x in d[1])
+            expected = {
+                reidemeister_number(Automorphism(group, vec_add(solved, base), leader))
+                for base in bases
+            }
+            got = _linear_part_set(group, leader, sigma, twisted, d, offsets)
+            assert got == expected, (group.name, leader)
+
     def test_catalog_linear_parts(self):
         catalog = builtin_catalog()
         finite, infinite, checked = 0, 0, 0
@@ -667,18 +700,27 @@ class TestIntegerSweep:
                 # the samples check_entry takes for an infinite normaliser
                 passing = list(islice(_witness_cosets(group, _WORD_LENGTH), 3))
                 infinite += 1
-            bases = base_translations(group)
             offsets = _base_offsets(group)
-            for leader, sigma, twisted, d in passing:
-                solved = tuple(Fraction(x, d[0]) for x in d[1])
-                expected = {
-                    reidemeister_number(Automorphism(group, vec_add(solved, base), leader))
-                    for base in bases
-                }
-                got = _linear_part_set(group, leader, sigma, twisted, d, offsets)
-                assert got == expected, (name, leader)
-                checked += 1
+            self.assert_sets(group, passing, lambda: offsets)
+            checked += len(passing)
         assert (finite, infinite, checked) == (11, 9, 41)
+
+    @pytest.mark.parametrize("name1, name2, swap, live", [
+        ("3/3/1/1/1", "3/3/1/1/1", True, False),
+        ("3/3/1/1/1", "3/5/1/2/1", False, True),
+    ])
+    def test_dimension_6_products(self, name1, name2, swap, live):
+        # a set with no live pair is the one value constant / |F|, made
+        # without the base translations.  With the swap: 28 passing cosets,
+        # none live, and 64 base translations; the other product has 2
+        # passing cosets, both live, and 24.
+        catalog = builtin_catalog()
+        group = _product_group(catalog.group(name1), catalog.group(name2), swap=swap)
+        passing = list(_passing(group, _normaliser_cosets(group)[0]))
+        assert len(passing) == (28 if swap else 2)
+        lives = [_fixing_pairs(group, sigma, twisted)[1] for _, sigma, twisted, _ in passing]
+        assert any(lives) is live
+        self.assert_sets(group, passing, _offsets_on_demand(group))
 
 
 class TestSharedWork:
@@ -822,31 +864,65 @@ class TestSharedWork:
         assert len(conjugations) == len(letters)
         assert set(conjugations) == letters
 
+    @staticmethod
+    def count_calls(monkeypatch, real, modules) -> list:
+        """Record every call of ``real`` through its binding in ``modules``."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, real.__name__, counting)
+        return calls
+
     def test_catalog_pass_counts(self, monkeypatch):
         # one pass used to make 349 conjugations and 3942 products, when every
         # visited linear part conjugated the holonomy group itself, and 379
         # Smith normal forms, when the 110 fixing pairs with C = I had one
         # each; then 98, 2397 and 269, when the normaliser was closed element
         # by element, the 80 fixing pairs with |det(I - A.D)| = 1 had one
-        # each and each sampled word was solved and conjugated again
+        # each and each sampled word was solved and conjugated again.  27 of
+        # the 41 Reidemeister sets have no live pair and are one value each:
+        # 557 matrix subtractions, 20 base-offset sweeps and 184 Burnside
+        # counts when every set swept the base translations and the
+        # determinant test formed each block I - A.D
         catalog = builtin_catalog()
         for name in catalog.names():
             catalog.group(name)
         conjugations = self.count_conjugations(monkeypatch)
         products = count_matmul(monkeypatch)
-        snfs = []
-        real = crysturn.linalg.smith_normal_form
-
-        def counting(m, *args, **kwargs):
-            snfs.append(None)
-            return real(m, *args, **kwargs)
-
-        for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
-            monkeypatch.setattr(module, "smith_normal_form", counting)
+        snfs = self.count_calls(
+            monkeypatch, crysturn.linalg.smith_normal_form,
+            (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister),
+        )
+        subtractions = self.count_calls(monkeypatch, IntMatrix.__sub__, (IntMatrix,))
+        sweeps = self.count_calls(
+            monkeypatch, crysturn.automorphisms._base_offsets,
+            (crysturn.automorphisms, crysturn.reidemeister),
+        )
+        counts = self.count_calls(
+            monkeypatch, crysturn.reidemeister._burnside_count, (crysturn.reidemeister,)
+        )
         assert all(report.passed for report in check_catalog(catalog))
         assert len(conjugations) <= 71
         assert len(products) <= 1585
-        assert len(snfs) <= 144
+        assert len(snfs) <= 130
+        assert len(subtractions) <= 61
+        assert len(sweeps) <= 6
+        assert len(counts) <= 97
+
+    def test_set_without_live_pair_reads_no_base_translation(self, monkeypatch):
+        # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
+        # one value and the 8 base translations are never made
+        group = builtin_catalog().group("3/3/1/1/1")
+        assert len(base_translations(group)) == 8
+        bases = self.count_calls(
+            monkeypatch, crysturn.automorphisms._base_numerators, (crysturn.automorphisms,)
+        )
+        assert spectrum(group).finite_values == (2,)
+        assert bases == []
 
     def test_number_reads_the_validated_images(self, monkeypatch):
         # the count used to run the image check a second time on the same (d, D)
