@@ -34,7 +34,7 @@ from .reidemeister import (
     INFINITE,
     NormaliserUnavailable,
     RinfStatus,
-    _normaliser_generators,
+    _normaliser_letters,
     decide_r_infinity,
     reidemeister_number,
     search_r_infinity_witness,
@@ -150,7 +150,7 @@ def build_parser() -> _Parser:
 def _cmd_validate(args, group: CrystGroup, meta: dict):
     if args.json:  # the closure only feeds meta, which text output never shows
         try:
-            meta["normaliser_size"] = matrix_group_closure(_normaliser_generators(group)).order
+            meta["normaliser_size"] = matrix_group_closure(_normaliser_letters(group)[0]).order
         except NormaliserUnavailable:
             meta["normaliser_size"] = _ABSENT
         except ClosureCapExceeded:

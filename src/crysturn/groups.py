@@ -14,9 +14,11 @@ and the matrix groups of :func:`matrix_group_closure`; over the holonomy
 group it walks the normaliser one coset F.D at a time.  It either finishes,
 and the group is finite, or raises :class:`ClosureCapExceeded` on a
 certificate that it is infinite (see :func:`_certify_finite`); there is no
-arbitrary size limit.  The supplied normaliser generators are checked to
-normalise the holonomy group but are otherwise trusted as input data
-(completeness of the normaliser cannot be certified from the group alone).
+arbitrary size limit.  The supplied normaliser generators are checked
+once to normalise the holonomy group, and the group keeps each one's
+inverse and permutation from that check; they are otherwise trusted as
+input data (completeness of the normaliser cannot be certified from the
+group alone).
 
 Fractions only in and out: translations are Fractions in
 :class:`AffineMap`, the public value type, and every kernel carries them as
@@ -226,9 +228,15 @@ class CrystGroup:
     readers, raise ValueError on it.
     ``normaliser_gens`` is optional input data (generators of the normaliser
     of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
-    always relative to it.  ``denominator`` is the least common multiple g
-    of the translations' denominators and ``scaled_translations[i]`` is
-    g times the translation of ``f_ext[i]``, as ints.
+    always relative to it.  ``normaliser_letters`` keeps, for each of them
+    in order, (D, D^-1, sigma_D) with sigma_D its
+    :func:`conjugation_permutation`: :func:`build_group` sets them from its
+    check that D normalises, and the normaliser walks read them instead of
+    conjugating again.  A group constructed directly has ``None``, and
+    those walks raise ValueError on it.  ``denominator`` is the least
+    common multiple g of the translations' denominators and
+    ``scaled_translations[i]`` is g times the translation of ``f_ext[i]``,
+    as ints.
     ``generator_indices`` are the holonomy indices of representatives that,
     with Z^n, generate the group; never empty.  :func:`build_group` records
     those of the generators it closed from (the identity alone for the
@@ -259,6 +267,9 @@ class CrystGroup:
             _scaled(g.translation, self.denominator) for g in self.f_ext
         )
         self.mult_table = None if mult_table is None else tuple(mult_table)
+        self.normaliser_letters: Optional[
+            tuple[tuple[IntMatrix, IntMatrix, tuple[int, ...]], ...]
+        ] = None
 
     @property
     def order(self) -> int:
@@ -316,8 +327,16 @@ def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, 
     Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
     Raises ValueError unless the matrix is unimodular and normalises the
     holonomy group; conjugation is injective, so sigma is then a bijection.
+    Each call inverts D and forms 2|F| products.  The public entry points
+    that take a caller's matrix call it; the normaliser generators are
+    conjugated once, in :func:`build_group`, which keeps their sigma
+    (``CrystGroup.normaliser_letters``).
     """
-    inv = linear.int_inverse()
+    return _conjugation(group, linear, linear.int_inverse())
+
+
+def _conjugation(group: CrystGroup, linear: IntMatrix, inv: IntMatrix) -> tuple[int, ...]:
+    """:func:`conjugation_permutation` of D with its inverse ``inv`` given."""
     index = group.point_group._index
     images = tuple(index.get(linear @ a @ inv) for a in group.matrix_parts)
     if None in images:
@@ -347,9 +366,12 @@ def build_group(
     modulo Z^n: the cocycle condition holds with |generators|.|F| products.
     The steps also give each generator's row of the multiplication table;
     every other row is a generator's row after an earlier one
-    (A_y = G.A_x), at |F| lookups.  Each normaliser generator, the one other outside input,
-    must be a unimodular n x n matrix that normalises the holonomy group.
-    The group keeps the holonomy indices of its generators
+    (A_y = G.A_x), at |F| lookups.  Each normaliser generator D, the one
+    other outside input, must be a unimodular n x n matrix that normalises
+    the holonomy group: it is inverted once and conjugates the holonomy
+    group once, and the group keeps D, D^-1 and the permutation sigma_D
+    (``normaliser_letters``), so no later walk repeats either.  The group
+    also keeps the holonomy indices of its generators
     (``generator_indices``).  Raises :class:`ClosureCapExceeded` when the
     matrix parts generate an infinite group.
     """
@@ -400,13 +422,18 @@ def build_group(
         generator_indices=generator_indices,
         mult_table=rows,
     )
-    for d in group.normaliser_gens or ():
+    if group.normaliser_gens is None:
+        return group
+    letters = []
+    for d in group.normaliser_gens:
         if not d.is_unimodular() or d.nrows != dimension:
             raise GroupValidationError("normaliser generator is not unimodular n x n")
+        inv = d.int_inverse()
         try:
-            conjugation_permutation(group, d)
+            letters.append((d, inv, _conjugation(group, d, inv)))
         except ValueError:
             raise GroupValidationError(
                 f"supplied matrix does not normalise the holonomy group: {d}"
             ) from None
+    group.normaliser_letters = tuple(letters)
     return group

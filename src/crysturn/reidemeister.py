@@ -31,10 +31,12 @@ infinity, which the identity already gives.  The spectrum, the R-infinity
 decision and the word search walk the cosets breadth first with the
 package's one closure (:func:`~crysturn.groups._coset_walk`), forming
 each coset's |F| products once.  sigma is a homomorphism (sigma of G.C
-is sigma_G after sigma_C), so only the letters conjugate F and each
-coset's sigma is composed at |F| lookups.  The public entry points still
-conjugate by every matrix a caller supplies, which also checks that it
-normalises.
+is sigma_G after sigma_C), so each coset's sigma is composed from its
+letter's at |F| lookups, and the letters' sigma are the ones
+:func:`~crysturn.groups.build_group` kept when it checked that the
+generators normalise (an inverse letter's is the inverse permutation):
+no walk conjugates F.  The public entry points still conjugate by every
+matrix a caller supplies, which also checks that it normalises.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _fixing_pairs(
     weights of the live pairs it satisfies (see :func:`_burnside_count`).
 
     * C = I fixes every component, with offset 0 and L = (I - A.D)Z^n, so
-      |det(I - A.D)| points each.
+      |det(I - A.D)| points each; these pairs are not visited.
     * L contains (I - A.D)Z^n, which is Z^n when |det(I - A.D)| = 1: one
       point, into the constant, with no Smith normal form.
     * Each other fixing pair gets one Smith normal form, of the rows
@@ -157,14 +159,16 @@ def _fixing_pairs(
     translation part, and the integral base offsets keep it).  So the
     offset is lift.(lead - A.g.a_E) modulo den, and it lies in den.Z^n, as
     twisted conjugation requires, iff lead - A.g.a_E lies in g.Z^n: a
-    condition on D alone, asserted here once per fixing pair.
+    condition on D alone, asserted here once per fixing pair with C != I.
     """
     constant = sum(det for _, det in twisted)
     mult = _mult_table(group)
     parts, scaled = group.matrix_parts, group.scaled_translations
     g = group.denominator
     live = []
-    for c_idx, (c_linear, a_c) in enumerate(zip(parts, scaled)):
+    # the pairs with C = I are in the constant; a_I = 0 and sigma(I) = I,
+    # so they keep the lattice coset
+    for c_idx, (c_linear, a_c) in enumerate(zip(parts[1:], scaled[1:]), start=1):
         e_idx = sigma[c_idx]
         shift = None  # the rows of C - I, formed for C's first Smith normal form
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
@@ -174,8 +178,6 @@ def _fixing_pairs(
             assert not any(
                 (x - y) % g for x, y in zip(lead, a_linear.apply(scaled[e_idx]))
             ), "twisted conjugation must keep the lattice coset"
-            if c_idx == 0:  # the identity: counted in the constant
-                continue
             product, det = twisted[a_idx]
             if det == 1:
                 constant += 1
@@ -376,13 +378,12 @@ Passing = tuple[IntMatrix, tuple[int, ...], Twisted, Scaled]  # (leader, sigma, 
 
 
 def _with_sigmas(
-    group: CrystGroup, letters: Sequence[IntMatrix], walk: Iterable[Step]
+    group: CrystGroup, letter_sigmas: Sequence[tuple[int, ...]], walk: Iterable[Step]
 ) -> Iterator[Coset]:
-    """The new cosets of a :func:`_coset_walk` over ``letters``, lazily, with
-    sigma: one :func:`conjugation_permutation` per letter, which raises
-    unless it normalises, and a coset's sigma is its letter's after its
-    parent's, at |F| lookups."""
-    letter_sigmas = [conjugation_permutation(group, letter) for letter in letters]
+    """The new cosets of a :func:`_coset_walk`, lazily, with sigma:
+    ``letter_sigmas[k]`` is the sigma of the walk's letter k (see
+    :func:`_normaliser_letters`), and a coset's sigma is its letter's after
+    its parent's, at |F| lookups; nothing is conjugated."""
     sigmas = [tuple(range(group.order))]
     for x, k, _, _, products in walk:
         if products:
@@ -394,16 +395,16 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
     """The cosets F.D != F of the normaliser N (see :func:`_with_sigmas`)
     and the order of N.
 
-    The walk ends before any conjugation, so an infinite N raises
-    :class:`~crysturn.groups.ClosureCapExceeded` first.  By Schreier's
-    lemma |N| = (number of cosets) x |N ∩ F|, where N ∩ F is generated by
+    The walk runs to its end, so an infinite N raises
+    :class:`~crysturn.groups.ClosureCapExceeded`.  By Schreier's lemma
+    |N| = (number of cosets) x |N ∩ F|, where N ∩ F is generated by
     t_Y^-1.g.t_X = A_sigma_Y^-1(i) over the leaders t_X and generators g
     with g.t_X = A_i.t_Y, closed through the holonomy table.
     """
-    letters = sorted(set(_normaliser_generators(group)), key=lambda m: m.rows)
+    letters, letter_sigmas = _normaliser_letters(group)
     mult = _mult_table(group)
     walk = list(_coset_walk(group.matrix_parts, letters, bound=_order_bound(group.dimension)))
-    cosets = list(_with_sigmas(group, letters, walk))
+    cosets = list(_with_sigmas(group, letter_sigmas, walk))
     sigmas = [tuple(range(group.order)), *(sigma for _, sigma, _ in cosets)]
     schreier = {sigmas[y].index(i) for _, _, y, i, _ in walk}
     reached, frontier = {0}, [0]
@@ -426,15 +427,34 @@ def _passing(group: CrystGroup, cosets: Iterable[Coset]) -> Iterator[Passing]:
                 yield leader, sigma, twisted, d
 
 
-def _normaliser_generators(group: CrystGroup) -> list[IntMatrix]:
-    """The supplied normaliser generators; an empty list of them stands for
-    the trivial normaliser {I}."""
+def _normaliser_letters(
+    group: CrystGroup, inverses: bool = False
+) -> tuple[list[IntMatrix], list[tuple[int, ...]]]:
+    """The distinct normaliser generators, with their inverses when
+    ``inverses``, sorted by rows, and each one's sigma, all as
+    :func:`~crysturn.groups.build_group` kept them
+    (``CrystGroup.normaliser_letters``).  An inverse's sigma is the inverse
+    permutation, at |F| steps.  An empty list of generators stands for the
+    trivial normaliser {I}, with the identity permutation."""
     if group.normaliser_gens is None:
         raise NormaliserUnavailable(
             "group carries no normaliser generators; spectra and R-infinity "
             "verdicts need them as input"
         )
-    return list(group.normaliser_gens) or [IntMatrix.identity(group.dimension)]
+    kept = group.normaliser_letters
+    if kept is None:
+        raise ValueError(f"{group!r} has no normaliser letters; make it with build_group")
+    sigmas = {d: sigma for d, _, sigma in kept}
+    for _, inv, sigma in kept if inverses else ():
+        if inv not in sigmas:
+            inverse = [0] * len(sigma)
+            for i, s in enumerate(sigma):
+                inverse[s] = i
+            sigmas[inv] = tuple(inverse)
+    if not sigmas:
+        sigmas[IntMatrix.identity(group.dimension)] = tuple(range(group.order))
+    letters = sorted(sigmas, key=lambda m: m.rows)
+    return letters, [sigmas[d] for d in letters]
 
 
 def _mult_table(group: CrystGroup) -> Sequence[tuple[int, ...]]:
@@ -506,10 +526,9 @@ def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix
 
 def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing]:
     """:func:`_passing` over the cosets of :func:`witness_words`, lazily."""
-    gens = _normaliser_generators(group)
-    letters = sorted({*gens, *(g.int_inverse() for g in gens)}, key=lambda m: m.rows)
+    letters, letter_sigmas = _normaliser_letters(group, inverses=True)
     walk = _coset_walk(group.matrix_parts, letters, max_word_length)
-    yield from _passing(group, _with_sigmas(group, letters, walk))
+    yield from _passing(group, _with_sigmas(group, letter_sigmas, walk))
 
 
 def search_r_infinity_witness(

@@ -150,7 +150,8 @@ class TestReidemeisterNumber:
         assert reidemeister_number(identity) == INFINITE
 
     def test_group_without_table_rejected(self):
-        # a CrystGroup constructed directly has no holonomy multiplication table
+        # a CrystGroup constructed directly has no holonomy multiplication
+        # table and no kept normaliser letters
         source = builtin_catalog().group("2/4/1/1/1")
         group = CrystGroup(2, source.f_ext, normaliser_gens=source.normaliser_gens)
         minus = -IntMatrix.identity(2)
@@ -159,8 +160,15 @@ class TestReidemeisterNumber:
             lambda: reidemeister_set(group, minus),
             lambda: spectrum(group),
             lambda: decide_r_infinity(group),
+            lambda: search_r_infinity_witness(group, 2),
         ):
             with pytest.raises(ValueError, match="build_group"):
+                call()
+        # without normaliser generators the data are missing, not the table
+        bare = CrystGroup(2, source.f_ext)
+        assert decide_r_infinity(bare).status is RinfStatus.UNDECIDED_NO_DATA
+        for call in (lambda: spectrum(bare), lambda: search_r_infinity_witness(bare, 2)):
+            with pytest.raises(NormaliserUnavailable):
                 call()
 
     def test_companion_family_3d(self, point_reflection_3d):
@@ -637,6 +645,28 @@ class TestSigmaComposition:
             leaders = [IntMatrix.identity(group.dimension), *(leader for leader, _, _ in cosets)]
             assert leaders == _first_per_coset(group, closure.elements), name
 
+    def test_kept_letters_match_conjugation(self):
+        # build_group keeps (D, D^-1, sigma_D) for each normaliser generator;
+        # the walks read sigma_D, and sigma_D^-1 for the inverse letter
+        catalog = builtin_catalog()
+        factor = catalog.group("3/3/1/1/1")
+        groups = [
+            *(catalog.group(name) for name in catalog.names()),
+            _z2_power(5),
+            _catalog_product("2/4/1/1/1", "3/3/1/1/1"),
+            _product_group(factor, factor, swap=True),
+        ]
+        for group in groups:
+            gens = group.normaliser_gens
+            kept = group.normaliser_letters
+            assert gens is not None and len(kept) == len(gens), group
+            for gen, (d, inv, sigma) in zip(gens, kept):
+                assert d == gen
+                assert d @ inv == IntMatrix.identity(group.dimension), (group, d)
+                assert sigma == conjugation_permutation(group, d), (group, d)
+                inverse = tuple(sorted(range(group.order), key=sigma.__getitem__))
+                assert inverse == conjugation_permutation(group, inv), (group, d)
+
     def test_word_search_matches_naive(self):
         catalog = builtin_catalog()
         for name in catalog.names():
@@ -851,18 +881,21 @@ class TestSharedWork:
         assert reidemeister_number(phi) == 8
         assert conjugations == []
 
-    def test_one_conjugation_per_tested_word(self, monkeypatch):
+    def test_word_search_conjugates_and_inverts_nothing(self, monkeypatch):
         group = builtin_catalog().group("2/1/1/1/1")
         letters = set(group.normaliser_gens) | {g.int_inverse() for g in group.normaliser_gens}
         ball = {IntMatrix.identity(2)}
         for _ in range(3):
             ball |= {letter @ word for letter in letters for word in ball}
         conjugations = self.count_conjugations(monkeypatch)
+        inverses = self.count_calls(monkeypatch, IntMatrix.int_inverse, (IntMatrix,))
         words = list(witness_words(group, 3))
         assert words and len(ball) - 1 > len(letters)
-        # every word gets its sigma by composition; only the letters conjugate
-        assert len(conjugations) == len(letters)
-        assert set(conjugations) == letters
+        # every word gets its sigma by composition from the letters' sigma,
+        # which build_group kept with each generator's inverse; an inverse
+        # letter's sigma is the inverse permutation
+        assert conjugations == []
+        assert inverses == []
 
     @staticmethod
     def count_calls(monkeypatch, real, modules) -> list:
@@ -887,12 +920,19 @@ class TestSharedWork:
         # the 41 Reidemeister sets have no live pair and are one value each:
         # 557 matrix subtractions, 20 base-offset sweeps and 184 Burnside
         # counts when every set swept the base translations and the
-        # determinant test formed each block I - A.D
+        # determinant test formed each block I - A.D.  The walks used to
+        # conjugate the holonomy group by every letter again, and the word
+        # search to invert every generator again: 71 conjugations, 102
+        # integer inverses and 1585 products, where build_group now keeps
+        # each generator's inverse and sigma.  979 applies when the 110
+        # fixing pairs with C = I ran the lattice-coset assertion
         catalog = builtin_catalog()
         for name in catalog.names():
             catalog.group(name)
         conjugations = self.count_conjugations(monkeypatch)
         products = count_matmul(monkeypatch)
+        inverses = self.count_calls(monkeypatch, IntMatrix.int_inverse, (IntMatrix,))
+        applies = self.count_calls(monkeypatch, IntMatrix.apply, (IntMatrix,))
         snfs = self.count_calls(
             monkeypatch, crysturn.linalg.smith_normal_form,
             (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister),
@@ -906,8 +946,10 @@ class TestSharedWork:
             monkeypatch, crysturn.reidemeister._burnside_count, (crysturn.reidemeister,)
         )
         assert all(report.passed for report in check_catalog(catalog))
-        assert len(conjugations) <= 71
-        assert len(products) <= 1585
+        assert conjugations == []
+        assert inverses == []
+        assert len(products) <= 1189
+        assert len(applies) <= 759
         assert len(snfs) <= 130
         assert len(subtractions) <= 61
         assert len(sweeps) <= 6
