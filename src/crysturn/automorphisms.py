@@ -163,18 +163,12 @@ def _base_offsets(group: CrystGroup) -> list[tuple[tuple[int, ...], ...]]:
     return offsets
 
 
-def _moved_translations(group: CrystGroup, linear: IntMatrix) -> list[tuple[int, ...]]:
-    """D.a_C for every representative, scaled by g: the part of each image
-    translation that does not depend on d."""
-    return [linear.apply(a) for a in group.scaled_translations]
-
-
 def _translation_images(
-    group: CrystGroup, sigma: tuple[int, ...], moved: list[tuple[int, ...]], translation: Scaled
+    group: CrystGroup, sigma: tuple[int, ...], linear: IntMatrix, translation: Scaled
 ) -> Images:
     """Check that conjugation by (d, D) keeps the group.
 
-    ``moved`` is :func:`_moved_translations` of D and ``translation`` is
+    ``linear`` is D, with permutation ``sigma``, and ``translation`` is
     (den, den.d), den a multiple of g that makes den.d integral.
     Conjugation sends each representative (a_C, C) to (d + D.a_C - E.d, E)
     with E = D.C.D^-1 = A_sigma(C); every image translation must be
@@ -185,8 +179,8 @@ def _translation_images(
     lift = den // group.denominator
     parts, scaled = group.matrix_parts, group.scaled_translations
     images = []
-    for rep, d_a, j in zip(group.f_ext, moved, sigma):
-        image = tuple(x + lift * y - z for x, y, z in zip(d, d_a, parts[j].apply(d)))
+    for rep, a, j in zip(group.f_ext, scaled, sigma):
+        image = tuple(x + lift * y - z for x, y, z in zip(d, linear.apply(a), parts[j].apply(d)))
         if any((x - lift * w) % den for x, w in zip(image, scaled[j])):
             raise ValueError(f"not an automorphism: conjugate of {rep} leaves the group")
         images.append(image)
@@ -218,7 +212,8 @@ class Automorphism:
         if len(self.translation) != n or self.linear.shape != (n, n):
             raise ValueError("automorphism data does not match the group dimension")
         sigma = conjugation_permutation(self.group, self.linear)
-        moved = _moved_translations(self.group, self.linear)
-        images = _translation_images(self.group, sigma, moved, self.group.scale(self.translation))
+        images = _translation_images(
+            self.group, sigma, self.linear, self.group.scale(self.translation)
+        )
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "images", images)

@@ -80,7 +80,7 @@ def parse_group_document(text: str) -> CrystGroup:
     """Parse and validate a group document from JSON text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GroupFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GroupFileError("document root must be an object")

@@ -84,7 +84,7 @@ def _parse_matrix_arg(raw: str) -> IntMatrix:
     try:
         rows = json.loads(raw)
         return IntMatrix.from_rows(rows)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         raise CliUsageError(f"cannot parse matrix {raw!r}: {exc}")
 
 

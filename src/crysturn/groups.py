@@ -2,34 +2,25 @@
 
 A group element is an affine map ``(a, A): x -> A.x + a`` with an integer
 unimodular matrix part and a rational translation.  A crystallographic group
-of dimension n is stored as its translation lattice Z^n (implicit) plus one
-canonical coset representative per holonomy matrix, with translation
-components reduced into [0, 1).  The representative of the identity matrix
-is always the true identity.
+of dimension n is its translation lattice Z^n (implicit) plus one canonical
+coset representative per holonomy matrix; :func:`build_group` proves the
+structure and makes the :class:`CrystGroup` record, whose docstring lists
+what it holds.
 
 Every closure in the package is one breadth-first walk over the cosets of
 a finite matrix group F (:func:`_coset_walk`).  Over F = {I} it closes the
-holonomy group in :func:`build_group`, the one proof of group structure,
-and the matrix groups of :func:`matrix_group_closure`; over the holonomy
-group it walks the normaliser one coset F.D at a time.  It either finishes,
-and the group is finite, or raises :class:`ClosureCapExceeded` on a
-certificate that it is infinite (see :func:`_certify_finite`); there is no
-arbitrary size limit.  The supplied normaliser generators are checked
-once to normalise the holonomy group, and the group keeps each one's
-inverse and permutation from that check; they are otherwise trusted as
-input data (completeness of the normaliser cannot be certified from the
-group alone).
+holonomy group in :func:`build_group` and the matrix groups of
+:func:`matrix_group_closure`; over the holonomy group it walks the
+normaliser one coset F.D at a time.  It either finishes, and the group is
+finite, or raises :class:`ClosureCapExceeded` on a certificate that it is
+infinite (see :func:`_certify_finite`); there is no arbitrary size limit.
+The supplied normaliser generators are checked once to normalise the
+holonomy group and otherwise trusted as input data (completeness of the
+normaliser cannot be certified from the group alone).
 
 Fractions only in and out: translations are Fractions in
 :class:`AffineMap`, the public value type, and every kernel carries them as
-integer numerators over one common denominator.  :func:`build_group` walks
-on numerators and makes each representative's :class:`AffineMap` once, at
-the end; a :class:`CrystGroup` stores its representatives' translations
-once more as numerators (``scaled_translations``), which the Bieberbach
-test, the translation solve, automorphism validation and the Reidemeister
-count read.  Only the holonomy group carries a multiplication table,
-filled from :func:`build_group`'s walk; :func:`matrix_group_closure`
-returns a plain element list.
+integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -94,6 +85,7 @@ def _products(parts: Sequence[IntMatrix], linear: IntMatrix) -> Iterator[IntMatr
 
 
 Step = tuple[int, int, int, int, Optional[list[IntMatrix]]]  # (x, k, y, i, new)
+Letter = tuple[IntMatrix, IntMatrix, tuple[int, ...]]  # (D, D^-1, sigma_D)
 
 
 def _coset_walk(
@@ -170,11 +162,9 @@ class AffineMap:
 
 
 class PointGroup:
-    """A finite matrix group: distinct square matrices, identity first, indexed.
-
-    Nothing is checked here.  :func:`matrix_group_closure` and
-    :func:`build_group` make every point group, closed by construction.
-    """
+    """A finite matrix group, as :func:`matrix_group_closure` returns it:
+    distinct square matrices, identity first, indexed.  Nothing is checked
+    here."""
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = tuple(elements)
@@ -217,68 +207,66 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
 class CrystGroup:
     """A crystallographic group with translation lattice exactly Z^n.
 
-    :func:`build_group` makes it, and its closure is the proof that the
-    data form a group; the constructor trusts what it is given, checks
-    nothing and forms no product.  ``f_ext`` holds one affine
-    representative per holonomy matrix, identity first, translations in
-    [0, 1)^n.  ``mult_table`` gives products of holonomy elements by their
-    index in ``f_ext``: row j is left multiplication by A_j.
-    :func:`build_group` fills it from its walk; a group constructed without
-    one has ``None``, and the Burnside count and the normaliser walk, its
-    readers, raise ValueError on it.
-    ``normaliser_gens`` is optional input data (generators of the normaliser
-    of the holonomy group in GL_n(Z)); spectra and R-infinity verdicts are
-    always relative to it.  ``normaliser_letters`` keeps, for each of them
-    in order, (D, D^-1, sigma_D) with sigma_D its
-    :func:`conjugation_permutation`: :func:`build_group` sets them from its
-    check that D normalises, and the normaliser walks read them instead of
-    conjugating again.  A group constructed directly has ``None``, and
-    those walks raise ValueError on it.  ``denominator`` is the least
-    common multiple g of the translations' denominators and
-    ``scaled_translations[i]`` is g times the translation of ``f_ext[i]``,
-    as ints.
-    ``generator_indices`` are the holonomy indices of representatives that,
-    with Z^n, generate the group; never empty.  :func:`build_group` records
-    those of the generators it closed from (the identity alone for the
-    trivial group), and the translation solve stacks one block per index.
-    A group constructed directly defaults to all its indices, which
-    generate any group.
+    :func:`build_group` makes it: its closure is the proof that the data
+    form a group, and it fills every field.  The constructor trusts what it
+    is given, checks nothing and forms no product.
+
+    * ``f_ext``: one affine representative per holonomy matrix, identity
+      first, translations in [0, 1)^n; ``order`` is its length.
+    * ``matrix_parts``: their matrices, in that order, and ``index`` maps
+      each one to its position, the holonomy index.
+    * ``mult_table``: products of holonomy elements by index; row j is left
+      multiplication by A_j.
+    * ``generator_indices``: the holonomy indices of representatives that,
+      with Z^n, generate the group; never empty (the identity alone for the
+      trivial group).  The translation solve stacks one block per index.
+    * ``normaliser_letters``: for each supplied generator D of the
+      normaliser of the holonomy group in GL_n(Z), in the supplied order,
+      (D, D^-1, sigma_D) with sigma_D its :func:`conjugation_permutation`;
+      the normaliser walks read them and conjugate nothing.  ``None`` means
+      no normaliser data, ``()`` the trivial normaliser {I}.  The
+      generators are input data: spectra and R-infinity verdicts are
+      always relative to them.  ``normaliser_gens`` reads the D back.
+    * ``denominator``: the least common multiple g of the translations'
+      denominators, and ``scaled_translations[i]``: g times the translation
+      of ``f_ext[i]``, as ints.
     """
 
     def __init__(
         self,
         dimension: int,
         f_ext: Sequence[AffineMap],
-        normaliser_gens: Optional[Sequence[IntMatrix]] = None,
+        mult_table: Sequence[tuple[int, ...]],
+        generator_indices: Sequence[int],
+        normaliser_letters: Optional[Sequence[Letter]] = None,
         labels: Optional[Mapping[str, str]] = None,
         name: str = "",
-        generator_indices: Optional[Sequence[int]] = None,
-        mult_table: Optional[Sequence[tuple[int, ...]]] = None,
     ):
         self.dimension = dimension
         self.f_ext = tuple(f_ext)
-        self.generator_indices = tuple(generator_indices or range(len(self.f_ext)))
-        self.normaliser_gens = tuple(normaliser_gens) if normaliser_gens is not None else None
+        self.matrix_parts = tuple(g.linear for g in self.f_ext)
+        self.index = {m: i for i, m in enumerate(self.matrix_parts)}
+        self.mult_table = tuple(mult_table)
+        self.generator_indices = tuple(generator_indices)
+        self.normaliser_letters = None if normaliser_letters is None else tuple(normaliser_letters)
         self.labels = dict(labels or {})
         self.name = name
-        self.point_group = PointGroup([g.linear for g in self.f_ext])
         self.denominator = math.lcm(*(x.denominator for g in self.f_ext for x in g.translation))
         self.scaled_translations = tuple(
             _scaled(g.translation, self.denominator) for g in self.f_ext
         )
-        self.mult_table = None if mult_table is None else tuple(mult_table)
-        self.normaliser_letters: Optional[
-            tuple[tuple[IntMatrix, IntMatrix, tuple[int, ...]], ...]
-        ] = None
+
+    @property
+    def normaliser_gens(self) -> Optional[tuple[IntMatrix, ...]]:
+        """The supplied normaliser generators, in order, or ``None``."""
+        if self.normaliser_letters is None:
+            return None
+        return tuple(d for d, _, _ in self.normaliser_letters)
 
     @property
     def order(self) -> int:
         """Order of the holonomy group."""
         return len(self.f_ext)
-
-    @property
-    def matrix_parts(self) -> tuple[IntMatrix, ...]:
-        return self.point_group.elements
 
     def scale(self, d: Vec) -> tuple[int, tuple[int, ...]]:
         """(den, d . den) with den = g . lcm(denominators of d), g = ``denominator``.
@@ -332,13 +320,15 @@ def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, 
     conjugated once, in :func:`build_group`, which keeps their sigma
     (``CrystGroup.normaliser_letters``).
     """
-    return _conjugation(group, linear, linear.int_inverse())
+    return _conjugation(group.matrix_parts, group.index, linear, linear.int_inverse())
 
 
-def _conjugation(group: CrystGroup, linear: IntMatrix, inv: IntMatrix) -> tuple[int, ...]:
-    """:func:`conjugation_permutation` of D with its inverse ``inv`` given."""
-    index = group.point_group._index
-    images = tuple(index.get(linear @ a @ inv) for a in group.matrix_parts)
+def _conjugation(
+    parts: Sequence[IntMatrix], index: Mapping[IntMatrix, int], linear: IntMatrix, inv: IntMatrix
+) -> tuple[int, ...]:
+    """:func:`conjugation_permutation` of D over the holonomy matrices
+    ``parts``, ``index`` their positions, with D's inverse ``inv`` given."""
+    images = tuple(index.get(linear @ a @ inv) for a in parts)
     if None in images:
         raise ValueError(f"matrix does not normalise the holonomy group: {linear}")
     return images
@@ -369,10 +359,9 @@ def build_group(
     (A_y = G.A_x), at |F| lookups.  Each normaliser generator D, the one
     other outside input, must be a unimodular n x n matrix that normalises
     the holonomy group: it is inverted once and conjugates the holonomy
-    group once, and the group keeps D, D^-1 and the permutation sigma_D
-    (``normaliser_letters``), so no later walk repeats either.  The group
-    also keeps the holonomy indices of its generators
-    (``generator_indices``).  Raises :class:`ClosureCapExceeded` when the
+    group once, before the group is made, and the group keeps D, D^-1 and
+    the permutation sigma_D (``normaliser_letters``), so no later walk
+    repeats either.  Raises :class:`ClosureCapExceeded` when the
     matrix parts generate an infinite group.
     """
     for g in generators:
@@ -410,30 +399,21 @@ def build_group(
     for k, x in tree:
         rows.append(tuple(map(gen_rows[k].__getitem__, rows[x])))
 
+    kept = None
+    if normaliser_gens is not None:
+        index = {m: i for i, m in enumerate(linears)}
+        kept = []
+        for d in normaliser_gens:
+            if not d.is_unimodular() or d.nrows != dimension:
+                raise GroupValidationError("normaliser generator is not unimodular n x n")
+            inv = d.int_inverse()
+            try:
+                kept.append((d, inv, _conjugation(linears, index, d, inv)))
+            except ValueError:
+                raise GroupValidationError(
+                    f"supplied matrix does not normalise the holonomy group: {d}"
+                ) from None
     # The identity adds nothing to a generating set, but the trivial group
     # keeps it: the translation solve needs at least one block.
     generator_indices = tuple(dict.fromkeys(row[0] for row in gen_rows if row[0])) or (0,)
-    group = CrystGroup(
-        dimension,
-        reps,
-        normaliser_gens=normaliser_gens,
-        labels=labels,
-        name=name,
-        generator_indices=generator_indices,
-        mult_table=rows,
-    )
-    if group.normaliser_gens is None:
-        return group
-    letters = []
-    for d in group.normaliser_gens:
-        if not d.is_unimodular() or d.nrows != dimension:
-            raise GroupValidationError("normaliser generator is not unimodular n x n")
-        inv = d.int_inverse()
-        try:
-            letters.append((d, inv, _conjugation(group, d, inv)))
-        except ValueError:
-            raise GroupValidationError(
-                f"supplied matrix does not normalise the holonomy group: {d}"
-            ) from None
-    group.normaliser_letters = tuple(letters)
-    return group
+    return CrystGroup(dimension, reps, rows, generator_indices, kept, labels=labels, name=name)

@@ -52,7 +52,6 @@ from .automorphisms import (
     Automorphism,
     Scaled,
     _base_offsets,
-    _moved_translations,
     _translation_images,
     _translation_part,
     conjugation_permutation,
@@ -162,7 +161,7 @@ def _fixing_pairs(
     condition on D alone, asserted here once per fixing pair with C != I.
     """
     constant = sum(det for _, det in twisted)
-    mult = _mult_table(group)
+    mult = group.mult_table
     parts, scaled = group.matrix_parts, group.scaled_translations
     g = group.denominator
     live = []
@@ -308,7 +307,7 @@ def _linear_part_set(
     b, and the set is that one value, its divisibility still asserted;
     only a live pair calls ``offsets`` (see :func:`_offsets_on_demand`)."""
     constant, live = _fixing_pairs(group, sigma, twisted)
-    den, images = _translation_images(group, sigma, _moved_translations(group, linear), d)
+    den, images = _translation_images(group, sigma, linear, d)
     if not live:
         return frozenset((_burnside_count(group, den, images, constant, live),))
     read = [(c, images[c], sigma[c]) for c, _, _ in live]
@@ -402,7 +401,7 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
     with g.t_X = A_i.t_Y, closed through the holonomy table.
     """
     letters, letter_sigmas = _normaliser_letters(group)
-    mult = _mult_table(group)
+    mult = group.mult_table
     walk = list(_coset_walk(group.matrix_parts, letters, bound=_order_bound(group.dimension)))
     cosets = list(_with_sigmas(group, letter_sigmas, walk))
     sigmas = [tuple(range(group.order)), *(sigma for _, sigma, _ in cosets)]
@@ -435,15 +434,14 @@ def _normaliser_letters(
     :func:`~crysturn.groups.build_group` kept them
     (``CrystGroup.normaliser_letters``).  An inverse's sigma is the inverse
     permutation, at |F| steps.  An empty list of generators stands for the
-    trivial normaliser {I}, with the identity permutation."""
-    if group.normaliser_gens is None:
+    trivial normaliser {I}, with the identity permutation; a group without
+    normaliser data raises :class:`NormaliserUnavailable`."""
+    kept = group.normaliser_letters
+    if kept is None:
         raise NormaliserUnavailable(
             "group carries no normaliser generators; spectra and R-infinity "
             "verdicts need them as input"
         )
-    kept = group.normaliser_letters
-    if kept is None:
-        raise ValueError(f"{group!r} has no normaliser letters; make it with build_group")
     sigmas = {d: sigma for d, _, sigma in kept}
     for _, inv, sigma in kept if inverses else ():
         if inv not in sigmas:
@@ -455,14 +453,6 @@ def _normaliser_letters(
         sigmas[IntMatrix.identity(group.dimension)] = tuple(range(group.order))
     letters = sorted(sigmas, key=lambda m: m.rows)
     return letters, [sigmas[d] for d in letters]
-
-
-def _mult_table(group: CrystGroup) -> Sequence[tuple[int, ...]]:
-    """The holonomy multiplication table, which only
-    :func:`~crysturn.groups.build_group` fills in."""
-    if group.mult_table is None:
-        raise ValueError(f"{group!r} has no multiplication table; make it with build_group")
-    return group.mult_table
 
 
 @dataclass(frozen=True)

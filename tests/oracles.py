@@ -122,7 +122,7 @@ def contains(group: CrystGroup, elem: AffineMap) -> bool:
     """Membership: matrix part in the holonomy group, offset integral."""
     if elem.dimension != group.dimension:
         raise ValueError("dimension mismatch")
-    if elem.linear not in group.point_group:
+    if elem.linear not in group.index:
         return False
     return is_integral(vec_sub(elem.translation, representative(group, elem.linear).translation))
 

@@ -123,6 +123,12 @@ class TestReidnr:
         code, _, err = run(capsys, "reidnr", "2/1/2/1/1", "--D", "[[1,2]", "--d", "0,0")
         assert code == EXIT_USAGE
 
+    def test_deeply_nested_matrix_is_usage_error(self, capsys):
+        matrix = "[[" + "[" * 100000
+        code, _, err = run(capsys, "reidnr", "2/1/2/1/1", "--D", matrix, "--d", "0,0")
+        assert code == EXIT_USAGE
+        assert "cannot parse matrix" in err
+
     def test_large_determinant(self, capsys):
         code, out, _ = run(
             capsys, "reidnr", "3/1/2/1/1", "--D=[[0,0,1],[1,0,-1000000],[0,1,3]]", "--d=0,0,0"
@@ -206,6 +212,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == EXIT_BAD_DATA
         assert "cocycle" in err
+
+    def test_deeply_nested_file_is_bad_data(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        for command in ("validate", "spectrum"):
+            code, _, err = run(capsys, command, str(path))
+            assert code == EXIT_BAD_DATA, command
+            assert "not valid JSON" in err
 
     def test_cocycle_conflict_shows_rationals(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

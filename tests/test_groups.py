@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crysturn.catalog import builtin_catalog, parse_group_document
+from crysturn.catalog import builtin_catalog, group_document, parse_group_document
 from crysturn.groups import (
     _MAX_FINITE_ORDER,
     AffineMap,
@@ -210,6 +210,13 @@ class TestBuildGroup:
                 normaliser_gens=[IntMatrix.from_rows([[1, 1], [0, 1]])],
             )
 
+    def test_normaliser_generators_kept_as_supplied(self):
+        # in the supplied order, duplicates kept, and so written back
+        d, e = NEG_I2, IntMatrix.from_rows([[0, 1], [1, 0]])
+        g = build_group(2, [AffineMap(zero_vector(2), NEG_I2)], normaliser_gens=[d, d, e])
+        assert g.normaliser_gens == (d, d, e)
+        assert parse_group_document(json.dumps(group_document(g))).normaliser_gens == (d, d, e)
+
     def test_output_revalidates(self):
         g = build_group(2, [AffineMap(zero_vector(2), R3)])
         assert structure_violation(g) is None
@@ -224,14 +231,15 @@ class TestBuildGroup:
         assert structure_violation(g) is None
 
     def test_oracle_rejects_groups_that_bypass_the_closure(self):
-        # the structure oracle is not vacuous: CrystGroup itself checks nothing
+        # the structure oracle is not vacuous: CrystGroup itself checks
+        # nothing; the oracle reads neither the table nor the generators
         ident = AffineMap.identity(2)
-        not_closed = CrystGroup(2, [ident, AffineMap(zero_vector(2), R3)])
+        not_closed = CrystGroup(2, [ident, AffineMap(zero_vector(2), R3)], (), (1,))
         assert "leaves the group" in structure_violation(not_closed)
         # (1/3, 0; diag(1, -1)) squares to the translation (2/3, 0), outside
         # Z^2, so its inverse is not (1/3, 0; diag(1, -1)) modulo Z^2
         glide = AffineMap(vector(["1/3", 0]), IntMatrix.diagonal([1, -1]))
-        assert "leaves the group" in structure_violation(CrystGroup(2, [ident, glide]))
+        assert "leaves the group" in structure_violation(CrystGroup(2, [ident, glide], (), (1,)))
 
     def test_table_from_generator_rows(self, monkeypatch):
         # the table filled from the generators' rows is the table of every

@@ -149,23 +149,10 @@ class TestReidemeisterNumber:
         identity = Automorphism(z_plane, zero_vector(2), IntMatrix.identity(2))
         assert reidemeister_number(identity) == INFINITE
 
-    def test_group_without_table_rejected(self):
-        # a CrystGroup constructed directly has no holonomy multiplication
-        # table and no kept normaliser letters
+    def test_group_without_normaliser_data_undecided(self):
         source = builtin_catalog().group("2/4/1/1/1")
-        group = CrystGroup(2, source.f_ext, normaliser_gens=source.normaliser_gens)
-        minus = -IntMatrix.identity(2)
-        for call in (
-            lambda: reidemeister_number(Automorphism(group, zero_vector(2), minus)),
-            lambda: reidemeister_set(group, minus),
-            lambda: spectrum(group),
-            lambda: decide_r_infinity(group),
-            lambda: search_r_infinity_witness(group, 2),
-        ):
-            with pytest.raises(ValueError, match="build_group"):
-                call()
-        # without normaliser generators the data are missing, not the table
-        bare = CrystGroup(2, source.f_ext)
+        bare = CrystGroup(2, source.f_ext, source.mult_table, source.generator_indices)
+        assert bare.normaliser_gens is None
         assert decide_r_infinity(bare).status is RinfStatus.UNDECIDED_NO_DATA
         for call in (lambda: spectrum(bare), lambda: search_r_infinity_witness(bare, 2)):
             with pytest.raises(NormaliserUnavailable):
@@ -288,9 +275,7 @@ class TestAgainstPairwise:
         group = builtin_catalog().group("2/4/1/1/1")
         reps = list(group.f_ext)
         reps[1] = AffineMap(vec_add(reps[1].translation, vector(["1/2", 0])), reps[1].linear)
-        corrupt = CrystGroup(
-            2, reps, normaliser_gens=group.normaliser_gens, mult_table=group.mult_table
-        )
+        corrupt = CrystGroup(2, reps, group.mult_table, group.generator_indices)
         phi = Automorphism(corrupt, zero_vector(2), -IntMatrix.identity(2))
         with pytest.raises(AssertionError, match="twisted conjugation must keep the lattice coset"):
             reidemeister_number(phi)
