@@ -7,7 +7,9 @@ For every catalog entry (or the entries named on the command line) this runs
 ``reidnr`` on every normaliser generator and on every ordered product of two
 generators.  ``reidnr`` takes the translation part that
 :func:`~crysturn.automorphisms.find_translation_part` finds, or the zero
-vector when there is none.  Each line holds the arguments, the exit code,
+vector when there is none.  Last come ``catalog list`` and ``catalog check``
+(of the named entries, or of the whole catalog), each in text and in
+``--json``.  Each line holds the arguments, the exit code,
 standard output and standard error, with ``elapsed_ms`` masked, so ``cmp``
 on the dumps of two versions of the program checks that they give the same
 answers to all of these:
@@ -59,6 +61,13 @@ def entry_invocations(catalog, name: str) -> list[list[str]]:
     return runs
 
 
+def catalog_invocations(names: list[str]) -> list[list[str]]:
+    """``catalog list`` and ``catalog check`` of ``names`` (all when empty), in
+    text and in ``--json``."""
+    checks = [["catalog", "check", name] for name in names] or [["catalog", "check"]]
+    return [[*flag, *cmd] for cmd in [["catalog", "list"], *checks] for flag in ([], ["--json"])]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="catalog entries (default: all)")
@@ -67,6 +76,8 @@ def main(argv=None) -> None:
     for name in args.names or catalog.names():
         for run in entry_invocations(catalog, name):
             print(invoke(run))
+    for run in catalog_invocations(args.names):
+        print(invoke(run))
 
 
 if __name__ == "__main__":

@@ -37,7 +37,8 @@ def main() -> None:
         except (NormaliserUnavailable, ClosureCapExceeded) as exc:
             nf = "absent" if isinstance(exc, NormaliserUnavailable) else "infinite"
             rinf = "?"
-            spec = f"(annotated: {entry.expected.spectrum})" if entry.expected.spectrum else ""
+            annotated = entry.expected.get("spectrum")
+            spec = f"(annotated: {annotated})" if annotated else ""
         else:
             nf = str(computed.normaliser_order)
             rinf = "no" if computed.finite_values else "yes"

@@ -1,38 +1,14 @@
 """Automorphisms of crystallographic groups.
 
 Every automorphism of a crystallographic group with translation lattice Z^n
-acts by conjugation with an affine map (d, D), where D lies in the
-normaliser of the holonomy group in GL_n(Z).  What D does to the holonomy
-group is its permutation sigma (:func:`conjugation_permutation`, defined in
-:mod:`crysturn.groups`).  This module provides:
-
-* the solver that, given D and sigma, finds a translation d making
-  conjugation by (d, D) an automorphism (or reports that none exists),
-* the one check that conjugation by (d, D) keeps the group, shared by
-  :class:`Automorphism` and :func:`~crysturn.reidemeister.reidemeister_set`
-  (once per linear part),
-* the finite set of base translations through which every automorphism
-  acting trivially on Z^n factors, up to inner automorphisms, and the
-  integer vectors (I - A).b by which they move image translations,
-* a validated :class:`Automorphism` value, the input of
-  :func:`~crysturn.reidemeister.reidemeister_number`.
-
-The translation solve and the base translations stack one block per
-holonomy generator (:attr:`~crysturn.groups.CrystGroup.generator_indices`),
-k.n rows for k generators instead of n.|F|.  That is exact: conjugation by
-(d, D) keeps Z^n, so once it maps each generator (a_i, A_i) into the group
-it maps the whole group into it, and the image, which contains Z^n and maps
-onto D.F.D^-1 = F, is the group.  For D = I this says that the A with
-(I - A).d in Z^n form a subgroup of F: (I - A.B).d = (I - A).d + A.(I - B).d.
-The validation still checks every representative.
-
-Fractions only in and out: translations are Fractions in the arguments
-and results of the public functions, and every kernel runs on integer
-numerators over one denominator (g, the group's
-:attr:`~crysturn.groups.CrystGroup.denominator`, for its translations; a
-multiple of g for a translation part; the lcm of the invariant factors for
-the base translations).  An :class:`Automorphism` scales its translation
-once.
+is conjugation by an affine map (d, D), D in the normaliser of the holonomy
+group in GL_n(Z), which D permutes by sigma
+(:func:`~crysturn.groups.conjugation_permutation`).  This module owns the
+translation solve for a given D (:func:`find_translation_part`), the one
+check that conjugation by (d, D) keeps the group
+(:func:`_translation_images`), the base translations and the offsets they
+move image translations by (:func:`base_translations`,
+:func:`_base_offsets`) and the validated :class:`Automorphism`.
 """
 
 from __future__ import annotations
@@ -55,7 +31,13 @@ def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]
 
     One row block per holonomy generator i (``group.generator_indices``):
     I - A_sigma(i), with right-hand side block D.a_i - a_sigma(i), scaled by
-    the group's common denominator g to ints.
+    the group's common denominator g to ints; k.n rows for k generators
+    instead of n.|F|.  That is exact: conjugation by (d, D) keeps Z^n, so
+    once it maps each generator (a_i, A_i) into the group it maps the whole
+    group into it, and the image, which contains Z^n and maps onto
+    D.F.D^-1 = F, is the group.  For D = I this says that the A with
+    (I - A).d in Z^n form a subgroup of F: (I - A.B).d = (I - A).d +
+    A.(I - B).d.  :class:`Automorphism` still checks every representative.
     """
     ident = group.matrix_parts[0]  # the holonomy identity comes first
     scaled = group.scaled_translations
@@ -77,15 +59,14 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     """Find d such that conjugation by (d, linear) is an automorphism.
 
     Works through the Smith normal form of the system stacked over the
-    holonomy generators (k.n rows; the module docstring says why the
-    generators suffice): with P.M.Q = S and t = P.rhs, a solution exists
-    iff the rows of S that are zero see integral entries of t; the
-    canonical solution takes d'_i = -t_i / s_i on the nonzero rows and
-    d = Q.d'.  The elimination carries rhs and reads t and Q, never P.
-    Returns None when no valid translation exists.  The right-hand side is
-    scaled by g, so t is an integer vector, the test reads t_i % g and
-    d'_i = -t_i / (s_i g).  Raises ValueError unless ``linear`` is an
-    n x n matrix that normalises the holonomy group.
+    holonomy generators (see :func:`_stacked_system`): with P.M.Q = S and
+    t = P.rhs, a solution exists iff the rows of S that are zero see
+    integral entries of t; the canonical solution takes d'_i = -t_i / s_i
+    on the nonzero rows and d = Q.d'.  The elimination carries rhs and
+    reads t and Q, never P.  Returns None when no valid translation
+    exists.  The right-hand side is scaled by g, so t is an integer vector,
+    the test reads t_i % g and d'_i = -t_i / (s_i g).  Raises ValueError
+    unless ``linear`` is an n x n matrix that normalises the holonomy group.
     """
     n = group.dimension
     if linear.shape != (n, n):
@@ -121,11 +102,10 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     Every automorphism restricting to the identity on Z^n is inner composed
     with conjugation by (d, I) for exactly one d in this list.  Built from
     the Smith normal form of the I - A_i blocks of the holonomy generators
-    (a d that the generators' blocks map into Z^n is mapped there by every
-    block; see the module docstring), enumerating d'_i in
-    {0, 1/s_i, ..., (s_i - 1)/s_i} and mapping through Q.  Each entry is
-    reduced into [0, 1)^n, since (d + z, I) with z in Z^n differs from
-    (d, I) by an inner automorphism, and the list is sorted.  Entries may
+    (see :func:`_stacked_system`), enumerating d'_i in {0, 1/s_i, ...,
+    (s_i - 1)/s_i} and mapping through Q.  Each entry is reduced into
+    [0, 1)^n, since (d + z, I) with z in Z^n differs from (d, I) by an
+    inner automorphism, and the list is sorted.  Entries may
     induce equal Reidemeister numbers; no pruning is attempted.
     """
     den, bases = _base_numerators(group)
@@ -151,9 +131,8 @@ def _base_numerators(group: CrystGroup) -> tuple[int, list[tuple[int, ...]]]:
 
 def _base_offsets(group: CrystGroup) -> list[tuple[tuple[int, ...], ...]]:
     """For each of the :func:`base_translations` b, the integer vectors
-    (I - A).b (see the module docstring) in holonomy order: conjugation by
-    (d + b, D) moves the image translation of (a_C, C) under (d, D) by
-    (I - E).b, E = A_sigma(C)."""
+    (I - A).b in holonomy order: conjugation by (d + b, D) moves the image
+    translation of (a_C, C) under (d, D) by (I - E).b, E = A_sigma(C)."""
     den, bases = _base_numerators(group)
     offsets = []
     for b in bases:

@@ -55,12 +55,6 @@ class GroupFileError(ValueError):
     """A group document failed to parse or validate."""
 
 
-@dataclass(frozen=True)
-class ExpectedResults:
-    spectrum: Optional[str] = None
-    r_infinity: Optional[bool] = None
-
-
 def _parse_matrix(raw, dimension: int, what: str) -> IntMatrix:
     if (
         not isinstance(raw, list)
@@ -209,11 +203,9 @@ class CatalogEntry:
     _group: Optional[CrystGroup] = field(default=None, repr=False)
 
     @property
-    def expected(self) -> ExpectedResults:
-        exp = self.document.get("expected", {})
-        return ExpectedResults(
-            spectrum=exp.get("spectrum"), r_infinity=exp.get("r_infinity")
-        )
+    def expected(self) -> dict:
+        """The document's ``expected`` block, empty when it has none."""
+        return self.document.get("expected", {})
 
     def group(self) -> CrystGroup:
         if self._group is None:
@@ -285,8 +277,9 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
         return EntryReport(entry.name, False, (f"validation failed: {exc}",))
     details.append(f"|F| = {group.order}, Bieberbach: {group.is_bieberbach()}")
 
-    expected = entry.expected
-    if expected.r_infinity is None and expected.spectrum is None:
+    want_rinf = entry.expected.get("r_infinity")
+    want_spectrum = entry.expected.get("spectrum")
+    if want_rinf is None and want_spectrum is None:
         return EntryReport(entry.name, True, tuple(details))
     if group.normaliser_gens is None:
         details.append("no normaliser data: normalizer_generators missing, annotations unchecked")
@@ -299,17 +292,17 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
     # One word search serves both the witness and the spectrum samples.
     samples = [] if finite_normaliser else list(islice(_witness_cosets(group, _WORD_LENGTH), 3))
 
-    if expected.r_infinity is not None:
+    if want_rinf is not None:
         if finite_normaliser:
             holds = not computed.finite_values
-            if holds == expected.r_infinity:
+            if holds == want_rinf:
                 details.append(f"r_infinity: {holds} (decided)")
             else:
                 ok = False
                 details.append(
-                    f"r_infinity mismatch: computed {holds}, expected {expected.r_infinity}"
+                    f"r_infinity mismatch: computed {holds}, expected {want_rinf}"
                 )
-        elif expected.r_infinity is False:
+        elif want_rinf is False:
             if samples:
                 details.append("r_infinity: False (witness found by word search)")
             else:
@@ -319,8 +312,8 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
             ok = False
             details.append("cannot confirm r_infinity with an infinite normaliser")
 
-    if expected.spectrum is not None:
-        desc = parse_spectrum(expected.spectrum)
+    if want_spectrum is not None:
+        desc = parse_spectrum(want_spectrum)
         if finite_normaliser:
             if desc.is_finite() and set(computed.finite_values) == set(desc.finite):
                 details.append(f"spectrum: {{{', '.join(map(str, computed.finite_values))}}}")
@@ -328,7 +321,7 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
                 ok = False
                 details.append(
                     f"spectrum mismatch: computed {computed.finite_values}, "
-                    f"expected {expected.spectrum}"
+                    f"expected {want_spectrum}"
                 )
         else:
             if not samples:
@@ -344,7 +337,7 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
                         )
             if ok:
                 details.append(
-                    f"{len(samples)} sampled linear parts give values inside {expected.spectrum}"
+                    f"{len(samples)} sampled linear parts give values inside {want_spectrum}"
                 )
     return EntryReport(entry.name, ok, tuple(details))
 

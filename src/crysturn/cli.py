@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+_SHOWN = 80  # characters of an argument that a usage error repeats
+
+
+def _shown(text: str, quote: bool = True) -> str:
+    """An argument, or an error text that may repeat one, for a usage error:
+    whole up to 80 characters, else its first 80 and its length; quoted
+    unless ``quote`` is false."""
+    head = repr(text[:_SHOWN]) if quote else text[:_SHOWN]
+    return head if len(text) <= _SHOWN else f"{head}... ({len(text)} characters)"
+
+
 def _resolve_group(source: str) -> CrystGroup:
     try:
         is_file = Path(source).is_file()
@@ -67,7 +78,7 @@ def _resolve_group(source: str) -> CrystGroup:
     catalog = builtin_catalog()
     if source in catalog:
         return catalog.group(source)
-    raise CliUsageError(f"no such file or catalog entry: {source!r}")
+    raise CliUsageError(f"no such file or catalog entry: {_shown(source)}")
 
 
 def _positive_int(raw: str) -> int:
@@ -76,7 +87,7 @@ def _positive_int(raw: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {_shown(raw)}")
     return value
 
 
@@ -85,14 +96,14 @@ def _parse_matrix_arg(raw: str) -> IntMatrix:
         rows = json.loads(raw)
         return IntMatrix.from_rows(rows)
     except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
-        raise CliUsageError(f"cannot parse matrix {raw!r}: {exc}")
+        raise CliUsageError(f"cannot parse matrix {_shown(raw)}: {_shown(str(exc), quote=False)}")
 
 
 def _parse_vector_arg(raw: str):
     try:
         return vector(part.strip() for part in raw.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliUsageError(f"cannot parse vector {raw!r}: {exc}")
+        raise CliUsageError(f"cannot parse vector {_shown(raw)}: {_shown(str(exc), quote=False)}")
 
 
 _ABSENT = "absent"
@@ -258,13 +269,13 @@ def _cmd_catalog(args, meta: dict):
         return EXIT_OK, {"entries": names}, names
     if args.catalog_command == "show":
         if args.name not in catalog:
-            raise CliUsageError(f"no catalog entry named {args.name!r}")
+            raise CliUsageError(f"no catalog entry named {_shown(args.name)}")
         meta["group"] = args.name
         doc = catalog.entry(args.name).document
         return EXIT_OK, doc, [json.dumps(doc, ensure_ascii=False, indent=2)]
     # check
     if args.name is not None and args.name not in catalog:
-        raise CliUsageError(f"no catalog entry named {args.name!r}")
+        raise CliUsageError(f"no catalog entry named {_shown(args.name)}")
     names = [args.name] if args.name else None
     reports = check_catalog(catalog, names=names)
     passed = sum(r.passed for r in reports)

@@ -79,19 +79,6 @@ class SpectrumDescription:
     def is_finite(self) -> bool:
         return not self.scaled
 
-    def __str__(self) -> str:
-        parts = [f"{k if k != 1 else ''}N" for k in sorted(self.scaled)]
-        tail = sorted(self.finite)
-        braces = [str(x) for x in tail]
-        if self.includes_infinity:
-            braces.append("inf")
-        if braces:
-            parts.append("{" + ", ".join(braces) + "}")
-        body = " u ".join(parts) if parts else "{}"
-        if self.removed:
-            body += " \\ {" + ", ".join(str(x) for x in sorted(self.removed)) + "}"
-        return body
-
 
 _TERM_RE = re.compile(r"^(\d*)N$")
 

@@ -1,26 +1,13 @@
 """Affine model of crystallographic groups.
 
-A group element is an affine map ``(a, A): x -> A.x + a`` with an integer
-unimodular matrix part and a rational translation.  A crystallographic group
-of dimension n is its translation lattice Z^n (implicit) plus one canonical
-coset representative per holonomy matrix; :func:`build_group` proves the
-structure and makes the :class:`CrystGroup` record, whose docstring lists
-what it holds.
-
-Every closure in the package is one breadth-first walk over the cosets of
-a finite matrix group F (:func:`_coset_walk`).  Over F = {I} it closes the
-holonomy group in :func:`build_group` and the matrix groups of
-:func:`matrix_group_closure`; over the holonomy group it walks the
-normaliser one coset F.D at a time.  It either finishes, and the group is
-finite, or raises :class:`ClosureCapExceeded` on a certificate that it is
-infinite (see :func:`_certify_finite`); there is no arbitrary size limit.
-The supplied normaliser generators are checked once to normalise the
-holonomy group and otherwise trusted as input data (completeness of the
-normaliser cannot be certified from the group alone).
-
-Fractions only in and out: translations are Fractions in
-:class:`AffineMap`, the public value type, and every kernel carries them as
-integer numerators over one common denominator.
+A group element is an :class:`AffineMap` with an integer unimodular matrix
+part and a rational translation.  A crystallographic group is the lattice
+Z^n plus one representative per holonomy matrix: :func:`build_group`
+proves the structure and fills the :class:`CrystGroup` record, whose
+docstring lists its fields.  Every closure in the package is one
+breadth-first walk over the cosets of a finite matrix group
+(:func:`_coset_walk`); it stops on a certificate that the group is infinite
+(:func:`_certify_finite`), with no size limit.
 """
 
 from __future__ import annotations
@@ -41,9 +28,8 @@ class GroupValidationError(ValueError):
 
 
 class ClosureCapExceeded(RuntimeError):
-    """The closure walk met a certificate that the matrix group is infinite.
-    (The name dates from the fixed element cap; ``perfbench`` counts it by
-    name.)"""
+    """The closure walk met a certificate that the matrix group is infinite
+    (see :func:`_certify_finite`).  ``perfbench`` reads this name."""
 
 
 def _minkowski_bound(n: int) -> int:
@@ -163,19 +149,14 @@ class AffineMap:
 
 class PointGroup:
     """A finite matrix group, as :func:`matrix_group_closure` returns it:
-    distinct square matrices, identity first, indexed.  Nothing is checked
-    here."""
+    distinct square matrices, identity first.  Nothing is checked here."""
 
     def __init__(self, elements: Sequence[IntMatrix]):
         self.elements = tuple(elements)
-        self._index = {m: i for i, m in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, m: IntMatrix) -> bool:
-        return m in self._index
 
 
 def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
@@ -187,8 +168,7 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     :func:`_coset_walk` over F = {I}, one product per element and
     generator; no multiplication table is built.  Raises
     :class:`ClosureCapExceeded` as soon as a new element certifies that the
-    group is infinite: it has |trace| > n, or |trace| = n without being I or
-    -I, or the closure would outgrow every finite subgroup of GL_n(Z).
+    group is infinite (see :func:`_certify_finite`).
     """
     if not gens:
         raise ValueError("at least one generator is required")
@@ -230,6 +210,11 @@ class CrystGroup:
     * ``denominator``: the least common multiple g of the translations'
       denominators, and ``scaled_translations[i]``: g times the translation
       of ``f_ext[i]``, as ints.
+
+    Fractions only in and out: translations are Fractions in
+    :class:`AffineMap` and in the arguments and results of the public
+    functions, and every kernel carries them as integer numerators over g
+    or a multiple of it.
     """
 
     def __init__(

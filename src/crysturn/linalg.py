@@ -1,24 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
-Small dense matrices with arbitrary-precision integer entries, rational
-vectors built on :class:`fractions.Fraction`, and Smith normal form.
-Everything here is a pure function on immutable values.
-
-No command calls :func:`rational_inverse`, :func:`rat_apply`,
-:func:`mod2_solution_count` or :func:`coset_representatives`.  The first
-two serve ``scripts/gen_catalog_data.py``; ``perfbench`` traces
-:func:`rational_inverse` and :func:`coset_representatives`, and
-:func:`mod2_solution_count` serves the closed formula that checks its
-``reidnr-large-det`` workload.
-
-The hot kernels stay in plain ints.  Products, sums, negations, stacks,
-Smith transforms and inverses of valid matrices are built without
-re-validating their entries, and :meth:`IntMatrix.int_inverse` is integer
-row reduction.  A product combines rows (:meth:`IntMatrix.__matmul__`), so
-the sparse holonomy and normaliser matrices cost few multiplications.
-Translations run through the integer kernels as numerators over one
-common denominator (see :mod:`crysturn.groups`); Fractions are the value
-type at the boundary only.
+Immutable integer matrices (:class:`IntMatrix`; a product combines rows,
+see :meth:`IntMatrix.__matmul__`, and results of integer operations skip
+re-validation, see :meth:`IntMatrix._unchecked`), exact rational vectors,
+determinants (:func:`_bareiss`), integer inverses
+(:meth:`IntMatrix.int_inverse`) and the Smith normal form, whose transforms
+are carried only onto what the caller reads (:func:`smith_normal_form`).
+``BENCHMARK_ONLY`` in ``tests/test_benchmark_names.py`` lists the functions
+here that only scripts and the benchmark call.
 """
 
 from __future__ import annotations
@@ -97,10 +86,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(((0,) * ncols,) * nrows)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -280,30 +265,20 @@ def rat_apply(rows: Sequence[Sequence[Fraction]], v: Sequence[Scalar]) -> Vec:
 class SnfDecomposition:
     """Smith normal form data.
 
-    ``s`` is diagonal with nonnegative entries and each diagonal entry
-    divides the next.  With the default transforms ``p`` and ``q`` are
-    unimodular and p @ matrix @ q == s exactly; :func:`smith_normal_form`
-    says what they hold when the caller carries its own.
+    The ``invariant_factors`` are positive and each divides the next.  With
+    the default transforms ``p`` and ``q`` are unimodular and p @ matrix @ q
+    has the invariant factors down its diagonal and zeros elsewhere;
+    :func:`smith_normal_form` says what they hold when the caller carries
+    its own.
     """
 
     p: Optional[IntMatrix]
     q: Optional[IntMatrix]
     invariant_factors: tuple[int, ...]
-    shape: tuple[int, int]
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    @property
-    def s(self) -> IntMatrix:
-        """diag(invariant factors), padded with zeros to ``shape``: the
-        elimination leaves nothing else, so S is built only on request."""
-        nrows, ncols = self.shape
-        diag = self.invariant_factors + (0,) * nrows
-        return IntMatrix._unchecked(
-            tuple(tuple(diag[i] if i == j else 0 for j in range(ncols)) for i in range(nrows))
-        )
 
 
 def smith_normal_form(
@@ -395,7 +370,6 @@ def smith_normal_form(
         p=wrap(row[ncols:] for row in a[:nrows]),
         q=wrap(a[nrows:]),
         invariant_factors=tuple(a[i][i] for i in range(t)),
-        shape=(nrows, ncols),
     )
 
 

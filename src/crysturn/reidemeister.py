@@ -1,42 +1,14 @@
 """Reidemeister numbers and spectra of crystallographic groups.
 
-The Reidemeister number of an automorphism counts its twisted conjugacy
-classes; it is a positive integer or infinity.  Infinity is represented by
-``math.inf`` so counts sort and compare naturally; all finite values stay
-exact ints.
-
-A determinant test decides infinitude outright, reading det(I - A.D) off
-the rows of each product A.D without forming I - A.D; otherwise Burnside's
-lemma counts the orbits of the holonomy group F on the lattice classes,
-one fixing pair (component A, element C) at a time (see
-:func:`_fixing_pairs`): the identity fixes |det(I - A.D)| points of A, a
-pair with |det(I - A.D)| = 1 fixes one, and only the other pairs need a
-Smith normal form, the only place the rows [C - I | I - A.D] are formed.
-All of that and D's permutation sigma of F
-(:func:`conjugation_permutation`) depend on the linear part D alone, and
-so do the image translations of its translation part d, over one common
-denominator: the other translations swept, d + b over the base
-translations b, shift them by integer vectors (I - E).b that depend on the
-group alone.  So a Reidemeister set redoes, per translation, only the few
-live pairs, on integers.  A set with no live pair is the one value
-constant / |F| whatever the translation, so it reads no base translation;
-a spectrum or a catalog check makes them at most once, when a live pair
-first reads them (:func:`_offsets_on_demand`).
-
-A spectrum is the union of the Reidemeister sets over a finite normaliser
-N.  Inner automorphisms turn D into A.D without changing R, so one linear
-part per coset F.D suffices, and only the cosets that pass the
-determinant test need a translation solve: the others add at most
-infinity, which the identity already gives.  The spectrum, the R-infinity
-decision and the word search walk the cosets breadth first with the
-package's one closure (:func:`~crysturn.groups._coset_walk`), forming
-each coset's |F| products once.  sigma is a homomorphism (sigma of G.C
-is sigma_G after sigma_C), so each coset's sigma is composed from its
-letter's at |F| lookups, and the letters' sigma are the ones
-:func:`~crysturn.groups.build_group` kept when it checked that the
-generators normalise (an inverse letter's is the inverse permutation):
-no walk conjugates F.  The public entry points still conjugate by every
-matrix a caller supplies, which also checks that it normalises.
+A Reidemeister number is a positive int or ``INFINITE`` (``math.inf``), so
+counts sort and compare naturally.  :func:`reidemeister_number` counts one
+automorphism: a determinant test (:func:`_twisted_blocks`), then Burnside's
+lemma, split into what the linear part D alone decides
+(:func:`_fixing_pairs`) and what the translation part does
+(:func:`_burnside_count`).  :func:`reidemeister_set` sweeps the translations
+of one D (:func:`_linear_part_set`); :func:`spectrum`,
+:func:`decide_r_infinity` and :func:`witness_words` walk the cosets F.D of
+the normaliser (:func:`_normaliser_cosets`, :func:`_with_sigmas`).
 """
 
 from __future__ import annotations
@@ -340,10 +312,6 @@ class RinfVerdict:
     witness: Optional[IntMatrix] = None
     normaliser_order: Optional[int] = None
 
-    @property
-    def decided(self) -> bool:
-        return self.status in (RinfStatus.HOLDS, RinfStatus.FAILS)
-
 
 def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     """Decide whether every automorphism has infinite Reidemeister number.
@@ -381,8 +349,9 @@ def _with_sigmas(
 ) -> Iterator[Coset]:
     """The new cosets of a :func:`_coset_walk`, lazily, with sigma:
     ``letter_sigmas[k]`` is the sigma of the walk's letter k (see
-    :func:`_normaliser_letters`), and a coset's sigma is its letter's after
-    its parent's, at |F| lookups; nothing is conjugated."""
+    :func:`_normaliser_letters`), and sigma is a homomorphism, so a coset's
+    sigma is its letter's after its parent's, at |F| lookups; nothing is
+    conjugated."""
     sigmas = [tuple(range(group.order))]
     for x, k, _, _, products in walk:
         if products:
@@ -479,7 +448,8 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     """Union of Reidemeister sets over the normaliser.
 
     One Reidemeister set per coset F.D of the normaliser (see
-    :func:`_normaliser_cosets`) covers every element.  The determinant test
+    :func:`_normaliser_cosets`) covers every element: inner automorphisms
+    turn D into A.D without changing R.  The determinant test
     runs first, on the coset's products A.D: a coset that fails it adds
     {infinity} or nothing, and infinity is always in the spectrum (F, with
     d = 0, attains it).  Only the cosets that pass are solved and counted,

@@ -23,6 +23,7 @@ from crysturn.linalg import (
     mod2_solution_count,
     rat_apply,
     rational_inverse,
+    SnfDecomposition,
     smith_normal_form,
     vec_add,
 )
@@ -141,6 +142,16 @@ def naive_matmul(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
             row.append(total)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def smith_diagonal(snf: SnfDecomposition, m: IntMatrix) -> IntMatrix:
+    """S of the Smith normal form ``snf`` of ``m``: the invariant factors on
+    the diagonal, padded with zeros to the shape of ``m``."""
+    assert snf.rank <= min(m.nrows, m.ncols), "more invariant factors than the diagonal holds"
+    diag = snf.invariant_factors + (0,) * m.nrows
+    return IntMatrix.from_rows(
+        [[diag[i] if i == j else 0 for j in range(m.ncols)] for i in range(m.nrows)]
+    )
 
 
 def naive_apply(a: IntMatrix, v) -> tuple:

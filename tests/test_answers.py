@@ -1,7 +1,7 @@
 """The command-line answers for the built-in catalog, against a checked-in dump.
 
 ``scripts/answers.py`` runs every query subcommand on every catalog entry
-(692 runs) and dumps each run's exit code, standard output and standard
+(696 runs) and dumps each run's exit code, standard output and standard
 error; ``tests/data/cli_answers.jsonl`` is that dump.  A change that is
 meant to keep every answer must keep the dump byte for byte.  When an
 answer changes on purpose, regenerate the file with

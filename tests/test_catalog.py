@@ -230,8 +230,13 @@ class TestAnswersScript:
         )
         assert proc.returncode == 0 and proc.stderr == ""
         lines = [json.loads(line) for line in proc.stdout.splitlines()]
-        # 10 group commands, then find-d and reidnr on k generators and k^2 products
-        assert len(lines) == (10 + 2 * (3 + 9)) + (10 + 2 * (2 + 4))
+        # 10 group commands, then find-d and reidnr on k generators and k^2 products;
+        # last catalog list and a catalog check of each entry, in text and JSON
+        assert len(lines) == (10 + 2 * (3 + 9)) + (10 + 2 * (2 + 4)) + 2 * (1 + 2)
+        assert [x["argv"] for x in lines[-2:]] == [
+            ["catalog", "check", "klein-bottle"], ["--json", "catalog", "check", "klein-bottle"],
+        ]
+        assert all(x["exit"] == 0 for x in lines[-6:])
         assert lines[0] == {
             "argv": ["validate", "3/3/1/1/1"], "exit": 0, "stderr": "",
             "stdout": "valid group: 3/3/1/1/1\ndimension 3, holonomy order 4, Bieberbach: False\n",

@@ -430,6 +430,23 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "\x00" not in err and "'a\\x00b'" in err
 
+    LONG = "x" * 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ["reidnr", "2/1/2/1/1", "--D", "[[" + LONG, "--d", "0,0"],
+        ["reidnr", "2/1/2/1/1", "--D", "[[1,0],[0,1]]", "--d", LONG],
+        ["find-d", "2/1/2/1/1", "--D", LONG],
+        ["rinf", "2/1/2/1/1", "--search-words", LONG],
+        ["validate", LONG],
+        ["catalog", "show", LONG],
+        ["catalog", "check", LONG],
+    ], ids=["reidnr-D", "reidnr-d", "find-d-D", "rinf-search-words", "validate",
+            "catalog-show", "catalog-check"])
+    def test_long_argument_is_not_echoed_whole(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert len(err.encode()) < 1024 and "characters)" in err
+
     @settings(max_examples=200, deadline=None)
     @given(
         command=st.sampled_from(["validate", "rinf", "spectrum", "delta-base"]),
