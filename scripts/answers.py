@@ -57,7 +57,7 @@ def entry_invocations(catalog, name: str) -> list[list[str]]:
         matrix = json.dumps([list(row) for row in linear.rows])
         d = find_translation_part(group, linear) or (0,) * group.dimension
         runs.append(["find-d", name, "--D", matrix])
-        runs.append(["reidnr", name, "--D", matrix, "--d", ",".join(map(str, d))])
+        runs.append(["reidnr", name, "--D", matrix, "--d=" + ",".join(map(str, d))])
     return runs
 
 

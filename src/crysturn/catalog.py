@@ -76,6 +76,11 @@ def parse_group_document(text: str) -> CrystGroup:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise GroupFileError(f"not valid JSON: {exc}") from exc
+    return _document_group(doc)
+
+
+def _document_group(doc) -> CrystGroup:
+    """Validate a parsed group document and build its group."""
     if not isinstance(doc, dict):
         raise GroupFileError("document root must be an object")
     unknown = set(doc) - _ALLOWED_KEYS
@@ -117,7 +122,7 @@ def parse_group_document(text: str) -> CrystGroup:
         )
     if non_canonical:
         warnings.warn(
-            "translations were not in [0,1) and have been canonicalized", stacklevel=2
+            "translations were not in [0,1) and have been canonicalized", stacklevel=3
         )
 
     normaliser = None
@@ -209,7 +214,7 @@ class CatalogEntry:
 
     def group(self) -> CrystGroup:
         if self._group is None:
-            self._group = parse_group_document(json.dumps(self.document))
+            self._group = _document_group(self.document)
         return self._group
 
 

@@ -193,8 +193,9 @@ class CrystGroup:
 
     * ``f_ext``: one affine representative per holonomy matrix, identity
       first, translations in [0, 1)^n; ``order`` is its length.
-    * ``matrix_parts``: their matrices, in that order, and ``index`` maps
-      each one to its position, the holonomy index.
+    * ``matrix_parts``: their matrices, in that order; a matrix's position
+      is its holonomy index, and no map back is kept
+      (:func:`_conjugation` needs none).
     * ``mult_table``: products of holonomy elements by index; row j is left
       multiplication by A_j.
     * ``generator_indices``: the holonomy indices of representatives that,
@@ -203,10 +204,10 @@ class CrystGroup:
     * ``normaliser_letters``: for each supplied generator D of the
       normaliser of the holonomy group in GL_n(Z), in the supplied order,
       (D, D^-1, sigma_D) with sigma_D its :func:`conjugation_permutation`;
-      the normaliser walks read them and conjugate nothing.  ``None`` means
-      no normaliser data, ``()`` the trivial normaliser {I}.  The
-      generators are input data: spectra and R-infinity verdicts are
-      always relative to them.  ``normaliser_gens`` reads the D back.
+      the normaliser walks read them and neither conjugate nor invert.
+      ``None`` means no normaliser data, ``()`` the trivial normaliser
+      {I}.  The generators are input data: spectra and R-infinity verdicts
+      are always relative to them.  ``normaliser_gens`` reads the D back.
     * ``denominator``: the least common multiple g of the translations'
       denominators, and ``scaled_translations[i]``: g times the translation
       of ``f_ext[i]``, as ints.
@@ -230,7 +231,6 @@ class CrystGroup:
         self.dimension = dimension
         self.f_ext = tuple(f_ext)
         self.matrix_parts = tuple(g.linear for g in self.f_ext)
-        self.index = {m: i for i, m in enumerate(self.matrix_parts)}
         self.mult_table = tuple(mult_table)
         self.generator_indices = tuple(generator_indices)
         self.normaliser_letters = None if normaliser_letters is None else tuple(normaliser_letters)
@@ -298,22 +298,25 @@ def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, 
     """The permutation of holonomy elements induced by A -> D.A.D^-1.
 
     Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
-    Raises ValueError unless the matrix is unimodular and normalises the
-    holonomy group; conjugation is injective, so sigma is then a bijection.
-    Each call inverts D and forms 2|F| products.  The public entry points
+    Raises ValueError unless the matrix is unimodular, tested first by its
+    determinant, and normalises the holonomy group (see
+    :func:`_conjugation`); nothing is inverted.  The public entry points
     that take a caller's matrix call it; the normaliser generators are
     conjugated once, in :func:`build_group`, which keeps their sigma
     (``CrystGroup.normaliser_letters``).
     """
-    return _conjugation(group.matrix_parts, group.index, linear, linear.int_inverse())
+    linear._check_unimodular()
+    return _conjugation(group.matrix_parts, linear)
 
 
-def _conjugation(
-    parts: Sequence[IntMatrix], index: Mapping[IntMatrix, int], linear: IntMatrix, inv: IntMatrix
-) -> tuple[int, ...]:
-    """:func:`conjugation_permutation` of D over the holonomy matrices
-    ``parts``, ``index`` their positions, with D's inverse ``inv`` given."""
-    images = tuple(index.get(linear @ a @ inv) for a in parts)
+def _conjugation(parts: Sequence[IntMatrix], linear: IntMatrix) -> tuple[int, ...]:
+    """:func:`conjugation_permutation` of a unimodular D over the holonomy
+    matrices ``parts``, with no inverse: sigma(i) = j says D.A_i = A_j.D, so
+    each D.A_i is looked up among the A_j.D, at 2|F| products.  That needs
+    D invertible: 2.I commutes with every A and would pass, so the caller
+    tests the determinant first."""
+    index = {a @ linear: j for j, a in enumerate(parts)}
+    images = tuple(index.get(linear @ a) for a in parts)
     if None in images:
         raise ValueError(f"matrix does not normalise the holonomy group: {linear}")
     return images
@@ -343,10 +346,11 @@ def build_group(
     every other row is a generator's row after an earlier one
     (A_y = G.A_x), at |F| lookups.  Each normaliser generator D, the one
     other outside input, must be a unimodular n x n matrix that normalises
-    the holonomy group: it is inverted once and conjugates the holonomy
-    group once, before the group is made, and the group keeps D, D^-1 and
-    the permutation sigma_D (``normaliser_letters``), so no later walk
-    repeats either.  Raises :class:`ClosureCapExceeded` when the
+    the holonomy group: before the group is made it is inverted once, for
+    the word search's inverse letter, and conjugates the holonomy group
+    once (:func:`_conjugation`), and the group keeps D, D^-1 and the
+    permutation sigma_D (``normaliser_letters``), so no later walk repeats
+    either.  Raises :class:`ClosureCapExceeded` when the
     matrix parts generate an infinite group.
     """
     for g in generators:
@@ -386,14 +390,12 @@ def build_group(
 
     kept = None
     if normaliser_gens is not None:
-        index = {m: i for i, m in enumerate(linears)}
         kept = []
         for d in normaliser_gens:
             if not d.is_unimodular() or d.nrows != dimension:
                 raise GroupValidationError("normaliser generator is not unimodular n x n")
-            inv = d.int_inverse()
             try:
-                kept.append((d, inv, _conjugation(linears, index, d, inv)))
+                kept.append((d, d.int_inverse(), _conjugation(linears, d)))
             except ValueError:
                 raise GroupValidationError(
                     f"supplied matrix does not normalise the holonomy group: {d}"

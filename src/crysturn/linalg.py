@@ -3,9 +3,10 @@
 Immutable integer matrices (:class:`IntMatrix`; a product combines rows,
 see :meth:`IntMatrix.__matmul__`, and results of integer operations skip
 re-validation, see :meth:`IntMatrix._unchecked`), exact rational vectors,
-determinants (:func:`_bareiss`), integer inverses
-(:meth:`IntMatrix.int_inverse`) and the Smith normal form, whose transforms
-are carried only onto what the caller reads (:func:`smith_normal_form`).
+determinants (:func:`_bareiss`) and the Smith normal form, which does
+every other integer solve, the inverse (:meth:`IntMatrix.int_inverse`)
+included, and whose transforms are carried only onto what the caller reads
+(:func:`smith_normal_form`).
 ``BENCHMARK_ONLY`` in ``tests/test_benchmark_names.py`` lists the functions
 here that only scripts and the benchmark call.
 """
@@ -166,37 +167,22 @@ class IntMatrix:
     def is_unimodular(self) -> bool:
         return self.is_square and self.det() in (1, -1)
 
+    def _check_unimodular(self) -> None:
+        """ValueError unless the matrix is square with determinant +-1."""
+        if not self.is_square:
+            raise ValueError("inverse requires a square matrix")
+        det = self.det()
+        if det not in (1, -1):
+            raise ValueError("matrix is singular" if det == 0 else "matrix is not unimodular")
+
     def int_inverse(self) -> "IntMatrix":
         """Inverse of a unimodular matrix, exact and integral; ValueError otherwise.
 
-        Integer Gauss-Jordan reduction of [M | I]: Euclid's algorithm on the
-        rows not yet used leaves one nonzero entry in the column, which must
-        be +-1 for M to be unimodular, and that row then clears the column.
+        Q.P from the Smith normal form P.M.Q = I (:func:`smith_normal_form`).
         """
-        if not self.is_square:
-            raise ValueError("inverse requires a square matrix")
-        n = self.nrows
-        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            rest = a[col:]
-            while True:
-                rest.sort(key=lambda row: abs(row[col]) or math.inf)
-                top = rest[0]
-                if not any(row[col] for row in rest[1:]):
-                    break
-                for row in rest[1:]:
-                    k = row[col] // top[col]
-                    row[:] = [x - k * y for x, y in zip(row, top)]
-            if abs(top[col]) != 1:
-                singular = self.det() == 0
-                raise ValueError("matrix is singular" if singular else "matrix is not unimodular")
-            a[col:] = rest
-            top[:] = [top[col] * x for x in top]
-            for row in a:
-                k = row[col]
-                if k and row is not top:
-                    row[:] = [x - k * y for x, y in zip(row, top)]
-        return IntMatrix._unchecked(tuple(tuple(row[n:]) for row in a))
+        self._check_unimodular()
+        snf = smith_normal_form(self)
+        return snf.q @ snf.p
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"

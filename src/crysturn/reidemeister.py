@@ -105,13 +105,22 @@ def _fixing_pairs(
 ) -> tuple[int, list[_LivePair]]:
     """The part of the Burnside count that depends on the linear part D alone.
 
+    When every I - A.D is nonsingular, twisting by lattice elements leaves
+    the finite set X = disjoint union over A of (a_A + Z^n) / (I - A.D)Z^n,
+    and the twisted classes are the orbits of the holonomy group F on X.
+    Burnside's lemma counts them as (1/|F|) times the fixed points summed
+    over C in F.  C maps component A to C.A.E^-1 with E = D.C.D^-1 =
+    A_sigma(C), so it fixes component A iff C.A = A.E, which the holonomy
+    multiplication table answers.  On a fixed component it sends a_A + z
+    to a_A + z + (C - I).z + c_{A,C}, so it fixes [Z^n : L] points there
+    when -c_{A,C} lies in L = (C - I)Z^n + (I - A.D)Z^n, and none
+    otherwise.
+
     ``sigma`` is D's permutation of the holonomy group and ``twisted`` is
     :func:`_twisted_blocks` of D, the products A.D with |det(I - A.D)|.
-    C fixes component A iff C.A.E^-1 = A with E = D.C.D^-1 = A_sigma(C),
-    that is iff C.A = A.E, which the holonomy multiplication table
-    answers.  Returns a constant and the live pairs:
-    the fixed points of every swept translation are the constant plus the
-    weights of the live pairs it satisfies (see :func:`_burnside_count`).
+    Returns a constant and the live pairs: the fixed points of every
+    translation part are the constant plus the weights of the live pairs
+    it satisfies (see :func:`_burnside_count`).
 
     * C = I fixes every component, with offset 0 and L = (I - A.D)Z^n, so
       |det(I - A.D)| points each; these pairs are not visited.
@@ -218,19 +227,12 @@ def _burnside_count(
 def reidemeister_number(phi: Automorphism) -> ReidCount:
     """Twisted conjugacy class count of a validated automorphism.
 
-    Short-circuits to infinity when some I - A.D is singular.  Otherwise
-    twisting by lattice elements leaves the finite set of classes
-    X = disjoint union over A of (a_A + Z^n) / (I - A.D)Z^n, and the
-    twisted classes are the orbits of the holonomy group F on X.  Burnside's
-    lemma counts them as (1/|F|) times the fixed points summed over C in F.
-    C maps component A to C.A.E^-1 with E = D.C.D^-1, and on a fixed
-    component it sends a_A + z to a_A + z + (C - I).z + c_{A,C}.  So it fixes
-    [Z^n : L] points there when -c_{A,C} lies in
-    L = (C - I)Z^n + (I - A.D)Z^n, and none otherwise; :func:`_fixing_pairs`
-    decides that per pair at a cost that does not depend on the
-    determinants, and :func:`reidemeister_set` once for all its translations.
-    The image translations are the ones the :class:`Automorphism` validated
-    (``phi.images``); they are not checked again.
+    Infinity when some I - A.D is singular (:func:`_twisted_blocks`);
+    otherwise Burnside's count over the holonomy group,
+    :func:`_fixing_pairs` for what D decides and :func:`_burnside_count`
+    for the translation part.  The image translations are the ones the
+    :class:`Automorphism` validated (``phi.images``); they are not checked
+    again.
     """
     group = phi.group
     twisted = _twisted_blocks(_products(group.matrix_parts, phi.linear))
@@ -243,12 +245,10 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     """All Reidemeister numbers of automorphisms with the given linear part.
 
     Empty when no valid translation exists, {infinity} when the determinant
-    test fires.  Otherwise the translation solution is swept through the
-    base-translation offsets, which exhaust the possible values, unless no
-    fixing pair is live: then the set is one value.  Everything that
-    depends on D alone is computed once (see :func:`_fixing_pairs` and
-    :func:`_linear_part_set`); per swept translation only the live pairs
-    are redone.
+    test fires, otherwise the finite values of :func:`_linear_part_set`:
+    the solved translation part plus each of the
+    :func:`~crysturn.automorphisms.base_translations`, which give every
+    automorphism with this linear part up to inner ones.
     """
     sigma = conjugation_permutation(group, linear)
     twisted = _twisted_blocks(_products(group.matrix_parts, linear))
@@ -272,12 +272,13 @@ def _linear_part_set(
     determinant test, with its permutation ``sigma``, its
     :func:`_twisted_blocks` ``twisted`` and a translation part ``d`` as
     (den, den.d) (see :func:`~crysturn.automorphisms._translation_part`):
-    every value is finite.  One denominator and one check of the image
-    translations, both for d, serve every swept d + b, whose images differ
-    from those of d by the integer vectors (I - E).b, read only by the live
-    pairs.  So without a live pair the count is constant / |F| for every
-    b, and the set is that one value, its divisibility still asserted;
-    only a live pair calls ``offsets`` (see :func:`_offsets_on_demand`)."""
+    every value is finite.  :func:`_fixing_pairs` runs once, and one check
+    of the image translations of d serves every swept d + b, whose images
+    differ from those of d by the integer vectors (I - E).b
+    (:func:`~crysturn.automorphisms._base_offsets`).  Only the live pairs
+    read them, so without one the set is a single
+    :func:`_burnside_count`, and only a live pair calls ``offsets`` (see
+    :func:`_offsets_on_demand`)."""
     constant, live = _fixing_pairs(group, sigma, twisted)
     den, images = _translation_images(group, sigma, linear, d)
     if not live:
@@ -452,10 +453,9 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     turn D into A.D without changing R.  The determinant test
     runs first, on the coset's products A.D: a coset that fails it adds
     {infinity} or nothing, and infinity is always in the spectrum (F, with
-    d = 0, attains it).  Only the cosets that pass are solved and counted,
-    reusing the coset's sigma and products A.D; the base offsets are made
-    at most once, for the first live pair.  Raises
-    :class:`NormaliserUnavailable` without input data and
+    d = 0, attains it).  Only the cosets that pass are solved and counted
+    (:func:`_linear_part_set`), all sharing one :func:`_offsets_on_demand`.
+    Raises :class:`NormaliserUnavailable` without input data and
     :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
     that the normaliser is infinite.
     """

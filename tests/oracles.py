@@ -123,7 +123,7 @@ def contains(group: CrystGroup, elem: AffineMap) -> bool:
     """Membership: matrix part in the holonomy group, offset integral."""
     if elem.dimension != group.dimension:
         raise ValueError("dimension mismatch")
-    if elem.linear not in group.index:
+    if elem.linear not in group.matrix_parts:
         return False
     return is_integral(vec_sub(elem.translation, representative(group, elem.linear).translation))
 

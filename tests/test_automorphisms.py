@@ -22,7 +22,7 @@ from crysturn.linalg import (
     vector,
     zero_vector,
 )
-from crysturn.reidemeister import reidemeister_number, reidemeister_set
+from crysturn.reidemeister import is_always_infinite, reidemeister_number, reidemeister_set
 from conftest import ROT3, SWAP2
 from oracles import (
     candidate_count,
@@ -117,6 +117,47 @@ class TestConjugationPermutation:
         sigma1 = conjugation_permutation(p3_group, d1)
         sigma2 = conjugation_permutation(p3_group, d2)
         assert lhs == tuple(sigma1[j] for j in sigma2)
+
+    @pytest.mark.parametrize(
+        "rows, message", [([[2, 0], [0, 2]], "not unimodular"), ([[1, 0], [0, 0]], "singular")]
+    )
+    def test_commuting_non_unimodular_rejected(self, point_reflection_2d, rows, message):
+        # both commute with -I, so D.A_i = A_i.D for every i: only the
+        # determinant test tells them from a normalising matrix
+        linear = IntMatrix.from_rows(rows)
+        entry_points = (
+            conjugation_permutation,
+            find_translation_part,
+            lambda group, linear: Automorphism(group, zero_vector(2), linear),
+            is_always_infinite,
+            reidemeister_set,
+        )
+        for call in entry_points:
+            with pytest.raises(ValueError, match=message):
+                call(point_reflection_2d, linear)
+
+    def test_matches_conjugation_by_the_inverse(self):
+        # sigma is read from D.A_i = A_j.D; here A_j = D.A_i.D^-1 is formed
+        # with the inverse, for every word of length <= 2 in the normaliser
+        # generators and their inverses
+        catalog = builtin_catalog()
+        finite = 0
+        for name in catalog.names():
+            group = catalog.group(name)
+            gens = list(group.normaliser_gens)
+            try:
+                matrix_group_closure(gens)
+            except ClosureCapExceeded:
+                continue
+            finite += 1
+            letters = [IntMatrix.identity(group.dimension), *gens, *(g.int_inverse() for g in gens)]
+            for linear in {a @ b for a in letters for b in letters}:
+                inv = linear.int_inverse()
+                expected = tuple(
+                    holonomy_index(group, linear @ a @ inv) for a in group.matrix_parts
+                )
+                assert conjugation_permutation(group, linear) == expected, (name, linear)
+        assert finite == 11
 
 
 class TestFindTranslationPart:

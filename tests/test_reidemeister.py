@@ -866,6 +866,19 @@ class TestSharedWork:
         assert reidemeister_number(phi) == 8
         assert conjugations == []
 
+    def test_entry_points_invert_nothing(self, monkeypatch):
+        # each of them inverted the caller's matrix once, to conjugate by it;
+        # sigma is now read from D.A_i = A_j.D
+        group = builtin_catalog().group("4/9/2/1/1")
+        d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        inverses = self.count_calls(monkeypatch, IntMatrix.int_inverse, (IntMatrix,))
+        assert conjugation_permutation(group, d_mat)
+        d = find_translation_part(group, d_mat)
+        assert reidemeister_number(Automorphism(group, d, d_mat)) == 8
+        assert not is_always_infinite(group, d_mat)
+        assert reidemeister_set(group, d_mat) == {8}
+        assert inverses == []
+
     def test_word_search_conjugates_and_inverts_nothing(self, monkeypatch):
         group = builtin_catalog().group("2/1/1/1/1")
         letters = set(group.normaliser_gens) | {g.int_inverse() for g in group.normaliser_gens}
