@@ -35,7 +35,6 @@ from .reidemeister import (
     reidemeister_set,
     search_r_infinity_witness,
     spectrum,
-    witness_words,
 )
 
 __version__ = "0.1.0"

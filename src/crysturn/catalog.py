@@ -74,7 +74,7 @@ def parse_group_document(text: str) -> CrystGroup:
     """Parse and validate a group document from JSON text."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, digit limit
         raise GroupFileError(f"not valid JSON: {exc}") from exc
     return _document_group(doc)
 
@@ -114,7 +114,10 @@ def _document_group(doc) -> CrystGroup:
                 raise GroupFileError(
                     f"generator {i}: translation entries must be exact rational strings, got {x!r}"
                 )
-            entries.append(Fraction(x))
+            try:
+                entries.append(Fraction(x))
+            except ValueError as exc:  # past the int <-> str digit limit
+                raise GroupFileError(f"generator {i}: {exc}") from exc
         if any(not (0 <= e < 1) for e in entries):
             non_canonical = True
         generators.append(

@@ -110,6 +110,11 @@ _ABSENT = "absent"
 _INFINITE_NORMALISER = "infinite"
 
 
+def _unwalked_size(exc: Exception) -> str:
+    """``meta.normaliser_size`` when the normaliser walk raised ``exc``."""
+    return _ABSENT if isinstance(exc, NormaliserUnavailable) else _INFINITE_NORMALISER
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing does not
@@ -162,10 +167,8 @@ def _cmd_validate(args, group: CrystGroup, meta: dict):
     if args.json:  # the closure only feeds meta, which text output never shows
         try:
             meta["normaliser_size"] = matrix_group_closure(_normaliser_letters(group)[0]).order
-        except NormaliserUnavailable:
-            meta["normaliser_size"] = _ABSENT
-        except ClosureCapExceeded:
-            meta["normaliser_size"] = _INFINITE_NORMALISER
+        except (NormaliserUnavailable, ClosureCapExceeded) as exc:
+            meta["normaliser_size"] = _unwalked_size(exc)
     result = {
         "valid": True,
         "dimension": group.dimension,
@@ -210,9 +213,7 @@ def _cmd_spectrum(args, group: CrystGroup, meta: dict):
     try:
         computed = spectrum(group)
     except (NormaliserUnavailable, ClosureCapExceeded) as exc:
-        meta["normaliser_size"] = (
-            _ABSENT if isinstance(exc, NormaliserUnavailable) else _INFINITE_NORMALISER
-        )
+        meta["normaliser_size"] = _unwalked_size(exc)
         return EXIT_UNDECIDED, {"spectrum": None, "status": str(exc)}, [f"undecided: {exc}"]
     meta["normaliser_size"] = computed.normaliser_order
     result = {
@@ -328,6 +329,10 @@ def _run(args, t0: float) -> int:
 def main(argv=None) -> int:
     t0 = time.perf_counter()
     parser = build_parser()
+    # exact inputs and answers are integers of any length: lift Python's
+    # default limit on int <-> str conversion (4300 digits) for this command
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _run(parser.parse_args(argv), t0)
     except CliUsageError as exc:
@@ -345,6 +350,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal assertion failures and bugs
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

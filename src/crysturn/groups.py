@@ -6,8 +6,8 @@ Z^n plus one representative per holonomy matrix: :func:`build_group`
 proves the structure and fills the :class:`CrystGroup` record, whose
 docstring lists its fields.  Every closure in the package is one
 breadth-first walk over the cosets of a finite matrix group
-(:func:`_coset_walk`); it stops on a certificate that the group is infinite
-(:func:`_certify_finite`), with no size limit.
+(:func:`_coset_walk`); a complete walk stops on a certificate that the
+group is infinite (:func:`_certify_finite`), with no size limit.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def _coset_walk(
     parts: Sequence[IntMatrix],
     letters: Sequence[IntMatrix],
     max_depth: float = math.inf,
-    bound: int = 0,
 ) -> Iterator[Step]:
     """Breadth-first walk over the cosets F.D that words in ``letters`` of
     length <= ``max_depth`` reach from coset 0, the finite group F =
@@ -92,10 +91,13 @@ def _coset_walk(
     products.  The leader is the coset's first element in the elements'
     breadth-first order: every element of g^-1.Z comes no earlier than its
     coset's leader.  Positive words suffice: a finite closure of invertible
-    matrices is a group, and an infinite group has no finite one.  A
-    positive ``bound`` certifies each leader and counts every product, all
-    in F.N, which is finite iff N is (see :func:`_certify_finite`).
+    matrices is a group, and an infinite group has no finite one.  A walk
+    with no depth limit is complete: it ends only if N is finite, so it
+    certifies each leader and counts every product, all in F.N, which is
+    finite iff N is (see :func:`_certify_finite`).  A depth-limited walk
+    ends anyway, as a search, and certifies nothing.
     """
+    bound = _order_bound(parts[0].nrows) if max_depth == math.inf else 0
     found = {m: (0, i) for i, m in enumerate(parts)}
     leaders, depths = [parts[0]], [0]
     for x, leader in enumerate(leaders):  # the list grows as the walk goes
@@ -180,7 +182,7 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
             raise ValueError("generators of mixed dimensions")
     gen_list = sorted(set(gens), key=lambda m: m.rows)
     ident = IntMatrix.identity(n)
-    walk = _coset_walk([ident], gen_list, bound=_order_bound(n))
+    walk = _coset_walk([ident], gen_list)
     return PointGroup([ident, *(new[0] for _, _, _, _, new in walk if new)])
 
 
@@ -366,7 +368,7 @@ def build_group(
     gen_rows: list[list[int]] = [[] for _ in seeds]  # gen_rows[k][x]: G_k.A_x
     tree = []  # (k, x) with A_y = G_k.A_x, for each new y in order
     letters = [g.linear for g in generators]
-    walk = _coset_walk([linears[0]], letters, bound=_order_bound(dimension))
+    walk = _coset_walk([linears[0]], letters)
     for x, k, y, _, new in walk:
         moved = letters[k].apply(translations[x])
         t = tuple((u + v) % den for u, v in zip(seeds[k], moved))

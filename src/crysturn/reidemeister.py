@@ -7,8 +7,8 @@ lemma, split into what the linear part D alone decides
 (:func:`_fixing_pairs`) and what the translation part does
 (:func:`_burnside_count`).  :func:`reidemeister_set` sweeps the translations
 of one D (:func:`_linear_part_set`); :func:`spectrum`,
-:func:`decide_r_infinity` and :func:`witness_words` walk the cosets F.D of
-the normaliser (:func:`_normaliser_cosets`, :func:`_with_sigmas`).
+:func:`decide_r_infinity` and :func:`search_r_infinity_witness` walk the
+cosets F.D of the normaliser (:func:`_normaliser_cosets`, :func:`_with_sigmas`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .groups import (
     CrystGroup,
     Step,
     _coset_walk,
-    _order_bound,
     _products,
     # perfbench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
     # checks that its tracer wraps this binding; nothing here calls it
@@ -324,6 +323,11 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     first passing element; it witnesses failure.  Undecided when the
     normaliser data is missing or the walk certifies that the normaliser is
     infinite.  A decided verdict carries the order of the normaliser.
+
+    The normaliser is the group the supplied generators make.  FAILS and
+    its witness are certified for any generators: the witness is the linear
+    part of an automorphism with finite R.  HOLDS is relative to them: a
+    generator that is left out can hide a witness.
     """
     try:
         cosets, order = _normaliser_cosets(group)
@@ -372,7 +376,7 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
     """
     letters, letter_sigmas = _normaliser_letters(group)
     mult = group.mult_table
-    walk = list(_coset_walk(group.matrix_parts, letters, bound=_order_bound(group.dimension)))
+    walk = list(_coset_walk(group.matrix_parts, letters))
     cosets = list(_with_sigmas(group, letter_sigmas, walk))
     sigmas = [tuple(range(group.order)), *(sigma for _, sigma, _ in cosets)]
     schreier = {sigmas[y].index(i) for _, _, y, i, _ in walk}
@@ -403,7 +407,7 @@ def _normaliser_letters(
     ``inverses``, sorted by rows, and each one's sigma, all as
     :func:`~crysturn.groups.build_group` kept them
     (``CrystGroup.normaliser_letters``).  An inverse's sigma is the inverse
-    permutation, at |F| steps.  An empty list of generators stands for the
+    permutation.  An empty list of generators stands for the
     trivial normaliser {I}, with the identity permutation; a group without
     normaliser data raises :class:`NormaliserUnavailable`."""
     kept = group.normaliser_letters
@@ -414,11 +418,7 @@ def _normaliser_letters(
         )
     sigmas = {d: sigma for d, _, sigma in kept}
     for _, inv, sigma in kept if inverses else ():
-        if inv not in sigmas:
-            inverse = [0] * len(sigma)
-            for i, s in enumerate(sigma):
-                inverse[s] = i
-            sigmas[inv] = tuple(inverse)
+        sigmas.setdefault(inv, tuple(sorted(range(len(sigma)), key=sigma.__getitem__)))
     if not sigmas:
         sigmas[IntMatrix.identity(group.dimension)] = tuple(range(group.order))
     letters = sorted(sigmas, key=lambda m: m.rows)
@@ -458,6 +458,10 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     Raises :class:`NormaliserUnavailable` without input data and
     :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
     that the normaliser is infinite.
+
+    Each finite value is attained by an automorphism, so it is certified
+    for any supplied normaliser generators; that the finite part is
+    complete holds only relative to them.
     """
     cosets, order = _normaliser_cosets(group)
     offsets = _offsets_on_demand(group)
@@ -472,20 +476,17 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     )
 
 
-def witness_words(group: CrystGroup, max_word_length: int) -> Iterator[IntMatrix]:
+def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing]:
     """Breadth-first words in the normaliser generators and their inverses.
 
-    Yields, in discovery order and up to the given length, the first word
-    of each coset F.D that admits a translation part and passes the
-    determinant test: one linear part per coset of automorphisms with
-    finite Reidemeister numbers.  F itself never passes: the identity has
-    R = infinity.
+    Yields lazily, in discovery order and up to the given length, the
+    :func:`_passing` tuple of the first word of each coset F.D that admits
+    a translation part and passes the determinant test: one linear part per
+    coset of automorphisms with finite Reidemeister numbers.  F itself
+    never passes: the identity has R = infinity.  The walk is
+    depth-limited, so it ends on an infinite normaliser and certifies
+    nothing.
     """
-    return (leader for leader, *_ in _witness_cosets(group, max_word_length))
-
-
-def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing]:
-    """:func:`_passing` over the cosets of :func:`witness_words`, lazily."""
     letters, letter_sigmas = _normaliser_letters(group, inverses=True)
     walk = _coset_walk(group.matrix_parts, letters, max_word_length)
     yield from _passing(group, _with_sigmas(group, letter_sigmas, walk))
@@ -494,8 +495,8 @@ def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing
 def search_r_infinity_witness(
     group: CrystGroup, max_word_length: int
 ) -> Optional[IntMatrix]:
-    """First word of :func:`witness_words`: a matrix disproving R-infinity.
+    """First word of :func:`_witness_cosets`: a matrix disproving R-infinity.
 
     ``None`` is inconclusive, not a proof that the property holds.
     """
-    return next(witness_words(group, max_word_length), None)
+    return next((leader for leader, *_ in _witness_cosets(group, max_word_length)), None)

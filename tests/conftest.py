@@ -1,5 +1,7 @@
 """Shared fixtures: small groups used across the test suite."""
 
+import sys
+
 import pytest
 
 from crysturn.groups import AffineMap, build_group
@@ -91,3 +93,12 @@ def g32121():
         -IntMatrix.identity(3),
     ]
     return build_group(3, [gen], normaliser_gens=gens, name="3/2/1/2/1")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4300-digit limit on int <-> str, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)

@@ -50,6 +50,17 @@ class TestLoadGroup:
         with pytest.raises(GroupFileError):
             parse_group_document("{not json")
 
+    @pytest.mark.parametrize("translation, matrix", [
+        ("1/1" + "0" * 5000, "-1"),
+        ("0", "1" + "0" * 5000),
+    ])
+    def test_integer_past_the_digit_limit_is_bad_data(
+        self, translation, matrix, default_digit_limit
+    ):
+        text = '{"dimension": 1, "generators": [{"translation": ["%s"], "matrix": [[%s]]}]}'
+        with pytest.raises(GroupFileError, match="4300 digits"):
+            parse_group_document(text % (translation, matrix))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(GroupFileError):
             parse_group_document('{"dimension": 1, "generators": [], "extra": 1}')

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from crysturn import cli
 from crysturn.catalog import dump_group, builtin_catalog
+from crysturn.closed_forms import reidemeister_point_reflection
 from crysturn.cli import (
     EXIT_BAD_DATA,
     EXIT_OK,
@@ -16,6 +18,7 @@ from crysturn.cli import (
     EXIT_USAGE,
     main,
 )
+from crysturn.linalg import IntMatrix
 from test_groups import count_matmul
 
 
@@ -336,6 +339,53 @@ class TestValidate:
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "rinf", "no/such/entry")
         assert code == EXIT_USAGE
+
+
+class TestLongIntegers:
+    """Exact inputs and answers past the 4300-digit default limit on
+    converting between int and str."""
+
+    @staticmethod
+    def write(tmp_path, matrix, translation="0"):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"dimension": 1, "generators": [{"translation": ["%s"], "matrix": [[%s]]}]}'
+            % (translation, matrix),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    def test_long_translation_is_read(self, capsys, tmp_path, default_digit_limit):
+        path = self.write(tmp_path, "-1", "1/1" + "0" * 5000)
+        code, out, _ = run(capsys, "validate", path)
+        assert code == EXIT_OK and "holonomy order 2" in out
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+    def test_long_matrix_entry_is_bad_data(self, capsys, tmp_path, default_digit_limit):
+        code, _, err = run(capsys, "validate", self.write(tmp_path, "1" + "0" * 5000))
+        assert code == EXIT_BAD_DATA and "not unimodular" in err
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+    def test_long_answer_is_printed(self, capsys, tmp_path, default_digit_limit):
+        # R = a^2 + 8 has 8597 digits on <Z^4, -I>
+        a = 10**4298
+        rows = [[0, -1, 0, 0], [1, a, 0, 0], [0, 0, 0, -1], [0, 0, 1, a]]
+        path = tmp_path / "reflection4.json"
+        minus_identity = [[-int(i == j) for j in range(4)] for i in range(4)]
+        path.write_text(
+            json.dumps({"dimension": 4, "generators": [
+                {"translation": ["0"] * 4, "matrix": minus_identity}
+            ]}),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "reidnr", str(path), "--D", json.dumps(rows),
+                           "--d", "0,0,0,0")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == default_digit_limit
+        sys.set_int_max_str_digits(0)
+        expected = reidemeister_point_reflection(4, (0,) * 4, IntMatrix.from_rows(rows))
+        assert expected == a * a + 8
+        assert out == f"R = {expected}\n"
 
 
 class TestTiming:

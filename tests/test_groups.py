@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crysturn.groups
 from crysturn.catalog import builtin_catalog, group_document, parse_group_document
 from crysturn.groups import (
     _MAX_FINITE_ORDER,
@@ -20,6 +21,7 @@ from crysturn.groups import (
     matrix_group_closure,
 )
 from crysturn.linalg import IntMatrix, vector, zero_vector
+from crysturn.reidemeister import _normaliser_letters
 from oracles import (
     compose,
     contains,
@@ -541,15 +543,26 @@ class TestFinitenessCertificate:
             matrix_group_closure([IntMatrix.from_rows(g)])
         assert len(calls) == products
 
-    def test_coset_walk_bound_counts_elements(self):
-        # 3/3/1/1/1's normaliser: 12 cosets of |F| = 4, 48 elements, so a
-        # bound of 48 lets the walk finish and 47 proves it infinite
+    def test_coset_walk_bound_counts_elements(self, monkeypatch):
+        # 3/3/1/1/1's normaliser: 12 cosets of |F| = 4, 48 elements, so the
+        # bound B(3) = 48 lets the complete walk finish and 47 proves it infinite
         group = builtin_catalog().group("3/3/1/1/1")
         letters = sorted(set(group.normaliser_gens), key=lambda m: m.rows)
-        walk = list(_coset_walk(group.matrix_parts, letters, bound=48))
+        walk = list(_coset_walk(group.matrix_parts, letters))
         assert sum(new is not None for *_, new in walk) == 11
+        monkeypatch.setattr(crysturn.groups, "_order_bound", lambda n: 47)
         with pytest.raises(ClosureCapExceeded, match="more than 47 elements"):
-            list(_coset_walk(group.matrix_parts, letters, bound=47))
+            list(_coset_walk(group.matrix_parts, letters))
+
+    def test_only_a_complete_walk_certifies(self):
+        # 2/1/1/1/1's normaliser is infinite: the complete walk proves it,
+        # and a depth-limited walk is a search that ends without a certificate
+        group = builtin_catalog().group("2/1/1/1/1")
+        letters = _normaliser_letters(group, inverses=True)[0]
+        with pytest.raises(ClosureCapExceeded, match="infinite"):
+            list(_coset_walk(group.matrix_parts, letters))
+        walk = list(_coset_walk(group.matrix_parts, letters, 3))
+        assert sum(new is not None for *_, new in walk) > len(letters)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_minus_identity_is_finite(self, n):

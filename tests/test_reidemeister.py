@@ -48,7 +48,6 @@ from crysturn.reidemeister import (
     _twisted_blocks,
     _witness_cosets,
     spectrum,
-    witness_words,
 )
 from conftest import ROT3, ROT6, SWAP2
 from test_groups import block_diagonal, count_fractions, count_matmul, product_generators
@@ -431,13 +430,13 @@ class TestWitnessSearch:
     def test_trivial_normaliser_has_no_word(self):
         # the empty generator list stands for {I}, whose one letter lands in F
         group = build_group(2, [AffineMap(zero_vector(2), ROT3)], normaliser_gens=[])
-        assert list(witness_words(group, 3)) == []
+        assert _passing_leaders(group, 3) == []
 
     def test_witness_is_first_shared_word(self):
         from crysturn.catalog import builtin_catalog
 
         g = builtin_catalog().group("2/1/1/1/1")
-        words = list(witness_words(g, 2))
+        words = _passing_leaders(g, 2)
         assert len(words) > 1
         assert search_r_infinity_witness(g, 2) == words[0]
 
@@ -570,6 +569,12 @@ class TestCosetWalk:
         assert reidemeister_set(group, d_mat) == reidemeister_set(group, conjugate)
 
 
+def _passing_leaders(group, max_word_length):
+    """The leaders of :func:`_witness_cosets`: the word search's first word
+    of each passing coset, in discovery order."""
+    return [leader for leader, *_ in _witness_cosets(group, max_word_length)]
+
+
 def _first_per_coset(group, matrices):
     """The matrices whose coset F.D no earlier matrix lies in, in order."""
     covered, first = set(), []
@@ -657,7 +662,7 @@ class TestSigmaComposition:
         for name in catalog.names():
             group = catalog.group(name)
             expected = _first_per_coset(group, naive_witness_words(group, 3))
-            assert list(witness_words(group, 3)) == expected, name
+            assert _passing_leaders(group, 3) == expected, name
 
     def test_word_search_carries_each_words_sigma(self):
         catalog = builtin_catalog()
@@ -788,7 +793,7 @@ class TestSharedWork:
             base_translations(group)
             for linear in group.normaliser_gens:
                 find_translation_part(group, linear)
-            list(witness_words(group, 2))
+            _passing_leaders(group, 2)
             assert rows and max(rows) <= group.dimension * len(group.generator_indices), name
             if name == "4/9/2/1/1":
                 assert max(rows) == 8
@@ -887,7 +892,7 @@ class TestSharedWork:
             ball |= {letter @ word for letter in letters for word in ball}
         conjugations = self.count_conjugations(monkeypatch)
         inverses = self.count_calls(monkeypatch, IntMatrix.int_inverse, (IntMatrix,))
-        words = list(witness_words(group, 3))
+        words = _passing_leaders(group, 3)
         assert words and len(ball) - 1 > len(letters)
         # every word gets its sigma by composition from the letters' sigma,
         # which build_group kept with each generator's inverse; an inverse
