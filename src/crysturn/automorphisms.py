@@ -14,13 +14,12 @@ move image translations by (:func:`base_translations`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _mixed_radix
 from typing import Optional
 
 from .groups import CrystGroup, conjugation_permutation
-from .linalg import IntMatrix, Vec, smith_normal_form, vector
+from .linalg import IntMatrix, Vec, _Record, smith_normal_form, vector
 
 Scaled = tuple[int, tuple[int, ...]]  # (den, den.d): a translation d over den
 Images = tuple[int, tuple[tuple[int, ...], ...]]  # (den, den times each image)
@@ -166,8 +165,7 @@ def _translation_images(
     return den, tuple(images)
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(_Record):
     """A validated automorphism gamma -> (d, D) gamma (d, D)^-1.
 
     Construction re-derives the defining property instead of trusting the
@@ -179,20 +177,14 @@ class Automorphism:
     validated, which the Reidemeister count reads.
     """
 
-    group: CrystGroup
-    translation: Vec
-    linear: IntMatrix
-    sigma: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    images: Images = field(init=False, compare=False, repr=False)
+    _fields = ("group", "translation", "linear")
+    __slots__ = (*_fields, "sigma", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "translation", vector(self.translation))
-        n = self.group.dimension
-        if len(self.translation) != n or self.linear.shape != (n, n):
+    def __init__(self, group: CrystGroup, translation: Vec, linear: IntMatrix):
+        translation = vector(translation)
+        n = group.dimension
+        if len(translation) != n or linear.shape != (n, n):
             raise ValueError("automorphism data does not match the group dimension")
-        sigma = conjugation_permutation(self.group, self.linear)
-        images = _translation_images(
-            self.group, sigma, self.linear, self.group.scale(self.translation)
-        )
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "images", images)
+        sigma = conjugation_permutation(group, linear)
+        images = _translation_images(group, sigma, linear, group.scale(translation))
+        self._set(group, translation, linear, sigma, images)

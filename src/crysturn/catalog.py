@@ -25,13 +25,11 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .closed_forms import parse_spectrum
 from .groups import (
@@ -41,7 +39,7 @@ from .groups import (
     GroupValidationError,
     build_group,
 )
-from .linalg import IntMatrix, vector
+from .linalg import IntMatrix, _Record, vector
 from .reidemeister import _linear_part_set, _offsets_on_demand, _witness_cosets, spectrum
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
@@ -74,8 +72,10 @@ def parse_group_document(text: str) -> CrystGroup:
     """Parse and validate a group document from JSON text."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, digit limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GroupFileError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the int <-> str digit limit
+        raise GroupFileError(f"integer too long: {exc}") from exc
     return _document_group(doc)
 
 
@@ -204,11 +204,11 @@ def save_group(group: CrystGroup, path: Union[str, Path]) -> None:
     Path(path).write_text(dump_group(group), encoding="utf-8")
 
 
-@dataclass
-class CatalogEntry:
-    name: str
-    document: dict
-    _group: Optional[CrystGroup] = field(default=None, repr=False)
+class CatalogEntry(_Record):
+    __slots__ = _fields = ("name", "document", "_group")
+
+    def __init__(self, name: str, document: dict, _group: Optional[CrystGroup] = None):
+        self._set(name, document, _group)
 
     @property
     def expected(self) -> dict:
@@ -217,7 +217,7 @@ class CatalogEntry:
 
     def group(self) -> CrystGroup:
         if self._group is None:
-            self._group = _document_group(self.document)
+            object.__setattr__(self, "_group", _document_group(self.document))
         return self._group
 
 
@@ -243,22 +243,19 @@ class Catalog:
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> Catalog:
-    """The built-in fixtures, loaded from the packaged data files."""
+    """The built-in fixtures, read from the ``data`` directory next to this
+    module; an install that keeps the package zipped is not supported."""
     entries: dict[str, CatalogEntry] = {}
-    data_root = resources.files("crysturn").joinpath("data")
-    for item in sorted(data_root.iterdir(), key=lambda p: p.name):
-        if not item.name.endswith(".json"):
-            continue
+    for item in sorted((Path(__file__).resolve().parent / "data").glob("*.json")):
         doc = json.loads(item.read_text(encoding="utf-8"))
-        name = doc.get("name") or item.name[: -len(".json")]
+        name = doc.get("name") or item.stem
         if name in entries:
             raise GroupFileError(f"duplicate catalog entry name {name!r}")
         entries[name] = CatalogEntry(name=name, document=doc)
     return Catalog(entries)
 
 
-@dataclass(frozen=True)
-class EntryReport:
+class EntryReport(NamedTuple):
     name: str
     passed: bool
     details: tuple[str, ...]

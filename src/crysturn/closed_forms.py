@@ -17,12 +17,11 @@ the ``perfbench`` workload ``reidnr-large-det``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .automorphisms import Automorphism
 from .groups import AffineMap, CrystGroup, build_group
-from .linalg import IntMatrix, Vec, mod2_solution_count, vector, zero_vector
+from .linalg import IntMatrix, Vec, _Record, mod2_solution_count, vector, zero_vector
 from .reidemeister import INFINITE, ReidCount
 
 
@@ -30,8 +29,7 @@ class SpectrumAlgebraError(ValueError):
     """The requested set is not representable in the component algebra."""
 
 
-@dataclass(frozen=True)
-class SpectrumDescription:
+class SpectrumDescription(_Record):
     """Symbolic set of naturals: finite set, union of kN's, finite removals.
 
     Membership: n is in the set iff (n is in ``finite`` or divisible by some
@@ -41,15 +39,18 @@ class SpectrumDescription:
     only where they bite.
     """
 
-    finite: frozenset[int] = frozenset()
-    scaled: frozenset[int] = frozenset()
-    removed: frozenset[int] = frozenset()
-    includes_infinity: bool = False
+    __slots__ = _fields = ("finite", "scaled", "removed", "includes_infinity")
 
-    def __post_init__(self):
-        finite = frozenset(int(x) for x in self.finite)
-        scaled = frozenset(int(x) for x in self.scaled)
-        removed = frozenset(int(x) for x in self.removed)
+    def __init__(
+        self,
+        finite: frozenset[int] = frozenset(),
+        scaled: frozenset[int] = frozenset(),
+        removed: frozenset[int] = frozenset(),
+        includes_infinity: bool = False,
+    ):
+        finite = frozenset(int(x) for x in finite)
+        scaled = frozenset(int(x) for x in scaled)
+        removed = frozenset(int(x) for x in removed)
         if any(x < 1 for x in finite | scaled | removed):
             raise ValueError("spectrum components must be positive naturals")
         scaled = frozenset(
@@ -62,11 +63,9 @@ class SpectrumDescription:
             f for f in finite if f not in removed and not any(f % k == 0 for k in scaled)
         )
         removed = frozenset(n for n in removed if any(n % k == 0 for k in scaled))
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "removed", removed)
-        if not finite and not scaled and not self.includes_infinity:
+        if not finite and not scaled and not includes_infinity:
             raise ValueError("a spectrum description is never empty")
+        self._set(finite, scaled, removed, includes_infinity)
 
     def contains(self, value: ReidCount) -> bool:
         if value == INFINITE:

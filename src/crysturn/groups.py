@@ -13,11 +13,10 @@ group is infinite (:func:`_certify_finite`), with no size limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .linalg import IntMatrix, Vec, smith_normal_form, vector, zero_vector
+from .linalg import IntMatrix, Vec, _Record, smith_normal_form, vector, zero_vector
 
 # Largest order of a finite subgroup of GL_n(Z), n = 1..8 (Feit; Plesken-Pohst)
 _MAX_FINITE_ORDER = (2, 12, 48, 1152, 3840, 103680, 2903040, 696729600)
@@ -124,17 +123,16 @@ def _scaled(v: Sequence[Fraction], den: int) -> tuple[int, ...]:
     return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Record):
     """An affine map (translation, linear): x -> linear.x + translation."""
 
-    translation: Vec
-    linear: IntMatrix
+    __slots__ = _fields = ("translation", "linear")
 
-    def __post_init__(self):
-        object.__setattr__(self, "translation", vector(self.translation))
-        if len(self.translation) != self.linear.nrows or not self.linear.is_square:
+    def __init__(self, translation: Vec, linear: IntMatrix):
+        translation = vector(translation)
+        if len(translation) != linear.nrows or not linear.is_square:
             raise ValueError("translation length must match the (square) linear part")
+        self._set(translation, linear)
 
     @classmethod
     def identity(cls, n: int) -> "AffineMap":

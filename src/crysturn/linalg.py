@@ -14,11 +14,10 @@ here that only scripts and the benchmark call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _mixed_radix
 from operator import add as _add, mul as _mul, neg as _neg
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vec = tuple[Fraction, ...]
@@ -54,14 +53,47 @@ def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Record:
+    """Base of the immutable value classes, written out so that importing crysturn
+    generates no code: ``__init__`` takes ``_fields`` and fills ``__slots__`` in order
+    (:meth:`_set`); equality (within a class), hash, repr and pickling read ``_fields``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class IntMatrix(_Record):
     """Dense integer matrix, row-major, immutable and hashable."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in self.rows)
+    def __init__(self, rows: Iterable[Iterable]):
+        rows = tuple(tuple(_as_int(x) for x in row) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
         width = len(rows[0])
@@ -69,12 +101,19 @@ class IntMatrix:
             raise ValueError("ragged rows in matrix")
         object.__setattr__(self, "rows", rows)
 
+    # Written out, not inherited: matrices are the dict keys of every walk.
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
     @classmethod
     def _unchecked(cls, rows) -> "IntMatrix":
         """Wrap rows that are already a nonempty rectangular tuple of int tuples.
 
         Only for the results of integer operations on valid matrices, which
-        cannot break the invariants :meth:`__post_init__` checks.
+        cannot break the invariants ``__init__`` checks.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
@@ -178,10 +217,12 @@ class IntMatrix:
     def int_inverse(self) -> "IntMatrix":
         """Inverse of a unimodular matrix, exact and integral; ValueError otherwise.
 
-        Q.P from the Smith normal form P.M.Q = I (:func:`smith_normal_form`).
+        Q.P from the Smith normal form P.M.Q = I (:func:`smith_normal_form`);
+        a determinant is taken only to name the fault of any other matrix.
         """
-        self._check_unimodular()
         snf = smith_normal_form(self)
+        if not self.is_square or snf.invariant_factors != (1,) * self.nrows:
+            self._check_unimodular()
         return snf.q @ snf.p
 
     def __str__(self) -> str:
@@ -247,8 +288,7 @@ def rat_apply(rows: Sequence[Sequence[Fraction]], v: Sequence[Scalar]) -> Vec:
     return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """Smith normal form data.
 
     The ``invariant_factors`` are positive and each divides the next.  With

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -38,7 +37,7 @@ from .groups import (
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
 )
-from .linalg import IntMatrix, _det_identity_minus, smith_normal_form
+from .linalg import IntMatrix, _det_identity_minus, _Record, smith_normal_form
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
@@ -306,8 +305,7 @@ class RinfStatus(Enum):
     UNDECIDED_NO_DATA = "undecided: no normaliser data"
 
 
-@dataclass(frozen=True)
-class RinfVerdict:
+class RinfVerdict(NamedTuple):
     status: RinfStatus
     witness: Optional[IntMatrix] = None
     normaliser_order: Optional[int] = None
@@ -425,8 +423,7 @@ def _normaliser_letters(
     return letters, [sigmas[d] for d in letters]
 
 
-@dataclass(frozen=True)
-class ComputedSpectrum:
+class ComputedSpectrum(_Record):
     """Spectrum of a group with finite normaliser closure.
 
     ``normaliser_complete`` echoes the input-trust caveat: the enumeration
@@ -435,14 +432,20 @@ class ComputedSpectrum:
     is the order of that closure.
     """
 
-    finite_values: tuple[int, ...]
-    contains_infinity: bool
-    normaliser_complete: bool
-    normaliser_order: Optional[int] = None
+    __slots__ = _fields = (
+        "finite_values", "contains_infinity", "normaliser_complete", "normaliser_order"
+    )
 
-    def __post_init__(self):
-        if not self.finite_values and not self.contains_infinity:
+    def __init__(
+        self,
+        finite_values: tuple[int, ...],
+        contains_infinity: bool,
+        normaliser_complete: bool,
+        normaliser_order: Optional[int] = None,
+    ):
+        if not finite_values and not contains_infinity:
             raise ValueError("a spectrum is never empty")
+        self._set(finite_values, contains_infinity, normaliser_complete, normaliser_order)
 
 
 def spectrum(group: CrystGroup) -> ComputedSpectrum:

@@ -58,8 +58,9 @@ class TestLoadGroup:
         self, translation, matrix, default_digit_limit
     ):
         text = '{"dimension": 1, "generators": [{"translation": ["%s"], "matrix": [[%s]]}]}'
-        with pytest.raises(GroupFileError, match="4300 digits"):
+        with pytest.raises(GroupFileError, match="4300 digits") as raised:
             parse_group_document(text % (translation, matrix))
+        assert "not valid JSON" not in str(raised.value)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(GroupFileError):

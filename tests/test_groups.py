@@ -205,12 +205,15 @@ class TestBuildGroup:
             build_group(2, gens)
 
     def test_normaliser_generator_checked(self):
-        with pytest.raises(GroupValidationError):
-            build_group(
-                2,
-                [AffineMap(zero_vector(2), R3)],
-                normaliser_gens=[IntMatrix.from_rows([[1, 1], [0, 1]])],
-            )
+        generators = [AffineMap(zero_vector(2), R3)]
+        not_unimodular = "^normaliser generator is not unimodular n x n$"
+        for rows in ([[2, 0], [0, 1]], [[0, 0], [0, 0]], [[-1]]):
+            with pytest.raises(GroupValidationError, match=not_unimodular):
+                build_group(2, generators, normaliser_gens=[IntMatrix.from_rows(rows)])
+        with pytest.raises(
+            GroupValidationError, match="^supplied matrix does not normalise the holonomy group"
+        ):
+            build_group(2, generators, normaliser_gens=[IntMatrix.from_rows([[1, 1], [0, 1]])])
 
     def test_normaliser_generators_kept_as_supplied(self):
         # in the supplied order, duplicates kept, and so written back
