@@ -42,9 +42,7 @@ def main() -> None:
         else:
             nf = str(computed.normaliser_order)
             rinf = "no" if computed.finite_values else "yes"
-            spec = "{" + ", ".join(map(str, computed.finite_values)) + "}"
-            if computed.contains_infinity:
-                spec += " + inf"
+            spec = "{" + ", ".join(map(str, computed.finite_values)) + "} + inf"
         tf = "*" if group.is_bieberbach() else ""
         print(f"{name:<14} {group.order:>4} {tf:>3} {nf:>8} {rinf:>7}  {spec}")
     print(f"\n{len(catalog.names())} entries in {time.perf_counter() - t0:.1f}s")

@@ -65,11 +65,9 @@ def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]
     reads t and Q, never P.  Returns None when no valid translation
     exists.  The right-hand side is scaled by g, so t is an integer vector,
     the test reads t_i % g and d'_i = -t_i / (s_i g).  Raises ValueError
-    unless ``linear`` is an n x n matrix that normalises the holonomy group.
+    unless ``linear`` is an n x n matrix that normalises the holonomy group
+    (see :func:`conjugation_permutation`).
     """
-    n = group.dimension
-    if linear.shape != (n, n):
-        raise ValueError("automorphism data does not match the group dimension")
     d = _translation_part(group, linear, conjugation_permutation(group, linear))
     return None if d is None else _rationals(*d)
 
@@ -182,8 +180,7 @@ class Automorphism(_Record):
 
     def __init__(self, group: CrystGroup, translation: Vec, linear: IntMatrix):
         translation = vector(translation)
-        n = group.dimension
-        if len(translation) != n or linear.shape != (n, n):
+        if len(translation) != group.dimension:
             raise ValueError("automorphism data does not match the group dimension")
         sigma = conjugation_permutation(group, linear)
         images = _translation_images(group, sigma, linear, group.scale(translation))

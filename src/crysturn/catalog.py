@@ -205,10 +205,11 @@ def save_group(group: CrystGroup, path: Union[str, Path]) -> None:
 
 
 class CatalogEntry(_Record):
-    __slots__ = _fields = ("name", "document", "_group")
+    _fields = ("name", "document")
+    __slots__ = (*_fields, "_group")  # group() builds it once; not compared
 
-    def __init__(self, name: str, document: dict, _group: Optional[CrystGroup] = None):
-        self._set(name, document, _group)
+    def __init__(self, name: str, document: dict):
+        self._set(name, document, None)
 
     @property
     def expected(self) -> dict:

@@ -56,9 +56,6 @@ class SpectrumDescription(_Record):
         scaled = frozenset(
             k for k in scaled if not any(o != k and k % o == 0 for o in scaled)
         )
-        removed = frozenset(
-            n for n in removed if n in finite or any(n % k == 0 for k in scaled)
-        )
         finite = frozenset(
             f for f in finite if f not in removed and not any(f % k == 0 for k in scaled)
         )
@@ -105,12 +102,12 @@ def parse_spectrum(text: str) -> SpectrumDescription:
     for raw_term in re.split(r"∪|\bu\b", body):
         term = raw_term.strip()
         if not term:
-            continue
+            raise ValueError(f"empty union term in {text!r}")
         if term.startswith("{") and term.endswith("}"):
             for item in term[1:-1].split(","):
                 item = item.strip()
                 if not item:
-                    continue
+                    raise ValueError(f"empty set item in {text!r}")
                 if item in ("∞", "inf", "infinity"):
                     infinity = True
                 else:

@@ -298,13 +298,15 @@ def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, 
     """The permutation of holonomy elements induced by A -> D.A.D^-1.
 
     Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
-    Raises ValueError unless the matrix is unimodular, tested first by its
-    determinant, and normalises the holonomy group (see
-    :func:`_conjugation`); nothing is inverted.  The public entry points
-    that take a caller's matrix call it; the normaliser generators are
-    conjugated once, in :func:`build_group`, which keeps their sigma
+    Raises ValueError unless the matrix is n x n, checked first, is
+    unimodular, tested by its determinant, and normalises the holonomy
+    group (see :func:`_conjugation`); nothing is inverted.  The public entry
+    points that take a caller's matrix call it; the normaliser generators
+    are conjugated once, in :func:`build_group`, which keeps their sigma
     (``CrystGroup.normaliser_letters``).
     """
+    if linear.shape != (group.dimension, group.dimension):
+        raise ValueError("automorphism data does not match the group dimension")
     linear._check_unimodular()
     return _conjugation(group.matrix_parts, linear)
 

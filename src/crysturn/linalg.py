@@ -43,13 +43,9 @@ def zero_vector(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
-def _check_same_length(u: Sequence, v: Sequence) -> None:
+def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     if len(u) != len(v):
         raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    _check_same_length(u, v)
     return tuple(a + b for a, b in zip(u, v))
 
 

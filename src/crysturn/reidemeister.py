@@ -426,26 +426,19 @@ def _normaliser_letters(
 class ComputedSpectrum(_Record):
     """Spectrum of a group with finite normaliser closure.
 
-    ``normaliser_complete`` echoes the input-trust caveat: the enumeration
-    covered every element generated by the *supplied* normaliser generators,
-    and the result is only as complete as that data.  ``normaliser_order``
-    is the order of that closure.
+    Infinity is always in a spectrum: the identity automorphism of an
+    infinite crystallographic group has infinitely many twisted classes.
+    The closure is the one generated by the *supplied* normaliser
+    generators, so the finite part is complete only relative to them;
+    ``normaliser_order`` is the order of that closure.
     """
 
-    __slots__ = _fields = (
-        "finite_values", "contains_infinity", "normaliser_complete", "normaliser_order"
-    )
+    __slots__ = _fields = ("finite_values", "normaliser_order")
+    contains_infinity = True
+    normaliser_complete = True
 
-    def __init__(
-        self,
-        finite_values: tuple[int, ...],
-        contains_infinity: bool,
-        normaliser_complete: bool,
-        normaliser_order: Optional[int] = None,
-    ):
-        if not finite_values and not contains_infinity:
-            raise ValueError("a spectrum is never empty")
-        self._set(finite_values, contains_infinity, normaliser_complete, normaliser_order)
+    def __init__(self, finite_values: tuple[int, ...], normaliser_order: Optional[int] = None):
+        self._set(finite_values, normaliser_order)
 
 
 def spectrum(group: CrystGroup) -> ComputedSpectrum:
@@ -471,12 +464,7 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     finite: set[int] = set()
     for passing in _passing(group, cosets):
         finite.update(_linear_part_set(group, *passing, offsets))
-    return ComputedSpectrum(
-        finite_values=tuple(sorted(finite)),
-        contains_infinity=True,
-        normaliser_complete=True,
-        normaliser_order=order,
-    )
+    return ComputedSpectrum(tuple(sorted(finite)), order)
 
 
 def _witness_cosets(group: CrystGroup, max_word_length: int) -> Iterator[Passing]:

@@ -441,12 +441,9 @@ def full_closure_spectrum(group: CrystGroup) -> ComputedSpectrum:
     """
     closure = element_closure(list(group.normaliser_gens))
     values = set().union(*(reidemeister_set(group, d_mat) for d_mat in closure.elements))
-    return ComputedSpectrum(
-        finite_values=tuple(sorted(v for v in values if v != INFINITE)),
-        contains_infinity=INFINITE in values,
-        normaliser_complete=True,
-        normaliser_order=closure.order,
-    )
+    assert INFINITE in values, "the identity has R = infinity"
+    values.discard(INFINITE)
+    return ComputedSpectrum(tuple(sorted(values)), closure.order)
 
 
 def pairwise_burnside_number(phi: Automorphism) -> ReidCount:

@@ -118,6 +118,15 @@ class TestConjugationPermutation:
         sigma2 = conjugation_permutation(p3_group, d2)
         assert lhs == tuple(sigma1[j] for j in sigma2)
 
+    # the public entry points that take a caller's linear part
+    ENTRY_POINTS = (
+        conjugation_permutation,
+        find_translation_part,
+        lambda group, linear: Automorphism(group, zero_vector(group.dimension), linear),
+        is_always_infinite,
+        reidemeister_set,
+    )
+
     @pytest.mark.parametrize(
         "rows, message", [([[2, 0], [0, 2]], "not unimodular"), ([[1, 0], [0, 0]], "singular")]
     )
@@ -125,16 +134,18 @@ class TestConjugationPermutation:
         # both commute with -I, so D.A_i = A_i.D for every i: only the
         # determinant test tells them from a normalising matrix
         linear = IntMatrix.from_rows(rows)
-        entry_points = (
-            conjugation_permutation,
-            find_translation_part,
-            lambda group, linear: Automorphism(group, zero_vector(2), linear),
-            is_always_infinite,
-            reidemeister_set,
-        )
-        for call in entry_points:
+        for call in self.ENTRY_POINTS:
             with pytest.raises(ValueError, match=message):
                 call(point_reflection_2d, linear)
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]])
+    def test_wrong_shape_rejected(self, rows):
+        # checked before any product or determinant, with the message the CLI shows
+        group = builtin_catalog().group("3/3/1/1/1")
+        message = "^automorphism data does not match the group dimension$"
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(ValueError, match=message):
+                call(group, IntMatrix.from_rows(rows))
 
     def test_matches_conjugation_by_the_inverse(self):
         # sigma is read from D.A_i = A_j.D; here A_j = D.A_i.D^-1 is formed

@@ -54,8 +54,8 @@ def test_traced_class_defines_its_own_init(module, name):
 
 
 def test_spectrum_fields_read_by_the_benchmark():
-    computed = ComputedSpectrum((4,), False, True)
-    assert (computed.contains_infinity, computed.normaliser_complete) == (False, True)
+    computed = ComputedSpectrum((4,), 8)
+    assert computed.contains_infinity is True and computed.normaliser_complete is True
 
 
 def _dotted(node):

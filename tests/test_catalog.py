@@ -10,6 +10,7 @@ import pytest
 
 import crysturn.reidemeister
 from crysturn.catalog import (
+    CatalogEntry,
     GroupFileError,
     builtin_catalog,
     check_entry,
@@ -87,7 +88,9 @@ class TestLoadGroup:
         [{"labels": {"bbnwz": 5}}, {"expected": {"r_infinity": "yes"}}, {"name": 5}]
         + [
             {"expected": {"spectrum": value}}
-            for value in (5, "{1,2", "0N", "{}", "N∖{x}", "2N ∖ 3")
+            for value in (
+                5, "{1,2", "0N", "{}", "N∖{x}", "2N ∖ 3", "2N ∪", "∪ 2N", "{1,,2}", "{1,}"
+            )
         ],
     )
     def test_malformed_field_rejected(self, field):
@@ -221,6 +224,68 @@ class TestCheckEntry:
         monkeypatch.setattr(crysturn.reidemeister, "_coset_walk", counted)
         assert check_entry(builtin_catalog().entry("3/3/1/1/1")).passed
         assert len(calls) == 1
+
+    OUTSIDE = "computed value 2 is outside the annotated spectrum"
+    INFINITE_NORMALISER = "cannot confirm r_infinity with an infinite normaliser"
+
+    @pytest.mark.parametrize(
+        "name, expected, details",
+        [
+            (
+                "3/3/1/1/1",
+                {"r_infinity": True, "spectrum": "{3}"},
+                (
+                    "|F| = 4, Bieberbach: False",
+                    "r_infinity mismatch: computed False, expected True",
+                    "spectrum mismatch: computed (2,), expected {3}",
+                ),
+            ),
+            (
+                "3/3/1/1/1",
+                {"spectrum": "2N"},
+                ("|F| = 4, Bieberbach: False", "spectrum mismatch: computed (2,), expected 2N"),
+            ),
+            (
+                "1/2/1/1/1",
+                {"r_infinity": False},
+                (
+                    "|F| = 2, Bieberbach: False",
+                    "r_infinity mismatch: computed True, expected False",
+                ),
+            ),
+            (
+                "2/1/2/1/1",
+                {"r_infinity": True},
+                ("|F| = 2, Bieberbach: False", INFINITE_NORMALISER),
+            ),
+            (
+                "2/1/2/1/1",
+                {"r_infinity": True, "spectrum": "2N ∪ {3}"},
+                ("|F| = 2, Bieberbach: False", INFINITE_NORMALISER),
+            ),
+            (
+                "2/1/2/1/1",
+                {"spectrum": "{1}"},
+                ("|F| = 2, Bieberbach: False", OUTSIDE, OUTSIDE, OUTSIDE),
+            ),
+            (
+                None,  # Z^2 with the shear as its only normaliser generator
+                {"r_infinity": False, "spectrum": "N"},
+                (
+                    "|F| = 1, Bieberbach: True",
+                    "no witness found; cannot confirm r_infinity: False",
+                    "no sample automorphisms found for spectrum membership check",
+                ),
+            ),
+        ],
+    )
+    def test_failure_details(self, name, expected, details):
+        if name is None:
+            doc = {"dimension": 2, "generators": [], "normalizer_generators": [[[1, 1], [0, 1]]]}
+        else:
+            doc = dict(builtin_catalog().entry(name).document)
+        report = check_entry(CatalogEntry("changed", dict(doc, expected=expected)))
+        assert report == ("changed", False, details)
 
     def test_missing_normaliser_data_fails(self):
         from crysturn.catalog import CatalogEntry

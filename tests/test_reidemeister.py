@@ -31,7 +31,6 @@ from crysturn.groups import (
 from crysturn.linalg import IntMatrix, vec_add, vector, zero_vector
 from crysturn.reidemeister import (
     INFINITE,
-    ComputedSpectrum,
     NormaliserUnavailable,
     RinfStatus,
     decide_r_infinity,
@@ -402,10 +401,6 @@ class TestSpectrum:
             )
             results.append(spectrum(g))
         assert all(r == results[0] for r in results)
-
-    def test_empty_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            ComputedSpectrum((), False, True)
 
 
 class TestWitnessSearch:

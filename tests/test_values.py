@@ -51,9 +51,9 @@ def _triples():
             SpectrumDescription(scaled=frozenset({2}), includes_infinity=True),
         ),
         (
-            ComputedSpectrum((2, 4), True, True, 8),
-            ComputedSpectrum((2, 4), True, True, normaliser_order=8),
-            ComputedSpectrum((2, 4), True, True),
+            ComputedSpectrum((2, 4), 8),
+            ComputedSpectrum((2, 4), normaliser_order=8),
+            ComputedSpectrum((2, 4)),
         ),
         (
             RinfVerdict(RinfStatus.FAILS, neg, 4),
@@ -140,6 +140,11 @@ def test_catalog_entry_compares_but_does_not_hash():
         hash(entry)
     group = entry.group()
     assert entry.group() is group
+    # the built group is a cache, not part of the value
+    assert entry == CatalogEntry("z", doc) and CatalogEntry("z", doc) == entry
+    assert copy.copy(entry) == entry
+    with pytest.raises(TypeError):
+        hash(entry)
 
 
 def test_import_generates_no_classes():
