@@ -202,7 +202,8 @@ def _cmd_rinf(args, group: CrystGroup, meta: dict):
         return EXIT_OK, result, [f"R-infinity: NO, witness D = {verdict.witness}"]
     if verdict.status is RinfStatus.HOLDS:
         return EXIT_OK, {"r_infinity": True}, [
-            "R-infinity: YES (every automorphism has infinitely many twisted conjugacy classes)"
+            "R-infinity: YES (every automorphism has infinitely many twisted conjugacy classes)",
+            "(relative to the supplied normaliser generators)",
         ]
     return EXIT_UNDECIDED, {"r_infinity": None, "status": verdict.status.value}, [
         verdict.status.value

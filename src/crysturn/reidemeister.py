@@ -9,6 +9,8 @@ lemma, split into what the linear part D alone decides
 of one D (:func:`_linear_part_set`); :func:`spectrum`,
 :func:`decide_r_infinity` and :func:`search_r_infinity_witness` walk the
 cosets F.D of the normaliser (:func:`_normaliser_cosets`, :func:`_with_sigmas`).
+An automorphism and its inverse have the same Reidemeister number, so the
+first two test one coset of each pair F.D, F.D^-1 (:func:`_one_per_pair`).
 """
 
 from __future__ import annotations
@@ -316,9 +318,12 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
 
     Looks for a coset F.D of the normaliser (see :func:`_normaliser_cosets`)
     that admits a translation part and passes the determinant test, both
-    constant on a coset.  Each leader is its coset's first element in the
-    normaliser's breadth-first order, so the first passing leader is the
-    first passing element; it witnesses failure.  Undecided when the
+    constant on a coset, testing one coset of each inverse pair
+    (:func:`_one_per_pair`).  Each leader is its coset's first element in
+    the normaliser's breadth-first order, so the first passing leader is the
+    first passing element; it witnesses failure.  The coset of a leader
+    never comes after its inverse coset, which passes with it, so the
+    skipped cosets change no witness.  Undecided when the
     normaliser data is missing or the walk certifies that the normaliser is
     infinite.  A decided verdict carries the order of the normaliser.
 
@@ -328,12 +333,12 @@ def decide_r_infinity(group: CrystGroup) -> RinfVerdict:
     generator that is left out can hide a witness.
     """
     try:
-        cosets, order = _normaliser_cosets(group)
+        cosets, order, inverses = _normaliser_cosets(group)
     except NormaliserUnavailable:
         return RinfVerdict(RinfStatus.UNDECIDED_NO_DATA)
     except ClosureCapExceeded:
         return RinfVerdict(RinfStatus.UNDECIDED_INFINITE)
-    for witness, *_ in _passing(group, cosets):
+    for witness, *_ in _passing(group, _one_per_pair(cosets, inverses)):
         return RinfVerdict(RinfStatus.FAILS, witness=witness, normaliser_order=order)
     return RinfVerdict(RinfStatus.HOLDS, normaliser_order=order)
 
@@ -362,15 +367,22 @@ def _with_sigmas(
             yield products[0], sigmas[-1], products
 
 
-def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
-    """The cosets F.D != F of the normaliser N (see :func:`_with_sigmas`)
-    and the order of N.
+def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int, list[int]]:
+    """The cosets F.D != F of the normaliser N (see :func:`_with_sigmas`),
+    the order of N, and for each coset the index of its inverse coset
+    F.D^-1 in the same list.
 
     The walk runs to its end, so an infinite N raises
     :class:`~crysturn.groups.ClosureCapExceeded`.  By Schreier's lemma
     |N| = (number of cosets) x |N ∩ F|, where N ∩ F is generated by
     t_Y^-1.g.t_X = A_sigma_Y^-1(i) over the leaders t_X and generators g
     with g.t_X = A_i.t_Y, closed through the holonomy table.
+
+    The complete walk lists every step, so letter k permutes the cosets,
+    and its steps read backwards give the inverse permutation.  A leader
+    t_Y = g_m...g_1 along its tree path has t_Y^-1 = g_1^-1...g_m^-1, so
+    the coset of t_Y^-1 is F carried back through the letters of the path,
+    from Y's own letter to the first: no product and no inverse is formed.
     """
     letters, letter_sigmas = _normaliser_letters(group)
     mult = group.mult_table
@@ -382,7 +394,28 @@ def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int]:
     while frontier:
         frontier = list({mult[s][i] for i in frontier for s in schreier} - reached)
         reached.update(frontier)
-    return cosets, len(sigmas) * len(reached)
+    back = [[0] * len(sigmas) for _ in letters]  # back[k][y] = x: letter k sends x to y
+    tree = [(0, 0)]  # tree[y] = (x, k): leader y is letter k times leader x
+    for x, k, y, _, new in walk:
+        back[k][y] = x
+        if new:
+            tree.append((x, k))
+    inverses = []
+    for leader in range(1, len(sigmas)):
+        y, z = leader, 0
+        while y:
+            y, k = tree[y]
+            z = back[k][z]
+        inverses.append(z - 1)  # F is its own inverse and not in the list
+    return cosets, len(sigmas) * len(reached), inverses
+
+
+def _one_per_pair(cosets: list[Coset], inverses: list[int]) -> Iterator[Coset]:
+    """The cosets F.D of :func:`_normaliser_cosets` that come no later than
+    their inverse coset F.D^-1, in order: one of each pair, and each
+    self-inverse coset.  The two cosets of a pair pass or fail together and
+    have one Reidemeister set (see :func:`spectrum`)."""
+    return (coset for j, coset in enumerate(cosets) if inverses[j] >= j)
 
 
 def _passing(group: CrystGroup, cosets: Iterable[Coset]) -> Iterator[Passing]:
@@ -450,7 +483,11 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     runs first, on the coset's products A.D: a coset that fails it adds
     {infinity} or nothing, and infinity is always in the spectrum (F, with
     d = 0, attains it).  Only the cosets that pass are solved and counted
-    (:func:`_linear_part_set`), all sharing one :func:`_offsets_on_demand`.
+    (:func:`_linear_part_set`), all sharing one :func:`_offsets_on_demand`,
+    and of each pair F.D, F.D^-1 only the first (:func:`_one_per_pair`):
+    phi^-1 = (-D^-1.d, D^-1) has R(phi^-1) = R(phi), because x -> x^-1
+    sends the twisted class of x under phi onto that of x^-1 under
+    phi^-1, so the other coset passes with it and adds the same set.
     Raises :class:`NormaliserUnavailable` without input data and
     :class:`~crysturn.groups.ClosureCapExceeded` when the walk certifies
     that the normaliser is infinite.
@@ -459,10 +496,10 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     for any supplied normaliser generators; that the finite part is
     complete holds only relative to them.
     """
-    cosets, order = _normaliser_cosets(group)
+    cosets, order, inverses = _normaliser_cosets(group)
     offsets = _offsets_on_demand(group)
     finite: set[int] = set()
-    for passing in _passing(group, cosets):
+    for passing in _passing(group, _one_per_pair(cosets, inverses)):
         finite.update(_linear_part_set(group, *passing, offsets))
     return ComputedSpectrum(tuple(sorted(finite)), order)
 

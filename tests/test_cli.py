@@ -44,6 +44,8 @@ class TestRinf:
         code, out, _ = run(capsys, "rinf", "1/2/1/1/1")
         assert code == EXIT_OK
         assert "YES" in out
+        # a YES can hide a witness that a left-out generator would reach
+        assert "(relative to the supplied normaliser generators)" in out
 
     def test_undecided_without_search(self, capsys):
         code, out, _ = run(capsys, "rinf", "2/1/1/1/1")

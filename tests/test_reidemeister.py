@@ -623,7 +623,7 @@ class TestSigmaComposition:
         # each coset's sigma and products, and one leader per coset F.D != F
         # of the closure, each the first element of its coset in closure order
         for name, (group, closure) in _finite_normaliser_groups().items():
-            cosets, _ = _normaliser_cosets(group)
+            cosets, _, _ = _normaliser_cosets(group)
             for leader, sigma, products in cosets:
                 assert sigma == conjugation_permutation(group, leader), (name, leader)
                 assert products == [a @ leader for a in group.matrix_parts], (name, leader)
@@ -753,13 +753,16 @@ class TestSharedWork:
         group = builtin_catalog().group("3/3/1/1/1")
         computed = spectrum(group)
         assert computed.normaliser_order // group.order == 12
-        # only the cosets that pass the determinant test get a set: 2 of 12
+        # only the cosets that pass the determinant test get a set: 2 of 12,
+        # which are each other's inverse, so the first one's set serves both
+        cosets, _, inverses = _normaliser_cosets(group)
         passing = [
-            d_mat for d_mat, _, _ in _normaliser_cosets(group)[0]
-            if not is_always_infinite(group, d_mat)
+            j for j, (d_mat, _, _) in enumerate(cosets) if not is_always_infinite(group, d_mat)
         ]
         assert len(passing) == 2
-        assert visited == passing
+        first, second = passing
+        assert inverses[first] == second
+        assert visited == [cosets[first][0]]
 
     def test_spectrum_builds_few_fractions(self, monkeypatch):
         # Translations run through the kernels as ints over one denominator:
@@ -923,7 +926,10 @@ class TestSharedWork:
         # search to invert every generator again: 71 conjugations, 102
         # integer inverses and 1585 products, where build_group now keeps
         # each generator's inverse and sigma.  979 applies when the 110
-        # fixing pairs with C = I ran the lattice-coset assertion
+        # fixing pairs with C = I ran the lattice-coset assertion.  759
+        # applies, 111 Smith normal forms, 61 subtractions and 97 Burnside
+        # counts when both cosets of an inverse pair F.D, F.D^-1 were solved
+        # and counted
         catalog = builtin_catalog()
         for name in catalog.names():
             catalog.group(name)
@@ -947,11 +953,11 @@ class TestSharedWork:
         assert conjugations == []
         assert inverses == []
         assert len(products) <= 1189
-        assert len(applies) <= 759
-        assert len(snfs) <= 130
-        assert len(subtractions) <= 61
+        assert len(applies) <= 704
+        assert len(snfs) <= 106
+        assert len(subtractions) <= 51
         assert len(sweeps) <= 6
-        assert len(counts) <= 97
+        assert len(counts) <= 92
 
     def test_set_without_live_pair_reads_no_base_translation(self, monkeypatch):
         # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
@@ -1006,6 +1012,89 @@ class TestSharedWork:
         new = [step for step in walk if step[-1] is not None]
         assert len(letters) == 3 and len(walk) == 12 * 3 and len(new) == 11
         assert len(products) == 12 * 3 + 11 * 3
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_groups():
+    """The finite-normaliser catalog groups and the two dimension-6 products."""
+    catalog = builtin_catalog()
+    factor = catalog.group("3/3/1/1/1")
+    return {
+        **{name: group for name, (group, _) in _finite_normaliser_groups().items()},
+        "3/3/1/1/1^2 with swap": _product_group(factor, factor, swap=True),
+        "3/3/1/1/1 x 3/5/1/2/1": _product_group(factor, catalog.group("3/5/1/2/1")),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _passing_automorphisms():
+    """(name, phi) for each passing coset of a catalog group, from the
+    complete walk or, on an infinite normaliser, from words of length <= 2,
+    and each base translation, small enough for the union-find oracle."""
+    catalog = builtin_catalog()
+    found = []
+    for name in catalog.names():
+        group = catalog.group(name)
+        try:
+            leaders = [leader for leader, *_ in _passing(group, _normaliser_cosets(group)[0])]
+        except ClosureCapExceeded:
+            leaders = _passing_leaders(group, 2)
+        for leader in leaders:
+            d0 = find_translation_part(group, leader)
+            for base in base_translations(group):
+                phi = Automorphism(group, vec_add(d0, base), leader)
+                if candidate_count(phi) <= TestAgainstUnionFind.MAX_CANDIDATES:
+                    found.append((name, phi))
+    return tuple(found)
+
+
+class TestInversePairs:
+    """The inverse of (d, D) is (-D^-1.d, D^-1), with the same Reidemeister
+    number, so a spectrum solves and counts one coset of each pair F.D,
+    F.D^-1."""
+
+    def test_inverse_index_holds_the_leaders_inverse(self):
+        # against int_inverse, looked up in the cosets' product lists
+        self_inverse, pairs = 0, 0
+        for name, group in _pair_groups().items():
+            cosets, _, inverses = _normaliser_cosets(group)
+            where = {m: j for j, (_, _, products) in enumerate(cosets) for m in products}
+            assert len(inverses) == len(cosets), name
+            for j, (leader, _, _) in enumerate(cosets):
+                assert inverses[j] == where[leader.int_inverse()], (name, j)
+                self_inverse += inverses[j] == j
+                pairs += inverses[j] > j
+        assert (self_inverse, pairs) == (188, 132)
+
+    def test_self_inverse_passing_coset(self):
+        # 3/5/1/2/1 has one passing coset, the sixth F.D != F, and it is its
+        # own inverse: the spectrum still counts it
+        group = builtin_catalog().group("3/5/1/2/1")
+        cosets, _, inverses = _normaliser_cosets(group)
+        passing = [leader for leader, *_ in _passing(group, cosets)]
+        assert passing == [cosets[5][0]] and inverses[5] == 5
+        assert spectrum(group).finite_values == (8,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_inverse_automorphism_has_the_same_number(self, data):
+        name, phi = data.draw(st.sampled_from(_passing_automorphisms()))
+        group, d_inv = phi.group, phi.linear.int_inverse()
+        inverse = Automorphism(group, tuple(-x for x in d_inv.apply(phi.translation)), d_inv)
+        expected = union_find_number(phi)
+        assert reidemeister_number(phi) == reidemeister_number(inverse) == expected, name
+
+    def test_skipped_coset_has_its_partners_set(self):
+        # the five 3/3/1/x/x entries skip one each, the two products 14 and 1
+        skipped = 0
+        for name, group in _pair_groups().items():
+            cosets, _, inverses = _normaliser_cosets(group)
+            for j, coset in enumerate(cosets):
+                if inverses[j] < j and next(_passing(group, [coset]), None):
+                    leader, partner = coset[0], cosets[inverses[j]][0]
+                    assert reidemeister_set(group, leader) == reidemeister_set(group, partner), name
+                    skipped += 1
+        assert skipped == 5 + 14 + 1
 
 
 def _transposition(n: int, i: int) -> IntMatrix:
