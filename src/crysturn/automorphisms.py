@@ -5,24 +5,23 @@ is conjugation by an affine map (d, D), D in the normaliser of the holonomy
 group in GL_n(Z), which D permutes by sigma
 (:func:`~crysturn.groups.conjugation_permutation`).  This module owns the
 translation solve for a given D (:func:`find_translation_part`), the one
-check that conjugation by (d, D) keeps the group
-(:func:`_translation_images`), the base translations and the offsets they
-move image translations by (:func:`base_translations`,
-:func:`_base_offsets`) and the validated :class:`Automorphism`.
+check that conjugation by (d, D) keeps the group, which gives each image
+translation as a_sigma(C) plus an integer vector (:func:`_translation_images`),
+the base translations, which the group keeps (:func:`base_translations`),
+and the validated :class:`Automorphism`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as _mixed_radix
 from typing import Optional
 
 from .groups import CrystGroup, conjugation_permutation
 from .linalg import IntMatrix, Vec, _Record, smith_normal_form, vector
 
 Scaled = tuple[int, tuple[int, ...]]  # (den, den.d): a translation d over den
-Images = tuple[int, tuple[tuple[int, ...], ...]]  # (den, den times each image)
+Images = tuple[tuple[int, ...], ...]  # z_C: image translation minus a_sigma(C), per C
 
 
 def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
@@ -99,44 +98,14 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     Every automorphism restricting to the identity on Z^n is inner composed
     with conjugation by (d, I) for exactly one d in this list.  Built from
     the Smith normal form of the I - A_i blocks of the holonomy generators
-    (see :func:`_stacked_system`), enumerating d'_i in {0, 1/s_i, ...,
-    (s_i - 1)/s_i} and mapping through Q.  Each entry is reduced into
-    [0, 1)^n, since (d + z, I) with z in Z^n differs from (d, I) by an
-    inner automorphism, and the list is sorted.  Entries may
-    induce equal Reidemeister numbers; no pruning is attempted.
+    (see :func:`_stacked_system` and ``CrystGroup.base_numerators``),
+    enumerating d'_i in {0, 1/s_i, ..., (s_i - 1)/s_i} and mapping through
+    Q.  Each entry is reduced into [0, 1)^n, since (d + z, I) with z in Z^n
+    differs from (d, I) by an inner automorphism, and the list is sorted.
+    Entries may induce equal Reidemeister numbers; no pruning is attempted.
     """
-    den, bases = _base_numerators(group)
+    den, bases = group.base_numerators
     return [_rationals(den, b) for b in bases]
-
-
-def _base_numerators(group: CrystGroup) -> tuple[int, list[tuple[int, ...]]]:
-    """:func:`base_translations` as (den, sorted numerators over den), den
-    the lcm of the invariant factors; numerators reduced into [0, den)."""
-    n = group.dimension
-    m_mat, _ = _stacked_system(group, IntMatrix.identity(n), tuple(range(group.order)))
-    snf = smith_normal_form(m_mat, right=())
-    factors = snf.invariant_factors
-    den = math.lcm(*factors)
-    out = []
-    for combo in _mixed_radix(*(range(s) for s in factors)):
-        d_prime = [0] * n
-        for i, (y, s) in enumerate(zip(combo, factors)):
-            d_prime[i] = y * (den // s)
-        out.append(tuple(x % den for x in snf.q.apply(d_prime)))
-    return den, sorted(out)
-
-
-def _base_offsets(group: CrystGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """For each of the :func:`base_translations` b, the integer vectors
-    (I - A).b in holonomy order: conjugation by (d + b, D) moves the image
-    translation of (a_C, C) under (d, D) by (I - E).b, E = A_sigma(C)."""
-    den, bases = _base_numerators(group)
-    offsets = []
-    for b in bases:
-        moved = [tuple(x - y for x, y in zip(b, a.apply(b))) for a in group.matrix_parts]
-        assert not any(x % den for v in moved for x in v), "(I - A).b must be integral"
-        offsets.append(tuple(tuple(x // den for x in v) for v in moved))
-    return offsets
 
 
 def _translation_images(
@@ -148,19 +117,20 @@ def _translation_images(
     (den, den.d), den a multiple of g that makes den.d integral.
     Conjugation sends each representative (a_C, C) to (d + D.a_C - E.d, E)
     with E = D.C.D^-1 = A_sigma(C); every image translation must be
-    a_sigma(C) modulo Z^n, or ValueError.  Returns den and the image
-    translations times den, in holonomy order.
+    a_sigma(C) + z_C with z_C in Z^n, or ValueError.  Returns the z_C, in
+    holonomy order.
     """
     den, d = translation
     lift = den // group.denominator
     parts, scaled = group.matrix_parts, group.scaled_translations
     images = []
     for rep, a, j in zip(group.f_ext, scaled, sigma):
-        image = tuple(x + lift * y - z for x, y, z in zip(d, linear.apply(a), parts[j].apply(d)))
-        if any((x - lift * w) % den for x, w in zip(image, scaled[j])):
+        moved = zip(d, linear.apply(a), parts[j].apply(d), scaled[j])
+        image = tuple(x + lift * (y - w) - z for x, y, z, w in moved)
+        if any(x % den for x in image):
             raise ValueError(f"not an automorphism: conjugate of {rep} leaves the group")
-        images.append(image)
-    return den, tuple(images)
+        images.append(tuple(x // den for x in image))
+    return tuple(images)
 
 
 class Automorphism(_Record):
@@ -171,8 +141,8 @@ class Automorphism(_Record):
     representative must conjugate back into the group (see
     :func:`_translation_images`).  ``sigma`` keeps the permutation that D
     induces on the holonomy group (see :func:`conjugation_permutation`) and
-    ``images`` the (den, image translations times den) that the check
-    validated, which the Reidemeister count reads.
+    ``images`` the integer vectors z_C that the check validated, each image
+    translation minus a_sigma(C), which the Reidemeister count reads.
     """
 
     _fields = ("group", "translation", "linear")

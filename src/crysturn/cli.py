@@ -34,7 +34,6 @@ from .reidemeister import (
     INFINITE,
     NormaliserUnavailable,
     RinfStatus,
-    _normaliser_letters,
     decide_r_infinity,
     reidemeister_number,
     search_r_infinity_witness,
@@ -165,10 +164,13 @@ def build_parser() -> _Parser:
 
 def _cmd_validate(args, group: CrystGroup, meta: dict):
     if args.json:  # the closure only feeds meta, which text output never shows
+        gens = group.normaliser_gens
         try:
-            meta["normaliser_size"] = matrix_group_closure(_normaliser_letters(group)[0]).order
-        except (NormaliserUnavailable, ClosureCapExceeded) as exc:
-            meta["normaliser_size"] = _unwalked_size(exc)
+            meta["normaliser_size"] = _ABSENT if gens is None else matrix_group_closure(
+                gens or [IntMatrix.identity(group.dimension)]
+            ).order
+        except ClosureCapExceeded:
+            meta["normaliser_size"] = _INFINITE_NORMALISER
     result = {
         "valid": True,
         "dimension": group.dimension,

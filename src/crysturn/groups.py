@@ -12,8 +12,10 @@ group is infinite (:func:`_certify_finite`), with no size limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from itertools import product as _mixed_radix
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .linalg import IntMatrix, Vec, _Record, smith_normal_form, vector, zero_vector
@@ -211,11 +213,15 @@ class CrystGroup:
     * ``denominator``: the least common multiple g of the translations'
       denominators, and ``scaled_translations[i]``: g times the translation
       of ``f_ext[i]``, as ints.
+    * ``base_numerators`` and ``base_offsets``: the base translations and
+      the integer vectors they move image translations by, made on first
+      use and kept.
 
     Fractions only in and out: translations are Fractions in
     :class:`AffineMap` and in the arguments and results of the public
-    functions, and every kernel carries them as integer numerators over g
-    or a multiple of it.
+    functions.  The kernels carry a translation as integer numerators over
+    a common denominator, and an image translation as the integer vector it
+    differs from a representative's translation by.
     """
 
     def __init__(
@@ -288,6 +294,40 @@ class CrystGroup:
             if not any(t[snf.rank :]) and all(x % (g * s) == 0 for x, s in zip(t, factors)):
                 return False
         return True
+
+    @functools.cached_property
+    def base_numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The base translations b (see
+        :func:`~crysturn.automorphisms.base_translations`) as (den, the sorted
+        numerators den.b reduced into [0, den)^n).  With P.M.Q = S for M the
+        blocks I - A_i stacked over ``generator_indices``, each d' with d'_i
+        in {0, 1/s_i, ..., (s_i - 1)/s_i} gives b = Q.d'; den is the lcm of
+        the invariant factors s_i."""
+        ident = self.matrix_parts[0]
+        blocks = IntMatrix.vstack([ident - self.matrix_parts[i] for i in self.generator_indices])
+        snf = smith_normal_form(blocks, right=())
+        factors = snf.invariant_factors
+        den = math.lcm(*factors)
+        pad = [0] * (self.dimension - len(factors))
+        bases = []
+        for combo in _mixed_radix(*(range(s) for s in factors)):
+            d_prime = [y * (den // s) for y, s in zip(combo, factors)] + pad
+            bases.append(tuple(x % den for x in snf.q.apply(d_prime)))
+        return den, tuple(sorted(bases))
+
+    @functools.cached_property
+    def base_offsets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each base translation b, in the order of ``base_numerators``,
+        the integer vectors (I - A).b in holonomy order: conjugation by
+        (d + b, D) moves the image translation of (a_C, C) under (d, D) by
+        (I - E).b, E = A_sigma(C)."""
+        den, bases = self.base_numerators
+        offsets = []
+        for b in bases:
+            moved = [tuple(x - y for x, y in zip(b, a.apply(b))) for a in self.matrix_parts]
+            assert not any(x % den for v in moved for x in v), "(I - A).b must be integral"
+            offsets.append(tuple(tuple(x // den for x in v) for v in moved))
+        return tuple(offsets)
 
     def __repr__(self) -> str:
         tag = self.name or "?"

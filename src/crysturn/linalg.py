@@ -50,9 +50,11 @@ def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
 
 
 class _Record:
-    """Base of the immutable value classes, written out so that importing crysturn
-    generates no code: ``__init__`` takes ``_fields`` and fills ``__slots__`` in order
-    (:meth:`_set`); equality (within a class), hash, repr and pickling read ``_fields``."""
+    """Base of the immutable value classes, written out so that they generate no code
+    at import, as a NamedTuple does (three do: ``SnfDecomposition``, ``RinfVerdict``
+    and ``EntryReport``): ``__init__`` takes ``_fields`` and fills ``__slots__`` in
+    order (:meth:`_set`); equality (within a class), hash, repr and pickling read
+    ``_fields``."""
 
     __slots__ = ()
 

@@ -15,16 +15,14 @@ first two test one coset of each pair F.D, F.D^-1 (:func:`_one_per_pair`).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphisms import (
     Automorphism,
     Scaled,
-    _base_offsets,
     _translation_images,
     _translation_part,
     conjugation_permutation,
@@ -46,8 +44,8 @@ ReidCount = Union[int, float]
 
 # (products A.D with |det(I - A.D)|, in holonomy order) from _twisted_blocks
 Twisted = list[tuple[IntMatrix, int]]
-# the base offsets of a group, made on the first call (see _offsets_on_demand)
-Offsets = Callable[[], list[tuple[tuple[int, ...], ...]]]
+# (c_index, weight, rows), rows of ((P.A)_i, (P.c0)_i, s_i): a live pair of _fixing_pairs
+Live = tuple[int, int, tuple[tuple[tuple[int, ...], int, int], ...]]
 
 
 class NormaliserUnavailable(RuntimeError):
@@ -83,26 +81,9 @@ def _twisted_blocks(products: Iterable[IntMatrix]) -> Optional[Twisted]:
     return twisted
 
 
-class _LivePair(NamedTuple):
-    """A fixing pair (A, C) whose fixed points depend on the translation d.
-
-    ``c_index`` is the holonomy index of C and ``weight`` the index
-    [Z^n : L] of the lattice L that [C - I | I - A.D] spans, the product of
-    the invariant factors s_i of its Smith normal form P.[C - I | I - A.D].Q.
-    ``rows`` keeps, for each i with s_i > 1, the row (P.A)_i, the entry
-    (P.lead)_i with lead = g.(a_C + (C - I).a_A) for the group's common
-    denominator g, and s_i.  The Smith normal form carries [A | lead] and
-    forms neither P nor Q.
-    """
-
-    c_index: int
-    weight: int
-    rows: tuple[tuple[tuple[int, ...], int, int], ...]
-
-
 def _fixing_pairs(
     group: CrystGroup, sigma: tuple[int, ...], twisted: Twisted
-) -> tuple[int, list[_LivePair]]:
+) -> tuple[int, list[Live]]:
     """The part of the Burnside count that depends on the linear part D alone.
 
     When every I - A.D is nonsingular, twisting by lattice elements leaves
@@ -120,7 +101,8 @@ def _fixing_pairs(
     :func:`_twisted_blocks` of D, the products A.D with |det(I - A.D)|.
     Returns a constant and the live pairs: the fixed points of every
     translation part are the constant plus the weights of the live pairs
-    it satisfies (see :func:`_burnside_count`).
+    it satisfies (see :func:`_burnside_count`).  A live pair is (index of
+    C, weight [Z^n : L], rows), as below.
 
     * C = I fixes every component, with offset 0 and L = (I - A.D)Z^n, so
       |det(I - A.D)| points each; these pairs are not visited.
@@ -129,17 +111,16 @@ def _fixing_pairs(
     * Each other fixing pair gets one Smith normal form, of the rows
       [C - I | I - A.D], formed for it alone (C - I once per C).  Index 1
       means L = Z^n, which holds every offset: one point, into the
-      constant.  Any other pair is live, and only its rows with s_i > 1
-      are kept.
+      constant.  Any other pair is live: with P.[C - I | I - A.D].Q =
+      diag(s_i), it keeps ((P.A)_i, (P.c0)_i, s_i) for each s_i > 1.
 
-    Translations are read scaled by g.  The offset of a pair for a
-    translation d over den = g.lift (see :func:`_burnside_count`) is
-    lift.lead - A.img_C, and img_C = lift.g.a_E (mod den) for every swept d
-    (:func:`~crysturn.automorphisms._translation_images` checks it for the
-    translation part, and the integral base offsets keep it).  So the
-    offset is lift.(lead - A.g.a_E) modulo den, and it lies in den.Z^n, as
-    twisted conjugation requires, iff lead - A.g.a_E lies in g.Z^n: a
-    condition on D alone, asserted here once per fixing pair with C != I.
+    The image translation of (a_C, C) is a_E + z_C with z_C in Z^n
+    (:func:`~crysturn.automorphisms._translation_images`), so the offset
+    of a pair is c_{A,C} = c0 - A.z_C with c0 = a_C + (C - I).a_A - A.a_E,
+    which depends on D alone.  Twisted conjugation keeps the lattice coset
+    only if c0 is an integer vector, asserted here once per fixing pair
+    with C != I.  The Smith normal form carries [A | c0] and forms neither
+    P nor Q.
     """
     constant = sum(det for _, det in twisted)
     mult = group.mult_table
@@ -154,10 +135,9 @@ def _fixing_pairs(
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
-            lead = tuple(x + y - z for x, y, z in zip(a_c, c_linear.apply(a_a), a_a))
-            assert not any(
-                (x - y) % g for x, y in zip(lead, a_linear.apply(scaled[e_idx]))
-            ), "twisted conjugation must keep the lattice coset"
+            terms = zip(a_c, c_linear.apply(a_a), a_a, a_linear.apply(scaled[e_idx]))
+            c0 = tuple(x + y - z - w for x, y, z, w in terms)  # scaled by g
+            assert not any(x % g for x in c0), "twisted conjugation must keep the lattice coset"
             product, det = twisted[a_idx]
             if det == 1:
                 constant += 1
@@ -173,7 +153,7 @@ def _fixing_pairs(
             )
             snf = smith_normal_form(
                 IntMatrix._unchecked(block),
-                right=(*zip(*a_linear.rows), lead),
+                right=(*zip(*a_linear.rows), tuple(x // g for x in c0)),
                 below=(),
             )
             weight = math.prod(snf.invariant_factors)
@@ -185,39 +165,31 @@ def _fixing_pairs(
                 for p_row, s in zip(snf.p.rows, snf.invariant_factors)
                 if s > 1
             )
-            live.append(_LivePair(c_idx, weight, rows))
+            live.append((c_idx, weight, rows))
     return constant, live
 
 
 def _burnside_count(
     group: CrystGroup,
-    den: int,
     images: Sequence[tuple[int, ...]] | dict[int, tuple[int, ...]],
     constant: int,
-    live: list[_LivePair],
+    live: list[Live],
 ) -> int:
     """The part of the Burnside count that depends on the translation d.
 
-    ``den`` is any multiple of the group's denominator g that makes the
-    image translations integral (the test is homogeneous in den), and
-    images[C] is den times the translation part d + D.a_C - E.d of the
-    image of (a_C, C), read for the live pairs' C only (see
-    :func:`~crysturn.automorphisms._translation_images`).
-    ``constant`` and ``live`` come from :func:`_fixing_pairs`.  A live pair
-    fixes ``weight`` points when its offset lift.lead - A.img_C = den.c_{A,C}
-    lies in den.L, and none otherwise; with P.L = diag(s_i).Z^n that is
-    divisibility of row i of P times the offset by den.s_i, and only the
-    rows with s_i > 1 can fail it.  The sum is divided by the holonomy
-    order.
+    images[C] is the integer vector z_C by which the image translation of
+    (a_C, C) differs from a_sigma(C), read for the live pairs' C only (see
+    :func:`~crysturn.automorphisms._translation_images`).  ``constant`` and
+    ``live`` come from :func:`_fixing_pairs`.  A live pair fixes ``weight``
+    points when its offset c0 - A.z_C lies in L, and none otherwise; with
+    P.L = diag(s_i).Z^n that is divisibility of (P.c0)_i - (P.A)_i.z_C by
+    s_i, and only the rows with s_i > 1 can fail it.  The sum is divided by
+    the holonomy order.
     """
-    lift = den // group.denominator
     total = constant
     for c_idx, weight, rows in live:
         image = images[c_idx]
-        if all(
-            (lift * lead - sum(map(operator.mul, pa, image))) % (den * s) == 0
-            for pa, lead, s in rows
-        ):
+        if all((lead - sum(map(operator.mul, pa, image))) % s == 0 for pa, lead, s in rows):
             total += weight
     count, rem = divmod(total, group.order)
     assert rem == 0, "Burnside fixed-point sum must be divisible by the holonomy order"
@@ -238,7 +210,7 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     twisted = _twisted_blocks(_products(group.matrix_parts, phi.linear))
     if twisted is None:
         return INFINITE
-    return _burnside_count(group, *phi.images, *_fixing_pairs(group, phi.sigma, twisted))
+    return _burnside_count(group, phi.images, *_fixing_pairs(group, phi.sigma, twisted))
 
 
 def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCount]:
@@ -257,47 +229,32 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
         return frozenset()
     if twisted is None:
         return frozenset((INFINITE,))
-    return _linear_part_set(group, linear, sigma, twisted, d, _offsets_on_demand(group))
+    return _linear_part_set(group, linear, sigma, twisted, d)
 
 
 def _linear_part_set(
-    group: CrystGroup,
-    linear: IntMatrix,
-    sigma: tuple[int, ...],
-    twisted: Twisted,
-    d: Scaled,
-    offsets: Offsets,
+    group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...], twisted: Twisted, d: Scaled
 ) -> frozenset[int]:
     """:func:`reidemeister_set` for a linear part D that passes the
     determinant test, with its permutation ``sigma``, its
     :func:`_twisted_blocks` ``twisted`` and a translation part ``d`` as
     (den, den.d) (see :func:`~crysturn.automorphisms._translation_part`):
     every value is finite.  :func:`_fixing_pairs` runs once, and one check
-    of the image translations of d serves every swept d + b, whose images
-    differ from those of d by the integer vectors (I - E).b
-    (:func:`~crysturn.automorphisms._base_offsets`).  Only the live pairs
-    read them, so without one the set is a single
-    :func:`_burnside_count`, and only a live pair calls ``offsets`` (see
-    :func:`_offsets_on_demand`)."""
+    of the image translations of d serves every swept d + b, whose vectors
+    z_C move by the integer vectors (I - E).b (``CrystGroup.base_offsets``).
+    Only the live pairs read them, so without one the set is a single
+    :func:`_burnside_count` and the group makes no base translation."""
     constant, live = _fixing_pairs(group, sigma, twisted)
-    den, images = _translation_images(group, sigma, linear, d)
+    images = _translation_images(group, sigma, linear, d)
     if not live:
-        return frozenset((_burnside_count(group, den, images, constant, live),))
+        return frozenset((_burnside_count(group, images, constant, live),))
     read = [(c, images[c], sigma[c]) for c, _, _ in live]
-
-    def shifted(off: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
-        return {c: tuple(x + den * y for x, y in zip(image, off[e])) for c, image, e in read}
-
-    counts = (_burnside_count(group, den, shifted(off), constant, live) for off in offsets())
-    return frozenset(counts)
-
-
-def _offsets_on_demand(group: CrystGroup) -> Offsets:
-    """The group's :func:`~crysturn.automorphisms._base_offsets`, made on
-    the first call and kept by the returned function alone: one spectrum or
-    entry check makes them at most once, and only if a live pair reads
-    them."""
-    return functools.cache(functools.partial(_base_offsets, group))
+    return frozenset(
+        _burnside_count(
+            group, {c: tuple(map(operator.add, z, off[e])) for c, z, e in read}, constant, live
+        )
+        for off in group.base_offsets
+    )
 
 
 class RinfStatus(Enum):
@@ -483,8 +440,8 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     runs first, on the coset's products A.D: a coset that fails it adds
     {infinity} or nothing, and infinity is always in the spectrum (F, with
     d = 0, attains it).  Only the cosets that pass are solved and counted
-    (:func:`_linear_part_set`), all sharing one :func:`_offsets_on_demand`,
-    and of each pair F.D, F.D^-1 only the first (:func:`_one_per_pair`):
+    (:func:`_linear_part_set`), and of each pair F.D, F.D^-1 only the
+    first (:func:`_one_per_pair`):
     phi^-1 = (-D^-1.d, D^-1) has R(phi^-1) = R(phi), because x -> x^-1
     sends the twisted class of x under phi onto that of x^-1 under
     phi^-1, so the other coset passes with it and adds the same set.
@@ -497,10 +454,9 @@ def spectrum(group: CrystGroup) -> ComputedSpectrum:
     complete holds only relative to them.
     """
     cosets, order, inverses = _normaliser_cosets(group)
-    offsets = _offsets_on_demand(group)
     finite: set[int] = set()
     for passing in _passing(group, _one_per_pair(cosets, inverses)):
-        finite.update(_linear_part_set(group, *passing, offsets))
+        finite.update(_linear_part_set(group, *passing))
     return ComputedSpectrum(tuple(sorted(finite)), order)
 
 

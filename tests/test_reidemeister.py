@@ -13,13 +13,15 @@ import crysturn.automorphisms
 import crysturn.groups
 import crysturn.linalg
 import crysturn.reidemeister
-from crysturn.automorphisms import (
-    Automorphism,
-    _base_offsets,
-    base_translations,
-    find_translation_part,
+from crysturn.automorphisms import Automorphism, base_translations, find_translation_part
+from crysturn.catalog import (
+    _WORD_LENGTH,
+    Catalog,
+    CatalogEntry,
+    builtin_catalog,
+    check_catalog,
+    check_entry,
 )
-from crysturn.catalog import _WORD_LENGTH, builtin_catalog, check_catalog
 from crysturn.closed_forms import reidemeister_3_2_1_2_1, reidemeister_point_reflection
 from crysturn.groups import (
     AffineMap,
@@ -42,7 +44,6 @@ from crysturn.reidemeister import (
     _fixing_pairs,
     _linear_part_set,
     _normaliser_cosets,
-    _offsets_on_demand,
     _passing,
     _twisted_blocks,
     _witness_cosets,
@@ -690,7 +691,7 @@ class TestIntegerSweep:
     validated automorphism per base translation b."""
 
     @staticmethod
-    def assert_sets(group, passing, offsets):
+    def assert_sets(group, passing):
         """The set of each (leader, sigma, twisted, d) in ``passing`` is the
         count of (d + b, leader) over every base translation b."""
         bases = base_translations(group)
@@ -700,7 +701,7 @@ class TestIntegerSweep:
                 reidemeister_number(Automorphism(group, vec_add(solved, base), leader))
                 for base in bases
             }
-            got = _linear_part_set(group, leader, sigma, twisted, d, offsets)
+            got = _linear_part_set(group, leader, sigma, twisted, d)
             assert got == expected, (group.name, leader)
 
     def test_catalog_linear_parts(self):
@@ -715,8 +716,7 @@ class TestIntegerSweep:
                 # the samples check_entry takes for an infinite normaliser
                 passing = list(islice(_witness_cosets(group, _WORD_LENGTH), 3))
                 infinite += 1
-            offsets = _base_offsets(group)
-            self.assert_sets(group, passing, lambda: offsets)
+            self.assert_sets(group, passing)
             checked += len(passing)
         assert (finite, infinite, checked) == (11, 9, 41)
 
@@ -735,7 +735,56 @@ class TestIntegerSweep:
         assert len(passing) == (28 if swap else 2)
         lives = [_fixing_pairs(group, sigma, twisted)[1] for _, sigma, twisted, _ in passing]
         assert any(lives) is live
-        self.assert_sets(group, passing, _offsets_on_demand(group))
+        self.assert_sets(group, passing)
+
+
+class TestImageVectors:
+    """``Automorphism.images`` holds, for each C, the integer vector z_C by
+    which the image translation d + D.a_C - E.d differs from a_sigma(C),
+    against Fractions with E read from D.C.D^-1."""
+
+    @staticmethod
+    def assert_images(phi):
+        group, d, linear = phi.group, phi.translation, phi.linear
+        inverse = linear.int_inverse()
+        by_linear = {rep.linear: rep for rep in group.f_ext}
+        expected = []
+        for rep in group.f_ext:
+            e = by_linear[linear @ rep.linear @ inverse]
+            moved = zip(d, linear.apply(rep.translation), e.linear.apply(d), e.translation)
+            expected.append(tuple(x + y - z - a for x, y, z, a in moved))
+        assert phi.images == tuple(expected), phi
+        assert all(type(x) is int for z in phi.images for x in z), phi
+
+    def test_catalog_automorphisms(self):
+        automorphisms = _catalog_automorphisms()
+        for _, phi in automorphisms:
+            self.assert_images(phi)
+        assert len({name for name, _ in automorphisms}) == 14
+
+    @pytest.mark.parametrize("name1, name2, swap", [
+        ("3/3/1/1/1", "3/3/1/1/1", True),
+        ("3/3/1/1/1", "3/5/1/2/1", False),
+    ])
+    def test_dimension_6_products(self, name1, name2, swap):
+        # each passing leader with its solved translation, then with one
+        # base translation in turn (28 leaders, 64 bases) or with every
+        # base translation (2 leaders, 24 bases)
+        catalog = builtin_catalog()
+        group = _product_group(catalog.group(name1), catalog.group(name2), swap=swap)
+        bases = base_translations(group)
+        for j, (leader, *_) in enumerate(_passing(group, _normaliser_cosets(group)[0])):
+            d0 = find_translation_part(group, leader)
+            self.assert_images(Automorphism(group, d0, leader))
+            for base in [bases[j % len(bases)]] if swap else bases:
+                self.assert_images(Automorphism(group, vec_add(d0, base), leader))
+
+
+def _fresh_entry(name):
+    """A catalog entry whose group is built anew, not the shared instance
+    that other tests warm."""
+    entry = builtin_catalog().entry(name)
+    return CatalogEntry(entry.name, entry.document)
 
 
 class TestSharedWork:
@@ -911,6 +960,36 @@ class TestSharedWork:
             monkeypatch.setattr(module, real.__name__, counting)
         return calls
 
+    @staticmethod
+    def count_offset_sweeps(monkeypatch) -> list:
+        """Record the group of every base-offset sweep from here on: the
+        function behind ``CrystGroup.base_offsets``, wrapped in a cached
+        property of its own."""
+        real = CrystGroup.base_offsets.func
+        calls = []
+
+        def counting(group):
+            calls.append(group)
+            return real(group)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(CrystGroup, "base_offsets")
+        monkeypatch.setattr(CrystGroup, "base_offsets", prop)
+        return calls
+
+    def test_group_makes_its_base_offsets_once(self, monkeypatch):
+        # a spectrum, an entry check and a set of 3/5/1/2/1 read the offsets
+        # of its 3 base translations, which each of them used to make anew
+        entry = _fresh_entry("3/5/1/2/1")
+        group = entry.group()
+        sweeps = self.count_offset_sweeps(monkeypatch)
+        assert spectrum(group).finite_values == (8,)
+        assert check_entry(entry).passed
+        (leader, *_), = _passing(group, _normaliser_cosets(group)[0])
+        assert reidemeister_set(group, leader) == {8}
+        assert sweeps == [group]
+        assert len(group.base_offsets) == len(base_translations(group)) == 3
+
     def test_catalog_pass_counts(self, monkeypatch):
         # one pass used to make 349 conjugations and 3942 products, when every
         # visited linear part conjugated the holonomy group itself, and 379
@@ -929,8 +1008,9 @@ class TestSharedWork:
         # fixing pairs with C = I ran the lattice-coset assertion.  759
         # applies, 111 Smith normal forms, 61 subtractions and 97 Burnside
         # counts when both cosets of an inverse pair F.D, F.D^-1 were solved
-        # and counted
-        catalog = builtin_catalog()
+        # and counted.  The groups are built anew, so the pass makes their
+        # base offsets, which they keep for the second pass.
+        catalog = Catalog({name: _fresh_entry(name) for name in builtin_catalog().names()})
         for name in catalog.names():
             catalog.group(name)
         conjugations = self.count_conjugations(monkeypatch)
@@ -942,10 +1022,7 @@ class TestSharedWork:
             (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister),
         )
         subtractions = self.count_calls(monkeypatch, IntMatrix.__sub__, (IntMatrix,))
-        sweeps = self.count_calls(
-            monkeypatch, crysturn.automorphisms._base_offsets,
-            (crysturn.automorphisms, crysturn.reidemeister),
-        )
+        sweeps = self.count_offset_sweeps(monkeypatch)
         counts = self.count_calls(
             monkeypatch, crysturn.reidemeister._burnside_count, (crysturn.reidemeister,)
         )
@@ -958,17 +1035,19 @@ class TestSharedWork:
         assert len(subtractions) <= 51
         assert len(sweeps) <= 6
         assert len(counts) <= 92
+        sweeps.clear()
+        assert all(report.passed for report in check_catalog(catalog))
+        assert sweeps == []
 
-    def test_set_without_live_pair_reads_no_base_translation(self, monkeypatch):
+    def test_set_without_live_pair_reads_no_base_translation(self):
         # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
-        # one value and the 8 base translations are never made
-        group = builtin_catalog().group("3/3/1/1/1")
-        assert len(base_translations(group)) == 8
-        bases = self.count_calls(
-            monkeypatch, crysturn.automorphisms._base_numerators, (crysturn.automorphisms,)
-        )
+        # one value and a fresh group makes none of its 8 base translations
+        entry = _fresh_entry("3/3/1/1/1")
+        group = entry.group()
         assert spectrum(group).finite_values == (2,)
-        assert bases == []
+        assert check_entry(entry).passed
+        assert "base_numerators" not in vars(group) and "base_offsets" not in vars(group)
+        assert len(base_translations(group)) == 8
 
     def test_number_reads_the_validated_images(self, monkeypatch):
         # the count used to run the image check a second time on the same (d, D)
