@@ -27,25 +27,20 @@ Images = tuple[tuple[int, ...], ...]  # z_C: image translation minus a_sigma(C),
 def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
     """The (kn x n) block system and right-hand side for the translation solve.
 
-    One row block per holonomy generator i (``group.generator_indices``):
-    I - A_sigma(i), with right-hand side block D.a_i - a_sigma(i), scaled by
-    the group's common denominator g to ints; k.n rows for k generators
-    instead of n.|F|.  That is exact: conjugation by (d, D) keeps Z^n, so
-    once it maps each generator (a_i, A_i) into the group it maps the whole
-    group into it, and the image, which contains Z^n and maps onto
-    D.F.D^-1 = F, is the group.  For D = I this says that the A with
-    (I - A).d in Z^n form a subgroup of F: (I - A.B).d = (I - A).d +
-    A.(I - B).d.  :class:`Automorphism` still checks every representative.
+    The blocks are ``group.generator_blocks(sigma)``, I - A_sigma(i) for
+    each holonomy generator i, with right-hand side block D.a_i - a_sigma(i),
+    scaled by the group's common denominator g to ints; k.n rows for k
+    generators instead of n.|F|.  That is exact: conjugation by (d, D) keeps
+    Z^n, so once it maps each generator (a_i, A_i) into the group it maps
+    the whole group into it, and the image, which contains Z^n and maps onto
+    D.F.D^-1 = F, is the group.  :class:`Automorphism` still checks every
+    representative.
     """
-    ident = group.matrix_parts[0]  # the holonomy identity comes first
     scaled = group.scaled_translations
-    blocks = []
     rhs: list[int] = []
     for i in group.generator_indices:
-        j = sigma[i]
-        blocks.append(ident - group.matrix_parts[j])
-        rhs.extend(x - y for x, y in zip(linear.apply(scaled[i]), scaled[j]))
-    return IntMatrix.vstack(blocks), tuple(rhs)
+        rhs.extend(x - y for x, y in zip(linear.apply(scaled[i]), scaled[sigma[i]]))
+    return group.generator_blocks(sigma), tuple(rhs)
 
 
 def _rationals(den: int, numerators: tuple[int, ...]) -> Vec:

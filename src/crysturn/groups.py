@@ -202,7 +202,8 @@ class CrystGroup:
       multiplication by A_j.
     * ``generator_indices``: the holonomy indices of representatives that,
       with Z^n, generate the group; never empty (the identity alone for the
-      trivial group).  The translation solve stacks one block per index.
+      trivial group).  The translation solve stacks one block per index
+      (``generator_blocks``).
     * ``normaliser_letters``: for each supplied generator D of the
       normaliser of the holonomy group in GL_n(Z), in the supplied order,
       (D, D^-1, sigma_D) with sigma_D its :func:`conjugation_permutation`;
@@ -295,17 +296,23 @@ class CrystGroup:
                 return False
         return True
 
+    def generator_blocks(self, sigma: Sequence[int]) -> IntMatrix:
+        """The blocks I - A_sigma(i), one per holonomy generator i
+        (``generator_indices``), stacked: k.n rows for k generators."""
+        parts = self.matrix_parts  # parts[0] is the holonomy identity
+        return IntMatrix.vstack([parts[0] - parts[sigma[i]] for i in self.generator_indices])
+
     @functools.cached_property
     def base_numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The base translations b (see
         :func:`~crysturn.automorphisms.base_translations`) as (den, the sorted
-        numerators den.b reduced into [0, den)^n).  With P.M.Q = S for M the
-        blocks I - A_i stacked over ``generator_indices``, each d' with d'_i
-        in {0, 1/s_i, ..., (s_i - 1)/s_i} gives b = Q.d'; den is the lcm of
-        the invariant factors s_i."""
-        ident = self.matrix_parts[0]
-        blocks = IntMatrix.vstack([ident - self.matrix_parts[i] for i in self.generator_indices])
-        snf = smith_normal_form(blocks, right=())
+        numerators den.b reduced into [0, den)^n).  The A with (I - A).b in
+        Z^n form a subgroup of F, (I - A.B).b = (I - A).b + A.(I - B).b, so
+        the generators' blocks suffice: with P.M.Q = S for M =
+        ``generator_blocks`` under the identity, each d' with d'_i in
+        {0, 1/s_i, ..., (s_i - 1)/s_i} gives b = Q.d'; den is the lcm of the
+        invariant factors s_i."""
+        snf = smith_normal_form(self.generator_blocks(range(self.order)), right=())
         factors = snf.invariant_factors
         den = math.lcm(*factors)
         pad = [0] * (self.dimension - len(factors))

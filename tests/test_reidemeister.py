@@ -824,20 +824,22 @@ class TestSharedWork:
 
     def test_translation_solves_stack_generator_blocks(self, monkeypatch):
         # one n-row block per holonomy generator: 8 rows for 4/9/2/1/1
-        # (|F| = 6, two generators), where the full stack has 24
+        # (|F| = 6, two generators), where the full stack has 24.  The
+        # groups are built anew, so their base translations are made here.
         rows = []
-        real = crysturn.automorphisms.smith_normal_form
+        real = crysturn.linalg.smith_normal_form
 
         def counting(m, *args, **kwargs):
             rows.append(m.nrows)
             return real(m, *args, **kwargs)
 
-        monkeypatch.setattr(crysturn.automorphisms, "smith_normal_form", counting)
-        catalog = builtin_catalog()
-        for name in catalog.names():
-            group = catalog.group(name)
+        for module in (crysturn.groups, crysturn.automorphisms):
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+        for name in builtin_catalog().names():
+            group = _fresh_entry(name).group()
             rows.clear()
             base_translations(group)
+            assert rows == [group.dimension * len(group.generator_indices)], name
             for linear in group.normaliser_gens:
                 find_translation_part(group, linear)
             _passing_leaders(group, 2)
@@ -862,16 +864,18 @@ class TestSharedWork:
         assert len(calls) <= 1000
 
     def test_one_snf_per_fixing_pair(self, monkeypatch):
-        group = builtin_catalog().group("4/9/2/1/1")
+        # a group built anew, which makes its base translations in the set
+        group = _fresh_entry("4/9/2/1/1").group()
         d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
         d_inv = d_mat.int_inverse()
+        ident = group.matrix_parts[0]
         pairs = sum(
             1
-            for c in group.matrix_parts
+            for c in group.matrix_parts[1:]
             for a in group.matrix_parts
             if c @ a @ d_mat @ c.int_inverse() @ d_inv == a
+            and abs((ident - a @ d_mat).det()) != 1
         )
-        assert len(base_translations(group)) == 12
 
         calls = []
         real = crysturn.linalg.smith_normal_form
@@ -880,13 +884,17 @@ class TestSharedWork:
             calls.append(m)
             return real(m, *args, **kwargs)
 
-        for module in (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister):
+        modules = (crysturn.linalg, crysturn.groups, crysturn.automorphisms, crysturn.reidemeister)
+        for module in modules:
             monkeypatch.setattr(module, "smith_normal_form", counting)
+        assert "base_numerators" not in vars(group)
         assert reidemeister_set(group, d_mat) == {8}
         # the translation solve, the base translations and one per fixing
-        # pair with C != I: the |F| pairs with C = I are read off the
-        # determinants
-        assert len(calls) <= pairs - group.order + 2
+        # pair with C != I and |det(I - A.D)| != 1: the other pairs are
+        # read off the determinants
+        assert "base_numerators" in vars(group)
+        assert pairs == 10 and len(calls) <= pairs + 2
+        assert len(base_translations(group)) == 12
 
     @staticmethod
     def count_conjugations(monkeypatch) -> list:
@@ -961,11 +969,11 @@ class TestSharedWork:
         return calls
 
     @staticmethod
-    def count_offset_sweeps(monkeypatch) -> list:
-        """Record the group of every base-offset sweep from here on: the
-        function behind ``CrystGroup.base_offsets``, wrapped in a cached
-        property of its own."""
-        real = CrystGroup.base_offsets.func
+    def count_cached(monkeypatch, name) -> list:
+        """Record the group of every computation of the cached property
+        ``CrystGroup.<name>`` from here on: its function, wrapped in a
+        cached property of its own."""
+        real = getattr(CrystGroup, name).func
         calls = []
 
         def counting(group):
@@ -973,8 +981,8 @@ class TestSharedWork:
             return real(group)
 
         prop = functools.cached_property(counting)
-        prop.__set_name__(CrystGroup, "base_offsets")
-        monkeypatch.setattr(CrystGroup, "base_offsets", prop)
+        prop.__set_name__(CrystGroup, name)
+        monkeypatch.setattr(CrystGroup, name, prop)
         return calls
 
     def test_group_makes_its_base_offsets_once(self, monkeypatch):
@@ -982,12 +990,13 @@ class TestSharedWork:
         # of its 3 base translations, which each of them used to make anew
         entry = _fresh_entry("3/5/1/2/1")
         group = entry.group()
-        sweeps = self.count_offset_sweeps(monkeypatch)
+        numerators = self.count_cached(monkeypatch, "base_numerators")
+        sweeps = self.count_cached(monkeypatch, "base_offsets")
         assert spectrum(group).finite_values == (8,)
         assert check_entry(entry).passed
         (leader, *_), = _passing(group, _normaliser_cosets(group)[0])
         assert reidemeister_set(group, leader) == {8}
-        assert sweeps == [group]
+        assert numerators == sweeps == [group]
         assert len(group.base_offsets) == len(base_translations(group)) == 3
 
     def test_catalog_pass_counts(self, monkeypatch):
@@ -1009,7 +1018,10 @@ class TestSharedWork:
         # applies, 111 Smith normal forms, 61 subtractions and 97 Burnside
         # counts when both cosets of an inverse pair F.D, F.D^-1 were solved
         # and counted.  The groups are built anew, so the pass makes their
-        # base offsets, which they keep for the second pass.
+        # base translations, one Smith normal form each in ``groups``, and
+        # their base offsets, which they keep for the second pass.  The
+        # other 19 forms in ``groups`` are the Bieberbach tests, one per
+        # holonomy element A != I, made again on every pass.
         catalog = Catalog({name: _fresh_entry(name) for name in builtin_catalog().names()})
         for name in catalog.names():
             catalog.group(name)
@@ -1021,8 +1033,12 @@ class TestSharedWork:
             monkeypatch, crysturn.linalg.smith_normal_form,
             (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister),
         )
+        group_snfs = self.count_calls(
+            monkeypatch, crysturn.groups.smith_normal_form, (crysturn.groups,)
+        )
         subtractions = self.count_calls(monkeypatch, IntMatrix.__sub__, (IntMatrix,))
-        sweeps = self.count_offset_sweeps(monkeypatch)
+        numerators = self.count_cached(monkeypatch, "base_numerators")
+        sweeps = self.count_cached(monkeypatch, "base_offsets")
         counts = self.count_calls(
             monkeypatch, crysturn.reidemeister._burnside_count, (crysturn.reidemeister,)
         )
@@ -1031,13 +1047,17 @@ class TestSharedWork:
         assert inverses == []
         assert len(products) <= 1189
         assert len(applies) <= 704
-        assert len(snfs) <= 106
+        assert len(snfs) <= 100
+        assert len(group_snfs) <= 19 + 6
         assert len(subtractions) <= 51
-        assert len(sweeps) <= 6
+        assert len(numerators) <= 6 and len(sweeps) <= 6
         assert len(counts) <= 92
+        group_snfs.clear()
+        numerators.clear()
         sweeps.clear()
         assert all(report.passed for report in check_catalog(catalog))
-        assert sweeps == []
+        assert numerators == sweeps == []
+        assert len(group_snfs) <= 19
 
     def test_set_without_live_pair_reads_no_base_translation(self):
         # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
