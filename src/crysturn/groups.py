@@ -7,7 +7,12 @@ proves the structure and fills the :class:`CrystGroup` record, whose
 docstring lists its fields.  Every closure in the package is one
 breadth-first walk over the cosets of a finite matrix group
 (:func:`_coset_walk`); a complete walk stops on a certificate that the
-group is infinite (:func:`_certify_finite`), with no size limit.
+group is infinite (:func:`_certify_finite`), with no size limit.  The
+walk runs on raw rows: a coset costs |letters| + |F| - 1 products, each
+from the row plan of a fixed left factor, made once per walk, and the
+looked-up rows (:func:`~crysturn.linalg._plan_product`); its table is
+keyed by rows, and only the leaders become
+:class:`~crysturn.linalg.IntMatrix` objects.
 """
 
 from __future__ import annotations
@@ -18,7 +23,17 @@ from fractions import Fraction
 from itertools import product as _mixed_radix
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .linalg import IntMatrix, Vec, _Record, smith_normal_form, vector, zero_vector
+from .linalg import (
+    IntMatrix,
+    Rows,
+    Vec,
+    _plan_product,
+    _Record,
+    _row_plan,
+    smith_normal_form,
+    vector,
+    zero_vector,
+)
 
 # Largest order of a finite subgroup of GL_n(Z), n = 1..8 (Feit; Plesken-Pohst)
 _MAX_FINITE_ORDER = (2, 12, 48, 1152, 3840, 103680, 2903040, 696729600)
@@ -48,30 +63,23 @@ def _order_bound(n: int) -> int:
     return _MAX_FINITE_ORDER[n - 1] if n <= len(_MAX_FINITE_ORDER) else _minkowski_bound(n)
 
 
-def _certify_finite(new: IntMatrix, size: int, bound: int) -> None:
-    """Raise :class:`ClosureCapExceeded` if taking ``new`` into a closure of
-    ``size`` elements proves the group infinite.  A finite-order element is
-    diagonalisable with roots of unity as eigenvalues, so |trace| > n, or
-    |trace| = n for anything but I and -I (a shear, say), means infinite order;
-    past n = 8 this test, not the out-of-reach M(n), is what ends a closure."""
-    n = new.nrows
-    trace = sum(new.rows[i][i] for i in range(n))
-    if abs(trace) > n or (abs(trace) == n and new != IntMatrix.diagonal([trace // n] * n)):
-        raise ClosureCapExceeded(f"matrix group is infinite: {new} has trace {trace}")
+def _certify_finite(new: Rows, size: int, bound: int) -> None:
+    """Raise :class:`ClosureCapExceeded` if taking the matrix with rows
+    ``new`` into a closure of ``size`` elements proves the group infinite.
+    A finite-order element is diagonalisable with roots of unity as
+    eigenvalues, so |trace| > n, or |trace| = n for anything but I and -I (a
+    shear, say), means infinite order; past n = 8 this test, not the
+    out-of-reach M(n), is what ends a closure."""
+    n = len(new)
+    trace = sum(new[i][i] for i in range(n))
+    if abs(trace) > n or (abs(trace) == n and new != IntMatrix.diagonal([trace // n] * n).rows):
+        shown = IntMatrix._unchecked(new)
+        raise ClosureCapExceeded(f"matrix group is infinite: {shown} has trace {trace}")
     if size >= bound:
         raise ClosureCapExceeded(f"matrix group is infinite: more than {bound} elements")
 
 
-def _products(parts: Sequence[IntMatrix], linear: IntMatrix) -> Iterator[IntMatrix]:
-    """D, then A.D for the other matrices A of ``parts``, in order (the
-    identity comes first); lazy, so a determinant test stops multiplying at
-    its first singular block."""
-    yield linear
-    for a in parts[1:]:
-        yield a @ linear
-
-
-Step = tuple[int, int, int, int, Optional[list[IntMatrix]]]  # (x, k, y, i, new)
+Step = tuple[int, int, int, int, Optional[list[Rows]]]  # (x, k, y, i, new)
 Letter = tuple[IntMatrix, IntMatrix, tuple[int, ...]]  # (D, D^-1, sigma_D)
 
 
@@ -86,26 +94,33 @@ def _coset_walk(
 
     Yields every step as (x, k, y, i, new): letters[k] times the leader t_x
     of coset x is A_i.t_y.  When coset y is new, i = 0, the product is its
-    leader and ``new`` lists its products A_i.t_y (see :func:`_products`);
-    otherwise ``new`` is None.  One dict of all products tells each later
-    letter.leader where it lands, so a coset costs |letters| + |F| - 1
-    products.  The leader is the coset's first element in the elements'
-    breadth-first order: every element of g^-1.Z comes no earlier than its
-    coset's leader.  Positive words suffice: a finite closure of invertible
-    matrices is a group, and an infinite group has no finite one.  A walk
-    with no depth limit is complete: it ends only if N is finite, so it
-    certifies each leader and counts every product, all in F.N, which is
-    finite iff N is (see :func:`_certify_finite`).  A depth-limited walk
-    ends anyway, as a search, and certifies nothing.
+    leader and ``new`` lists the rows of its products A_i.t_y, in holonomy
+    order; otherwise ``new`` is None.  One dict of all products, keyed by
+    their rows, tells each later letter.leader where it lands, so a coset
+    costs |letters| + |F| - 1 products.  Every left factor is fixed for the
+    whole walk, so each letter and holonomy matrix becomes a row plan once
+    (:func:`~crysturn.linalg._row_plan`) and each product is formed from a
+    plan and raw rows (:func:`~crysturn.linalg._plan_product`); no product
+    is wrapped as an :class:`~crysturn.linalg.IntMatrix`.  The leader is the
+    coset's first element in the elements' breadth-first order: every
+    element of g^-1.Z comes no earlier than its coset's leader.  Positive
+    words suffice: a finite closure of invertible matrices is a group, and
+    an infinite group has no finite one.  A walk with no depth limit is
+    complete: it ends only if N is finite, so it certifies each leader and
+    counts every product, all in F.N, which is finite iff N is (see
+    :func:`_certify_finite`).  A depth-limited walk ends anyway, as a
+    search, and certifies nothing.
     """
     bound = _order_bound(parts[0].nrows) if max_depth == math.inf else 0
-    found = {m: (0, i) for i, m in enumerate(parts)}
-    leaders, depths = [parts[0]], [0]
+    letter_plans = [_row_plan(m) for m in letters]
+    part_plans = [_row_plan(a) for a in parts[1:]]
+    found = {a.rows: (0, i) for i, a in enumerate(parts)}
+    leaders, depths = [parts[0].rows], [0]
     for x, leader in enumerate(leaders):  # the list grows as the walk goes
         if depths[x] == max_depth:
             break
-        for k, letter in enumerate(letters):
-            cand = letter @ leader
+        for k, plan in enumerate(letter_plans):
+            cand = _plan_product(plan, leader)
             landing = found.get(cand)
             if landing is not None:
                 yield x, k, *landing, None
@@ -113,7 +128,7 @@ def _coset_walk(
             if bound:
                 _certify_finite(cand, len(found) + len(parts) - 1, bound)
             y = len(leaders)
-            products = list(_products(parts, cand))
+            products = [cand, *(_plan_product(p, cand) for p in part_plans)]
             found.update((m, (y, i)) for i, m in enumerate(products))
             leaders.append(cand)
             depths.append(depths[x] + 1)
@@ -183,7 +198,7 @@ def matrix_group_closure(gens: Sequence[IntMatrix]) -> PointGroup:
     gen_list = sorted(set(gens), key=lambda m: m.rows)
     ident = IntMatrix.identity(n)
     walk = _coset_walk([ident], gen_list)
-    return PointGroup([ident, *(new[0] for _, _, _, _, new in walk if new)])
+    return PointGroup([ident, *(IntMatrix._unchecked(new[0]) for _, _, _, _, new in walk if new)])
 
 
 class CrystGroup:
@@ -216,7 +231,7 @@ class CrystGroup:
       of ``f_ext[i]``, as ints.
     * ``base_numerators`` and ``base_offsets``: the base translations and
       the integer vectors they move image translations by, made on first
-      use and kept.
+      use and kept, as is the verdict of :meth:`is_bieberbach`.
 
     Fractions only in and out: translations are Fractions in
     :class:`AffineMap` and in the arguments and results of the public
@@ -271,6 +286,12 @@ class CrystGroup:
 
     def is_bieberbach(self) -> bool:
         """Torsion-freeness: no (x + a, A) with A != I has finite order.
+        Decided on first use and kept (``_torsion_free``)."""
+        return self._torsion_free
+
+    @functools.cached_property
+    def _torsion_free(self) -> bool:
+        """:meth:`is_bieberbach`, computed.
 
         (x + a, A) with A of order m is torsion iff (sum_i A^i)(x + a) = 0,
         so torsion with matrix part A exists iff N_A . x = -N_A . a has an
@@ -420,7 +441,7 @@ def build_group(
         moved = letters[k].apply(translations[x])
         t = tuple((u + v) % den for u, v in zip(seeds[k], moved))
         if new:
-            linears.append(new[0])
+            linears.append(IntMatrix._unchecked(new[0]))
             translations.append(t)
             tree.append((k, x))
         elif translations[y] != t:

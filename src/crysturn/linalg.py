@@ -2,7 +2,9 @@
 
 Immutable integer matrices (:class:`IntMatrix`; a product combines rows,
 see :meth:`IntMatrix.__matmul__`, and results of integer operations skip
-re-validation, see :meth:`IntMatrix._unchecked`), exact rational vectors,
+re-validation, see :meth:`IntMatrix._unchecked`), the coset walk's
+product of raw rows by a fixed left factor's row plan, made once per walk
+(:func:`_row_plan`, :func:`_plan_product`), exact rational vectors,
 determinants (:func:`_bareiss`) and the Smith normal form, which does
 every other integer solve, the inverse (:meth:`IntMatrix.int_inverse`)
 included, and whose transforms are carried only onto what the caller reads
@@ -225,6 +227,36 @@ class IntMatrix(_Record):
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows) + "]"
+
+
+Rows = tuple[tuple[int, ...], ...]  # the rows of a matrix, raw
+Plan = tuple[tuple[tuple[int, int], ...], ...]  # per row, the (j, a) of its nonzero entries
+
+
+def _row_plan(m: IntMatrix) -> Plan:
+    """The row plan of a left factor: for each row, the pairs (j, a) of its
+    nonzero entries a = m[i][j], made once for a factor that multiplies
+    many matrices (:func:`_plan_product`)."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in m.rows)
+
+
+def _plan_product(plan: Plan, rows: Rows) -> Rows:
+    """The rows of M.B from M's :func:`_row_plan` and the rows of B, by the
+    rule of :meth:`IntMatrix.__matmul__`: row i is the sum of a times row j
+    of B over the pairs (j, a) of row i, an entry of +-1 adding the row or
+    its negation.  The plan has no zero entries to test, and no
+    ``IntMatrix`` is made, so a walk's products and their lookups stay on
+    tuples; a one-off product is cheaper through ``@``, which makes no
+    plan."""
+    out = []
+    for terms in plan:
+        acc = None
+        for j, a in terms:
+            b = rows[j]
+            term = b if a == 1 else map(_neg, b) if a == -1 else map(a.__mul__, b)
+            acc = tuple(term) if acc is None else tuple(map(_add, acc, term))
+        out.append(acc or (0,) * len(rows[0]))
+    return tuple(out)
 
 
 def _det_identity_minus(rows: Sequence[Sequence[int]]) -> int:

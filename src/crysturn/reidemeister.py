@@ -32,18 +32,17 @@ from .groups import (
     CrystGroup,
     Step,
     _coset_walk,
-    _products,
     # perfbench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
 )
-from .linalg import IntMatrix, _det_identity_minus, _Record, smith_normal_form
+from .linalg import IntMatrix, Rows, _det_identity_minus, _Record, smith_normal_form
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
 
-# (products A.D with |det(I - A.D)|, in holonomy order) from _twisted_blocks
-Twisted = list[tuple[IntMatrix, int]]
+# (rows of the products A.D with |det(I - A.D)|, in holonomy order) from _twisted_blocks
+Twisted = list[tuple[Rows, int]]
 # (c_index, weight, rows), rows of ((P.A)_i, (P.c0)_i, s_i): a live pair of _fixing_pairs
 Live = tuple[int, int, tuple[tuple[tuple[int, ...], int, int], ...]]
 
@@ -63,10 +62,21 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
     return _twisted_blocks(_products(group.matrix_parts, linear)) is None
 
 
-def _twisted_blocks(products: Iterable[IntMatrix]) -> Optional[Twisted]:
-    """The products A.D over the holonomy group, in holonomy order, each
-    with |det(I - A.D)| read off its rows, with no block I - A.D formed;
-    the determinants are the points the identity of F fixes in the
+def _products(parts: Sequence[IntMatrix], linear: IntMatrix) -> Iterator[Rows]:
+    """The rows of D, then of A.D for the other matrices A of ``parts``, in
+    order (the identity comes first), each by ``@``, since one D would not
+    repay the row plans of the walk (:func:`~crysturn.groups._coset_walk`).
+    Lazy, so a determinant test stops multiplying at its first singular
+    block."""
+    yield linear.rows
+    for a in parts[1:]:
+        yield (a @ linear).rows
+
+
+def _twisted_blocks(products: Iterable[Rows]) -> Optional[Twisted]:
+    """The rows of the products A.D over the holonomy group, in holonomy
+    order, each with |det(I - A.D)| read off them, with no block I - A.D
+    formed; the determinants are the points the identity of F fixes in the
     Burnside count (see :func:`_fixing_pairs`).
 
     None as soon as one of them is singular, so a lazy ``products`` stops
@@ -74,7 +84,7 @@ def _twisted_blocks(products: Iterable[IntMatrix]) -> Optional[Twisted]:
     """
     twisted = []
     for product in products:
-        det = abs(_det_identity_minus(product.rows))
+        det = abs(_det_identity_minus(product))
         if det == 0:
             return None
         twisted.append((product, det))
@@ -98,7 +108,8 @@ def _fixing_pairs(
     otherwise.
 
     ``sigma`` is D's permutation of the holonomy group and ``twisted`` is
-    :func:`_twisted_blocks` of D, the products A.D with |det(I - A.D)|.
+    :func:`_twisted_blocks` of D, the rows of the products A.D with
+    |det(I - A.D)|.
     Returns a constant and the live pairs: the fixed points of every
     translation part are the constant plus the weights of the live pairs
     it satisfies (see :func:`_burnside_count`).  A live pair is (index of
@@ -149,7 +160,7 @@ def _fixing_pairs(
                 ]
             block = tuple(
                 s + tuple((i == j) - x for j, x in enumerate(row))
-                for i, (s, row) in enumerate(zip(shift, product.rows))
+                for i, (s, row) in enumerate(zip(shift, product))
             )
             snf = smith_normal_form(
                 IntMatrix._unchecked(block),
@@ -305,23 +316,24 @@ def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(outer.__getitem__, inner))
 
 
-Coset = tuple[IntMatrix, tuple[int, ...], list[IntMatrix]]  # (leader, sigma, products)
+Coset = tuple[IntMatrix, tuple[int, ...], list[Rows]]  # (leader, sigma, rows of the products)
 Passing = tuple[IntMatrix, tuple[int, ...], Twisted, Scaled]  # (leader, sigma, twisted, d)
 
 
 def _with_sigmas(
     group: CrystGroup, letter_sigmas: Sequence[tuple[int, ...]], walk: Iterable[Step]
 ) -> Iterator[Coset]:
-    """The new cosets of a :func:`_coset_walk`, lazily, with sigma:
-    ``letter_sigmas[k]`` is the sigma of the walk's letter k (see
-    :func:`_normaliser_letters`), and sigma is a homomorphism, so a coset's
-    sigma is its letter's after its parent's, at |F| lookups; nothing is
-    conjugated."""
+    """The new cosets of a :func:`_coset_walk`, lazily, as (leader, sigma,
+    the rows of the products A.D): ``letter_sigmas[k]`` is the sigma of the
+    walk's letter k (see :func:`_normaliser_letters`), and sigma is a
+    homomorphism, so a coset's sigma is its letter's after its parent's, at
+    |F| lookups; nothing is conjugated.  Only the leader is wrapped as an
+    :class:`~crysturn.linalg.IntMatrix`."""
     sigmas = [tuple(range(group.order))]
     for x, k, _, _, products in walk:
         if products:
             sigmas.append(_compose(letter_sigmas[k], sigmas[x]))
-            yield products[0], sigmas[-1], products
+            yield IntMatrix._unchecked(products[0]), sigmas[-1], products
 
 
 def _normaliser_cosets(group: CrystGroup) -> tuple[list[Coset], int, list[int]]:

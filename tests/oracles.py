@@ -214,12 +214,40 @@ def element_closure(gens: list[IntMatrix]) -> PointGroup:
             for g in gen_list:
                 prod = g @ cur
                 if prod not in seen:
-                    _certify_finite(prod, len(order), bound)
+                    _certify_finite(prod.rows, len(order), bound)
                     seen.add(prod)
                     next_frontier.append(prod)
                     order.append(prod)
         frontier = next_frontier
     return PointGroup(order)
+
+
+def reference_coset_walk(
+    parts: Sequence[IntMatrix], letters: Sequence[IntMatrix], max_depth: float = math.inf
+) -> list[tuple]:
+    """The steps (x, k, y, i, new) of the library's coset walk, every
+    product made by ``IntMatrix.__matmul__`` and looked up as a matrix: a
+    new coset's ``new`` is the rows of A.D for A in ``parts``, in order.
+    No finiteness certificate: the caller passes a finite group or a
+    depth."""
+    found = {a: (0, i) for i, a in enumerate(parts)}
+    leaders, depths, steps = [parts[0]], [0], []
+    for x, leader in enumerate(leaders):
+        if depths[x] == max_depth:
+            break
+        for k, letter in enumerate(letters):
+            cand = letter @ leader
+            if cand in found:
+                steps.append((x, k, *found[cand], None))
+                continue
+            y = len(leaders)
+            products = [a @ cand for a in parts]
+            for i, m in enumerate(products):
+                found[m] = (y, i)
+            leaders.append(cand)
+            depths.append(depths[x] + 1)
+            steps.append((x, k, y, 0, [m.rows for m in products]))
+    return steps
 
 
 def frontier_build_group(dimension: int, generators: list[AffineMap]) -> CrystGroup:
@@ -237,7 +265,7 @@ def frontier_build_group(dimension: int, generators: list[AffineMap]) -> CrystGr
     def record(candidate: AffineMap) -> bool:
         known = reps.get(candidate.linear)
         if known is None:
-            _certify_finite(candidate.linear, len(reps), bound)
+            _certify_finite(candidate.linear.rows, len(reps), bound)
             reps[candidate.linear] = candidate
             return True
         if known.translation != candidate.translation:

@@ -77,15 +77,20 @@ def product_generators(g1: CrystGroup, g2: CrystGroup) -> list[AffineMap]:
 
 
 def count_matmul(monkeypatch) -> list:
-    """Record one entry per IntMatrix product made from here on."""
-    matmul = IntMatrix.__matmul__
+    """Record one entry per matrix product made from here on: by
+    ``IntMatrix.__matmul__``, or from a row plan by
+    ``linalg._plan_product`` as the coset walk in ``groups`` calls it."""
     calls = []
 
-    def counted(a, b):
-        calls.append(None)
-        return matmul(a, b)
+    def counting(real):
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+        return counted
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting(IntMatrix.__matmul__))
+    monkeypatch.setattr(crysturn.groups, "_plan_product", counting(crysturn.groups._plan_product))
     return calls
 
 

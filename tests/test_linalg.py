@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from crysturn.linalg import (
     IntMatrix,
     _det_identity_minus,
+    _plan_product,
+    _row_plan,
     coset_representatives,
     mod2_solution_count,
     rational_inverse,
@@ -466,6 +468,24 @@ class TestKernelsAgainstNaive:
         assert product.rows == naive_matmul(a, b)
         assert product.shape == (nrows, ncols)
         assert all(type(x) is int for row in product.rows for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_plan_product_matches_matmul(self, data):
+        # one row plan of A serves several right factors B, as a walk's
+        # letters and holonomy matrices do; each product by the plan is the
+        # rows of A @ B, entries of +-1 added or subtracted, others multiplied
+        entries = st.sampled_from((0, 1, -1, 2, -2, 10**12, -(10**12)))
+        nrows, inner, ncols = (data.draw(st.integers(1, 6)) for _ in range(3))
+
+        def matrix(height, width):
+            row = st.lists(entries, min_size=width, max_size=width)
+            return IntMatrix.from_rows(data.draw(st.lists(row, min_size=height, max_size=height)))
+
+        a = matrix(nrows, inner)
+        plan = _row_plan(a)
+        for b in [matrix(inner, ncols) for _ in range(data.draw(st.integers(1, 3)))]:
+            assert _plan_product(plan, b.rows) == (a @ b).rows
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

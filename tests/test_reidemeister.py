@@ -27,6 +27,7 @@ from crysturn.groups import (
     AffineMap,
     ClosureCapExceeded,
     CrystGroup,
+    _coset_walk,
     build_group,
     conjugation_permutation,
 )
@@ -44,6 +45,7 @@ from crysturn.reidemeister import (
     _fixing_pairs,
     _linear_part_set,
     _normaliser_cosets,
+    _normaliser_letters,
     _passing,
     _twisted_blocks,
     _witness_cosets,
@@ -58,6 +60,7 @@ from oracles import (
     full_closure_spectrum,
     naive_witness_words,
     pairwise_burnside_number,
+    reference_coset_walk,
     union_find_number,
 )
 
@@ -89,9 +92,9 @@ class TestAlwaysInfinite:
             is_always_infinite(p3_group, IntMatrix.from_rows([[1, 1], [0, 1]]))
 
     def test_blocks_stop_at_first_singular_product(self):
-        # the products are kept with |det(I - A.D)|; a singular one ends the
-        # test there, so a lazy product list is read no further
-        neg, ident = -IntMatrix.identity(2), IntMatrix.identity(2)
+        # the products' rows are kept with |det(I - A.D)|; a singular one
+        # ends the test there, so a lazy product list is read no further
+        neg, ident = (-IntMatrix.identity(2)).rows, IntMatrix.identity(2).rows
         read = []
 
         def products(mats):
@@ -101,7 +104,7 @@ class TestAlwaysInfinite:
 
         assert _twisted_blocks(products([neg, neg, ident, neg])) is None
         assert read == [neg, neg, ident]
-        scaled = IntMatrix.diagonal([-1, -2])
+        scaled = IntMatrix.diagonal([-1, -2]).rows
         assert _twisted_blocks(products([neg, scaled])) == [(neg, 4), (scaled, 6)]
 
 
@@ -621,13 +624,14 @@ class TestSigmaComposition:
     """sigma composed along the walks against conjugating by the matrix."""
 
     def test_closure_walk_matches_conjugation(self):
-        # each coset's sigma and products, and one leader per coset F.D != F
-        # of the closure, each the first element of its coset in closure order
+        # each coset's sigma and the rows of its products, and one leader per
+        # coset F.D != F of the closure, each the first element of its coset
+        # in closure order
         for name, (group, closure) in _finite_normaliser_groups().items():
             cosets, _, _ = _normaliser_cosets(group)
             for leader, sigma, products in cosets:
                 assert sigma == conjugation_permutation(group, leader), (name, leader)
-                assert products == [a @ leader for a in group.matrix_parts], (name, leader)
+                assert products == [(a @ leader).rows for a in group.matrix_parts], (name, leader)
             leaders = [IntMatrix.identity(group.dimension), *(leader for leader, _, _ in cosets)]
             assert leaders == _first_per_coset(group, closure.elements), name
 
@@ -1021,7 +1025,8 @@ class TestSharedWork:
         # base translations, one Smith normal form each in ``groups``, and
         # their base offsets, which they keep for the second pass.  The
         # other 19 forms in ``groups`` are the Bieberbach tests, one per
-        # holonomy element A != I, made again on every pass.
+        # holonomy element A != I; each group keeps its verdict, so the
+        # second pass makes none (it made the 19 again).
         catalog = Catalog({name: _fresh_entry(name) for name in builtin_catalog().names()})
         for name in catalog.names():
             catalog.group(name)
@@ -1057,7 +1062,7 @@ class TestSharedWork:
         sweeps.clear()
         assert all(report.passed for report in check_catalog(catalog))
         assert numerators == sweeps == []
-        assert len(group_snfs) <= 19
+        assert group_snfs == []
 
     def test_set_without_live_pair_reads_no_base_translation(self):
         # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
@@ -1153,14 +1158,14 @@ class TestInversePairs:
     F.D^-1."""
 
     def test_inverse_index_holds_the_leaders_inverse(self):
-        # against int_inverse, looked up in the cosets' product lists
+        # against int_inverse, looked up in the rows of the cosets' products
         self_inverse, pairs = 0, 0
         for name, group in _pair_groups().items():
             cosets, _, inverses = _normaliser_cosets(group)
             where = {m: j for j, (_, _, products) in enumerate(cosets) for m in products}
             assert len(inverses) == len(cosets), name
             for j, (leader, _, _) in enumerate(cosets):
-                assert inverses[j] == where[leader.int_inverse()], (name, j)
+                assert inverses[j] == where[leader.int_inverse().rows], (name, j)
                 self_inverse += inverses[j] == j
                 pairs += inverses[j] > j
         assert (self_inverse, pairs) == (188, 132)
@@ -1194,6 +1199,35 @@ class TestInversePairs:
                     assert reidemeister_set(group, leader) == reidemeister_set(group, partner), name
                     skipped += 1
         assert skipped == 5 + 14 + 1
+
+
+class TestWalkAgainstReference:
+    """The coset walk, on row plans with a table keyed by rows, against
+    :func:`oracles.reference_coset_walk`, which multiplies and looks up
+    matrices: the same steps (x, k, y, i) and the same product rows."""
+
+    def test_complete_walks(self):
+        # the 11 finite catalog normalisers, the two dimension-6 products
+        # and Z2^5, 120 cosets of |F| = 32
+        groups = {**_pair_groups(), "Z2^5": _z2_power(5)}
+        assert len(groups) == 14
+        for name, group in groups.items():
+            parts = group.matrix_parts
+            letters = _normaliser_letters(group)[0]
+            assert list(_coset_walk(parts, letters)) == reference_coset_walk(parts, letters), name
+
+    def test_word_searches(self):
+        # check_entry's depth-limited search on the 9 infinite normalisers,
+        # over the generators and their inverses
+        catalog = builtin_catalog()
+        infinite = [name for name in catalog.names() if name not in _finite_normaliser_groups()]
+        assert len(infinite) == 9
+        for name in infinite:
+            group = catalog.group(name)
+            parts, depth = group.matrix_parts, _WORD_LENGTH
+            letters = _normaliser_letters(group, inverses=True)[0]
+            walk = list(_coset_walk(parts, letters, depth))
+            assert walk == reference_coset_walk(parts, letters, depth), name
 
 
 def _transposition(n: int, i: int) -> IntMatrix:
