@@ -4,7 +4,8 @@ Every automorphism of a crystallographic group with translation lattice Z^n
 is conjugation by an affine map (d, D), D in the normaliser of the holonomy
 group in GL_n(Z), which D permutes by sigma
 (:func:`~crysturn.groups.conjugation_permutation`).  This module owns the
-translation solve for a given D (:func:`find_translation_part`), the one
+translation solve for a given D (:func:`find_translation_part`), one apply
+of the solve matrix that the group keeps (:func:`_translation_part`), the one
 check that conjugation by (d, D) keeps the group, which gives each image
 translation as a_sigma(C) plus an integer vector (:func:`_translation_images`),
 the base translations, which the group keeps (:func:`base_translations`),
@@ -13,34 +14,14 @@ and the validated :class:`Automorphism`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
 from .groups import CrystGroup, conjugation_permutation
-from .linalg import IntMatrix, Vec, _Record, smith_normal_form, vector
+from .linalg import IntMatrix, Vec, _Record, vector
 
 Scaled = tuple[int, tuple[int, ...]]  # (den, den.d): a translation d over den
 Images = tuple[tuple[int, ...], ...]  # z_C: image translation minus a_sigma(C), per C
-
-
-def _stacked_system(group: CrystGroup, linear: IntMatrix, sigma: tuple[int, ...]):
-    """The (kn x n) block system and right-hand side for the translation solve.
-
-    The blocks are ``group.generator_blocks(sigma)``, I - A_sigma(i) for
-    each holonomy generator i, with right-hand side block D.a_i - a_sigma(i),
-    scaled by the group's common denominator g to ints; k.n rows for k
-    generators instead of n.|F|.  That is exact: conjugation by (d, D) keeps
-    Z^n, so once it maps each generator (a_i, A_i) into the group it maps
-    the whole group into it, and the image, which contains Z^n and maps onto
-    D.F.D^-1 = F, is the group.  :class:`Automorphism` still checks every
-    representative.
-    """
-    scaled = group.scaled_translations
-    rhs: list[int] = []
-    for i in group.generator_indices:
-        rhs.extend(x - y for x, y in zip(linear.apply(scaled[i]), scaled[sigma[i]]))
-    return group.generator_blocks(sigma), tuple(rhs)
 
 
 def _rationals(den: int, numerators: tuple[int, ...]) -> Vec:
@@ -51,16 +32,12 @@ def _rationals(den: int, numerators: tuple[int, ...]) -> Vec:
 def find_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
     """Find d such that conjugation by (d, linear) is an automorphism.
 
-    Works through the Smith normal form of the system stacked over the
-    holonomy generators (see :func:`_stacked_system`): with P.M.Q = S and
-    t = P.rhs, a solution exists iff the rows of S that are zero see
-    integral entries of t; the canonical solution takes d'_i = -t_i / s_i
-    on the nonzero rows and d = Q.d'.  The elimination carries rhs and
-    reads t and Q, never P.  Returns None when no valid translation
-    exists.  The right-hand side is scaled by g, so t is an integer vector,
-    the test reads t_i % g and d'_i = -t_i / (s_i g).  Raises ValueError
-    unless ``linear`` is an n x n matrix that normalises the holonomy group
-    (see :func:`conjugation_permutation`).
+    Returns None when no valid translation exists, otherwise one d; every
+    other differs from it by a base translation and an integer vector (see
+    :func:`base_translations`), and which one is returned is the solve's
+    choice (see :func:`_translation_part`).  Raises ValueError unless
+    ``linear`` is an n x n matrix that normalises the holonomy group (see
+    :func:`conjugation_permutation`).
     """
     d = _translation_part(group, linear, conjugation_permutation(group, linear))
     return None if d is None else _rationals(*d)
@@ -71,20 +48,31 @@ def _translation_part(
 ) -> Optional[Scaled]:
     """:func:`find_translation_part` for a linear part whose permutation
     ``sigma`` (see :func:`conjugation_permutation`) is already known, as
-    (den, den.d) with den = g times the lcm of the invariant factors."""
-    n = group.dimension
-    g = group.denominator
-    m_mat, rhs = _stacked_system(group, linear, sigma)
-    snf = smith_normal_form(m_mat, right=(rhs,))
-    t = [row[0] for row in snf.p.rows]
-    r = snf.rank
-    if any(t[i] % g for i in range(r, m_mat.nrows)):
+    (den, den.d) with den = g.L, L from ``group.solve_matrix``.
+
+    Conjugation by (d, D) sends (a_C, C) to (d + D.a_C - E.d, E), E =
+    A_sigma(C), so it keeps the group iff (I - E).d = a_sigma(C) - D.a_C
+    modulo Z^n for every C.  One condition per holonomy generator E = A_j,
+    with C = sigma^-1(j), suffices: sigma is an automorphism of F, so those
+    C generate F, and conjugation by (d, D) keeps Z^n, so once it maps their
+    representatives into the group it maps the whole group into it, and
+    the image, which contains Z^n and maps onto D.F.D^-1 = F, is the group.
+    Indexed by E, the k.n x n system is the group's ``generator_blocks``
+    whatever D is, so the solve is k applies of D for the right-hand side
+    D.a_C - a_j, scaled by g to ints, and one of the group's
+    ``solve_matrix``, whose consistency entries must be multiples of g; no
+    Smith normal form is made here.  :class:`Automorphism` still checks
+    every representative.
+    """
+    lcm, solve = group.solve_matrix
+    n, g, scaled = group.dimension, group.denominator, group.scaled_translations
+    rhs: list[int] = []
+    for j in group.generator_indices:
+        rhs.extend(x - y for x, y in zip(linear.apply(scaled[sigma.index(j)]), scaled[j]))
+    t = solve.apply(rhs)
+    if any(x % g for x in t[n:]):
         return None
-    den = g * math.lcm(*snf.invariant_factors)
-    d_prime = [0] * n
-    for i, s in enumerate(snf.invariant_factors):
-        d_prime[i] = -t[i] * (den // (s * g))
-    return den, snf.q.apply(d_prime)
+    return g * lcm, t[:n]
 
 
 def base_translations(group: CrystGroup) -> list[Vec]:
@@ -93,7 +81,7 @@ def base_translations(group: CrystGroup) -> list[Vec]:
     Every automorphism restricting to the identity on Z^n is inner composed
     with conjugation by (d, I) for exactly one d in this list.  Built from
     the Smith normal form of the I - A_i blocks of the holonomy generators
-    (see :func:`_stacked_system` and ``CrystGroup.base_numerators``),
+    (``CrystGroup.generator_form``, read by ``CrystGroup.base_numerators``),
     enumerating d'_i in {0, 1/s_i, ..., (s_i - 1)/s_i} and mapping through
     Q.  Each entry is reduced into [0, 1)^n, since (d + z, I) with z in Z^n
     differs from (d, I) by an inner automorphism, and the list is sorted.

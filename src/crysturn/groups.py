@@ -12,7 +12,10 @@ walk runs on raw rows: a coset costs |letters| + |F| - 1 products, each
 from the row plan of a fixed left factor, made once per walk, and the
 looked-up rows (:func:`~crysturn.linalg._plan_product`); its table is
 keyed by rows, and only the leaders become
-:class:`~crysturn.linalg.IntMatrix` objects.
+:class:`~crysturn.linalg.IntMatrix` objects.  The group also owns the one
+Smith normal form of its generator stack (``CrystGroup.generator_form``),
+which its base translations and the translation solve's integer matrix
+(``CrystGroup.solve_matrix``) are read from.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .linalg import (
     IntMatrix,
     Rows,
+    SnfDecomposition,
     Vec,
     _plan_product,
     _Record,
@@ -217,8 +221,8 @@ class CrystGroup:
       multiplication by A_j.
     * ``generator_indices``: the holonomy indices of representatives that,
       with Z^n, generate the group; never empty (the identity alone for the
-      trivial group).  The translation solve stacks one block per index
-      (``generator_blocks``).
+      trivial group).  The translation solve stacks one block I - A_j per
+      index j (``generator_blocks``).
     * ``normaliser_letters``: for each supplied generator D of the
       normaliser of the holonomy group in GL_n(Z), in the supplied order,
       (D, D^-1, sigma_D) with sigma_D its :func:`conjugation_permutation`;
@@ -229,9 +233,11 @@ class CrystGroup:
     * ``denominator``: the least common multiple g of the translations'
       denominators, and ``scaled_translations[i]``: g times the translation
       of ``f_ext[i]``, as ints.
-    * ``base_numerators`` and ``base_offsets``: the base translations and
-      the integer vectors they move image translations by, made on first
-      use and kept, as is the verdict of :meth:`is_bieberbach`.
+    * ``generator_form`` and ``solve_matrix``: the Smith normal form of
+      that stack and the integer matrix that does every translation solve;
+      ``base_numerators`` and ``base_offsets``: the base translations and
+      the integer vectors they move image translations by.  All are made on
+      first use and kept, as is the verdict of :meth:`is_bieberbach`.
 
     Fractions only in and out: translations are Fractions in
     :class:`AffineMap` and in the arguments and results of the public
@@ -317,11 +323,39 @@ class CrystGroup:
                 return False
         return True
 
-    def generator_blocks(self, sigma: Sequence[int]) -> IntMatrix:
-        """The blocks I - A_sigma(i), one per holonomy generator i
+    def generator_blocks(self) -> IntMatrix:
+        """The blocks I - A_i, one per holonomy generator i
         (``generator_indices``), stacked: k.n rows for k generators."""
         parts = self.matrix_parts  # parts[0] is the holonomy identity
-        return IntMatrix.vstack([parts[0] - parts[sigma[i]] for i in self.generator_indices])
+        return IntMatrix.vstack([parts[0] - parts[i] for i in self.generator_indices])
+
+    @functools.cached_property
+    def generator_form(self) -> SnfDecomposition:
+        """The Smith normal form P.M.Q = S of M = ``generator_blocks``, with
+        P and Q: the group's one factorisation of that stack, made on first
+        use and kept; ``base_numerators`` and ``solve_matrix`` read it."""
+        return smith_normal_form(self.generator_blocks())
+
+    @functools.cached_property
+    def solve_matrix(self) -> tuple[int, IntMatrix]:
+        """(L, W) for the translation solve of
+        :func:`~crysturn.automorphisms._translation_part`, L the lcm of the
+        invariant factors s_1..s_r of ``generator_form``.  The solve asks
+        for x = g.d with M.x = -t modulo g.Z^kn, t the right-hand side
+        scaled by g = ``denominator`` to ints.  It has a solution iff
+        (P.t)_i is a multiple of g past the rank r, and then x = Q.x' with
+        x'_i = -(P.t)_i / s_i for i < r and 0 past it.  W stacks the n rows
+        of -Q.diag(L / s_i).P_{<r}, which give L.x, on the k.n - r
+        consistency rows P_{>=r}, so one apply of W does the whole solve."""
+        snf = self.generator_form
+        factors, p_rows = snf.invariant_factors, snf.p.rows
+        lcm = math.lcm(*factors)
+        scaled = [[-(lcm // s) * x for x in row] for s, row in zip(factors, p_rows)]
+        top = [  # zip(q_row, scaled) stops at the rank: Q's first r columns
+            tuple(sum(q * row[c] for q, row in zip(q_row, scaled)) for c in range(len(p_rows)))
+            for q_row in snf.q.rows
+        ]
+        return lcm, IntMatrix._unchecked((*top, *p_rows[snf.rank :]))
 
     @functools.cached_property
     def base_numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -329,11 +363,11 @@ class CrystGroup:
         :func:`~crysturn.automorphisms.base_translations`) as (den, the sorted
         numerators den.b reduced into [0, den)^n).  The A with (I - A).b in
         Z^n form a subgroup of F, (I - A.B).b = (I - A).b + A.(I - B).b, so
-        the generators' blocks suffice: with P.M.Q = S for M =
-        ``generator_blocks`` under the identity, each d' with d'_i in
-        {0, 1/s_i, ..., (s_i - 1)/s_i} gives b = Q.d'; den is the lcm of the
-        invariant factors s_i."""
-        snf = smith_normal_form(self.generator_blocks(range(self.order)), right=())
+        the generators' blocks suffice: with P.M.Q = S the
+        ``generator_form``, each d' with d'_i in {0, 1/s_i, ...,
+        (s_i - 1)/s_i} gives b = Q.d'; den is the lcm of the invariant
+        factors s_i."""
+        snf = self.generator_form
         factors = snf.invariant_factors
         den = math.lcm(*factors)
         pad = [0] * (self.dimension - len(factors))

@@ -343,9 +343,11 @@ def conjugation_keeps_group(group: CrystGroup, translation: Vec, linear: IntMatr
 def full_stack_translation_part(group: CrystGroup, linear: IntMatrix) -> Optional[Vec]:
     """A translation d making conjugation by (d, linear) an automorphism, or None.
 
-    Solves one block per holonomy element, n.|F| rows: block i is
-    I - A_sigma(i) with right-hand side D.a_i - a_sigma(i), in Fractions.
-    The library stacks the blocks of the holonomy generators only.
+    Solves one block per holonomy element, indexed by source, n.|F| rows:
+    block i is I - A_sigma(i) with right-hand side D.a_i - a_sigma(i), in
+    Fractions, with a Smith normal form per D.  The library indexes by image
+    and stacks the blocks of the holonomy generators only, I - A_j, which
+    it factors once per group.
     """
     sigma = conjugation_permutation(group, linear)
     ident = IntMatrix.identity(group.dimension)

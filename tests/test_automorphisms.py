@@ -22,7 +22,12 @@ from crysturn.linalg import (
     vector,
     zero_vector,
 )
-from crysturn.reidemeister import is_always_infinite, reidemeister_number, reidemeister_set
+from crysturn.reidemeister import (
+    _normaliser_cosets,
+    is_always_infinite,
+    reidemeister_number,
+    reidemeister_set,
+)
 from conftest import ROT3, SWAP2
 from oracles import (
     candidate_count,
@@ -38,6 +43,7 @@ from oracles import (
     vec_mod1,
     vec_sub,
 )
+from test_reidemeister import _pair_groups
 
 # Catalog groups for the validation cross-check: translation denominators
 # g = 1 and g = 2, dimensions 1 to 4.
@@ -72,9 +78,11 @@ def conjugation_data(draw):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_linear_parts() -> list:
-    """(name, D) for every element of the 11 finite normaliser closures of
-    the catalog and every word of naive_witness_words(., 3) of the 9 entries
-    with an infinite normaliser."""
+    """(group, D) for every element of the 11 finite normaliser closures of
+    the catalog, every word of naive_witness_words(., 3) of the 9 entries
+    with an infinite normaliser and every coset leader of the normalisers
+    of the two dimension-6 products of ``_pair_groups``, whose stacks have
+    k >= 2 blocks and whose sigma include non-involutions."""
     catalog = builtin_catalog()
     found, finite = [], 0
     for name in catalog.names():
@@ -84,8 +92,16 @@ def _oracle_linear_parts() -> list:
             finite += 1
         except ClosureCapExceeded:
             linears = naive_witness_words(group, 3)
-        found.extend((name, linear) for linear in linears)
+        found.extend((group, linear) for linear in linears)
     assert finite == 11 and len(catalog.names()) == 20
+    products = [group for group in _pair_groups().values() if group.dimension == 6]
+    for group in products:
+        cosets = _normaliser_cosets(group)[0]
+        assert len(group.generator_indices) >= 2
+        squares = [tuple(sigma[i] for i in sigma) for _, sigma, _ in cosets]
+        assert any(square != tuple(range(group.order)) for square in squares)
+        found.extend((group, leader) for leader, _, _ in cosets)
+    assert len(products) == 2
     return found
 
 
@@ -219,14 +235,14 @@ class TestFindTranslationPart:
 
 
 class TestAgainstFullStack:
-    """The k.n-row solve on the holonomy generators against the n.|F|-row
-    solve on every holonomy element."""
+    """The k.n-row solve on the holonomy generators, indexed by image,
+    against the n.|F|-row solve on every holonomy element, indexed by
+    source."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_generator_system_is_exact(self, data):
-        name, linear = data.draw(st.sampled_from(_oracle_linear_parts()))
-        group = builtin_catalog().group(name)
+        group, linear = data.draw(st.sampled_from(_oracle_linear_parts()))
         d = find_translation_part(group, linear)
         d_full = full_stack_translation_part(group, linear)
         assert (d is None) == (d_full is None)
@@ -236,6 +252,8 @@ class TestAgainstFullStack:
             assert reidemeister_set(group, linear) == frozenset()
             return
         assert conjugation_keeps_group(group, d, linear)
+        # any two translation parts differ by a base translation modulo Z^n
+        assert vec_mod1(vec_sub(d, d_full)) in set(base_translations(group))
         # the Reidemeister set from the oracle's d and bases, one automorphism each
         expected = {
             reidemeister_number(Automorphism(group, vec_add(base, d_full), linear))

@@ -828,8 +828,11 @@ class TestSharedWork:
 
     def test_translation_solves_stack_generator_blocks(self, monkeypatch):
         # one n-row block per holonomy generator: 8 rows for 4/9/2/1/1
-        # (|F| = 6, two generators), where the full stack has 24.  The
-        # groups are built anew, so their base translations are made here.
+        # (|F| = 6, two generators), where the full stack has 24.  Each group
+        # is built anew and factors that stack once, on first use, whichever
+        # comes first: the base translations and every solve read the one
+        # form, and a solve makes no Smith normal form of its own (each used
+        # to make one, of the stack I - A_sigma(i) for its D).
         rows = []
         real = crysturn.linalg.smith_normal_form
 
@@ -837,19 +840,22 @@ class TestSharedWork:
             rows.append(m.nrows)
             return real(m, *args, **kwargs)
 
-        for module in (crysturn.groups, crysturn.automorphisms):
+        for module in (crysturn.linalg, crysturn.groups, crysturn.reidemeister):
             monkeypatch.setattr(module, "smith_normal_form", counting)
-        for name in builtin_catalog().names():
+        for i, name in enumerate(builtin_catalog().names()):
             group = _fresh_entry(name).group()
+            stack = group.dimension * len(group.generator_indices)
             rows.clear()
-            base_translations(group)
-            assert rows == [group.dimension * len(group.generator_indices)], name
+            if i % 2:
+                base_translations(group)
             for linear in group.normaliser_gens:
                 find_translation_part(group, linear)
+            assert rows == [stack], name
+            base_translations(group)
             _passing_leaders(group, 2)
-            assert rows and max(rows) <= group.dimension * len(group.generator_indices), name
+            assert rows == [stack], name
             if name == "4/9/2/1/1":
-                assert max(rows) == 8
+                assert stack == 8
 
     def test_set_moves_translations_once(self, monkeypatch):
         # D.a_C once per linear part and an 8-row solve; 1070 applies when
@@ -888,16 +894,16 @@ class TestSharedWork:
             calls.append(m)
             return real(m, *args, **kwargs)
 
-        modules = (crysturn.linalg, crysturn.groups, crysturn.automorphisms, crysturn.reidemeister)
+        modules = (crysturn.linalg, crysturn.groups, crysturn.reidemeister)
         for module in modules:
             monkeypatch.setattr(module, "smith_normal_form", counting)
         assert "base_numerators" not in vars(group)
         assert reidemeister_set(group, d_mat) == {8}
-        # the translation solve, the base translations and one per fixing
-        # pair with C != I and |det(I - A.D)| != 1: the other pairs are
-        # read off the determinants
+        # the generator form, which the translation solve and the base
+        # translations share, and one per fixing pair with C != I and
+        # |det(I - A.D)| != 1: the other pairs are read off the determinants
         assert "base_numerators" in vars(group)
-        assert pairs == 10 and len(calls) <= pairs + 2
+        assert pairs == 10 and len(calls) <= pairs + 1
         assert len(base_translations(group)) == 12
 
     @staticmethod
@@ -1021,12 +1027,16 @@ class TestSharedWork:
         # fixing pairs with C = I ran the lattice-coset assertion.  759
         # applies, 111 Smith normal forms, 61 subtractions and 97 Burnside
         # counts when both cosets of an inverse pair F.D, F.D^-1 were solved
-        # and counted.  The groups are built anew, so the pass makes their
-        # base translations, one Smith normal form each in ``groups``, and
-        # their base offsets, which they keep for the second pass.  The
-        # other 19 forms in ``groups`` are the Bieberbach tests, one per
-        # holonomy element A != I; each group keeps its verdict, so the
-        # second pass makes none (it made the 19 again).
+        # and counted.  100 Smith normal forms outside ``groups`` on each
+        # pass, and 25 in it and 51 subtractions on the first, when each of
+        # the 36 translation solves formed and factored its own stack
+        # I - A_sigma(i), 44 of the subtractions on each pass.  The groups are built anew, so the pass
+        # makes the generator form of the 18 that solve or sweep, one Smith
+        # normal form each in ``groups``, which the solves and the base
+        # translations share, and their base offsets, all kept for the
+        # second pass.  The other 19 forms in ``groups`` are the
+        # Bieberbach tests, one per holonomy element A != I; each group keeps
+        # its verdict, so the second pass makes none (it made the 19 again).
         catalog = Catalog({name: _fresh_entry(name) for name in builtin_catalog().names()})
         for name in catalog.names():
             catalog.group(name)
@@ -1035,13 +1045,13 @@ class TestSharedWork:
         inverses = self.count_calls(monkeypatch, IntMatrix.int_inverse, (IntMatrix,))
         applies = self.count_calls(monkeypatch, IntMatrix.apply, (IntMatrix,))
         snfs = self.count_calls(
-            monkeypatch, crysturn.linalg.smith_normal_form,
-            (crysturn.linalg, crysturn.automorphisms, crysturn.reidemeister),
+            monkeypatch, crysturn.linalg.smith_normal_form, (crysturn.linalg, crysturn.reidemeister)
         )
         group_snfs = self.count_calls(
             monkeypatch, crysturn.groups.smith_normal_form, (crysturn.groups,)
         )
         subtractions = self.count_calls(monkeypatch, IntMatrix.__sub__, (IntMatrix,))
+        forms = self.count_cached(monkeypatch, "generator_form")
         numerators = self.count_cached(monkeypatch, "base_numerators")
         sweeps = self.count_cached(monkeypatch, "base_offsets")
         counts = self.count_calls(
@@ -1052,17 +1062,18 @@ class TestSharedWork:
         assert inverses == []
         assert len(products) <= 1189
         assert len(applies) <= 704
-        assert len(snfs) <= 100
-        assert len(group_snfs) <= 19 + 6
-        assert len(subtractions) <= 51
+        assert len(snfs) <= 64
+        assert len(group_snfs) <= 19 + 18 and len(forms) <= 18
+        assert len(snfs) + len(group_snfs) <= 101
+        assert len(subtractions) <= 24
         assert len(numerators) <= 6 and len(sweeps) <= 6
         assert len(counts) <= 92
-        group_snfs.clear()
-        numerators.clear()
-        sweeps.clear()
+        for calls in (snfs, group_snfs, subtractions, forms, numerators, sweeps):
+            calls.clear()
         assert all(report.passed for report in check_catalog(catalog))
-        assert numerators == sweeps == []
-        assert group_snfs == []
+        assert forms == numerators == sweeps == []
+        assert group_snfs == subtractions == []
+        assert len(snfs) <= 64
 
     def test_set_without_live_pair_reads_no_base_translation(self):
         # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
