@@ -9,7 +9,8 @@ of the solve matrix that the group keeps (:func:`_translation_part`), the one
 check that conjugation by (d, D) keeps the group, which gives each image
 translation as a_sigma(C) plus an integer vector (:func:`_translation_images`),
 the base translations, which the group keeps (:func:`base_translations`),
-and the validated :class:`Automorphism`.
+and the validated :class:`Automorphism`, which keeps sigma and the products
+A.D from the one conjugation of its D.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .groups import CrystGroup, conjugation_permutation
+from .groups import CrystGroup, _checked_conjugation, conjugation_permutation
 from .linalg import IntMatrix, Vec, _Record, vector
 
 Scaled = tuple[int, tuple[int, ...]]  # (den, den.d): a translation d over den
@@ -123,18 +124,21 @@ class Automorphism(_Record):
     caller: D must normalise the holonomy group and every canonical
     representative must conjugate back into the group (see
     :func:`_translation_images`).  ``sigma`` keeps the permutation that D
-    induces on the holonomy group (see :func:`conjugation_permutation`) and
-    ``images`` the integer vectors z_C that the check validated, each image
-    translation minus a_sigma(C), which the Reidemeister count reads.
+    induces on the holonomy group and ``products`` the rows of the products
+    A.D in holonomy order, both from D's one conjugation (see
+    :func:`~crysturn.groups._checked_conjugation`); ``images`` keeps the
+    integer vectors z_C that the check validated, each image translation
+    minus a_sigma(C).  The Reidemeister count reads all three and forms no
+    product.
     """
 
     _fields = ("group", "translation", "linear")
-    __slots__ = (*_fields, "sigma", "images")
+    __slots__ = (*_fields, "sigma", "products", "images")
 
     def __init__(self, group: CrystGroup, translation: Vec, linear: IntMatrix):
         translation = vector(translation)
         if len(translation) != group.dimension:
             raise ValueError("automorphism data does not match the group dimension")
-        sigma = conjugation_permutation(group, linear)
+        sigma, products = _checked_conjugation(group, linear)
         images = _translation_images(group, sigma, linear, group.scale(translation))
-        self._set(group, translation, linear, sigma, images)
+        self._set(group, translation, linear, sigma, products, images)

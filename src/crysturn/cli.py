@@ -73,7 +73,11 @@ def _resolve_group(source: str) -> CrystGroup:
     except OSError:  # a name the file system refuses, such as one too long
         is_file = False
     if is_file:
-        return load_group(Path(source))
+        try:
+            return load_group(Path(source))
+        except OSError as exc:  # a file that cannot be read, or is gone since
+            reason = exc.strerror or str(exc)
+            raise CliUsageError(f"cannot read {_shown(source)}: {reason}") from None
     catalog = builtin_catalog()
     if source in catalog:
         return catalog.group(source)
@@ -347,9 +351,6 @@ def main(argv=None) -> int:
     except (NormaliserUnavailable, ClosureCapExceeded) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # internal assertion failures and bugs
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -15,7 +15,10 @@ keyed by rows, and only the leaders become
 :class:`~crysturn.linalg.IntMatrix` objects.  The group also owns the one
 Smith normal form of its generator stack (``CrystGroup.generator_form``),
 which its base translations and the translation solve's integer matrix
-(``CrystGroup.solve_matrix``) are read from.
+(``CrystGroup.solve_matrix``) are read from.  A caller's linear part D is
+conjugated once (:func:`_checked_conjugation`), which gives sigma_D and
+keeps the products A.D that the determinant test reads; the Bieberbach
+verdict sums the powers of each A read off the multiplication table.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ def _certify_finite(new: Rows, size: int, bound: int) -> None:
 
 Step = tuple[int, int, int, int, Optional[list[Rows]]]  # (x, k, y, i, new)
 Letter = tuple[IntMatrix, IntMatrix, tuple[int, ...]]  # (D, D^-1, sigma_D)
+Conjugation = tuple[tuple[int, ...], tuple[Rows, ...]]  # (sigma_D, rows of A.D in holonomy order)
 
 
 def _coset_walk(
@@ -301,21 +305,18 @@ class CrystGroup:
 
         (x + a, A) with A of order m is torsion iff (sum_i A^i)(x + a) = 0,
         so torsion with matrix part A exists iff N_A . x = -N_A . a has an
-        integral solution.  N_A sums the powers of A until one is I.  On the
-        translations scaled by g (``scaled_translations``) that asks whether
-        t = N_A.(g.a), up to sign, lies in g.N_A.Z^n: with P.N_A.Q = S, whether
-        (P.t)_i is a multiple of g.s_i for each invariant factor s_i and 0
-        past the rank.
+        integral solution.  N_A sums the powers of A = A_i until one is I,
+        read off the multiplication table (k <- mult[i][k] until k = 0), so
+        no product is formed.  On the translations scaled by g
+        (``scaled_translations``) that asks whether t = N_A.(g.a), up to
+        sign, lies in g.N_A.Z^n: with P.N_A.Q = S, whether (P.t)_i is a
+        multiple of g.s_i for each invariant factor s_i and 0 past the rank.
         """
-        ident = IntMatrix.identity(self.dimension)
-        g = self.denominator
-        for linear, a in zip(self.matrix_parts, self.scaled_translations):
-            if linear == ident:
-                continue
-            acc, power = ident, linear
-            while power != ident:
-                acc = acc + power
-                power = power @ linear
+        parts, mult, g = self.matrix_parts, self.mult_table, self.denominator
+        for i, a in enumerate(self.scaled_translations[1:], start=1):
+            acc, k = parts[0], i
+            while k:
+                acc, k = acc + parts[k], mult[i][k]
             snf = smith_normal_form(acc, right=(acc.apply(a),), below=())
             t = [row[0] for row in snf.p.rows]
             factors = snf.invariant_factors
@@ -402,28 +403,37 @@ def conjugation_permutation(group: CrystGroup, linear: IntMatrix) -> tuple[int, 
     Entry i is the holonomy index sigma(i) with A_sigma(i) = D.A_i.D^-1.
     Raises ValueError unless the matrix is n x n, checked first, is
     unimodular, tested by its determinant, and normalises the holonomy
-    group (see :func:`_conjugation`); nothing is inverted.  The public entry
-    points that take a caller's matrix call it; the normaliser generators
-    are conjugated once, in :func:`build_group`, which keeps their sigma
-    (``CrystGroup.normaliser_letters``).
+    group (see :func:`_checked_conjugation`); nothing is inverted.  The
+    normaliser generators are conjugated once, in :func:`build_group`,
+    which keeps their sigma (``CrystGroup.normaliser_letters``).
     """
+    return _checked_conjugation(group, linear)[0]
+
+
+def _checked_conjugation(group: CrystGroup, linear: IntMatrix) -> Conjugation:
+    """(sigma, the rows of the products A.D) of a caller's matrix D, with
+    the checks of :func:`conjugation_permutation` (see :func:`_conjugation`).
+    Every public entry point that takes a caller's D conjugates it here
+    once; the determinant test reads the products and forms none."""
     if linear.shape != (group.dimension, group.dimension):
         raise ValueError("automorphism data does not match the group dimension")
     linear._check_unimodular()
     return _conjugation(group.matrix_parts, linear)
 
 
-def _conjugation(parts: Sequence[IntMatrix], linear: IntMatrix) -> tuple[int, ...]:
-    """:func:`conjugation_permutation` of a unimodular D over the holonomy
-    matrices ``parts``, with no inverse: sigma(i) = j says D.A_i = A_j.D, so
-    each D.A_i is looked up among the A_j.D, at 2|F| products.  That needs
-    D invertible: 2.I commutes with every A and would pass, so the caller
-    tests the determinant first."""
-    index = {a @ linear: j for j, a in enumerate(parts)}
+def _conjugation(parts: Sequence[IntMatrix], linear: IntMatrix) -> Conjugation:
+    """The permutation sigma of a unimodular D over the holonomy matrices
+    ``parts``, with no inverse, and the rows of the products A_j.D in
+    holonomy order: sigma(i) = j says D.A_i = A_j.D, so each D.A_i is
+    looked up among the A_j.D, at 2|F| products.  That needs D invertible:
+    2.I commutes with every A and would pass, so the caller tests the
+    determinant first."""
+    products = [a @ linear for a in parts]
+    index = {m: j for j, m in enumerate(products)}
     images = tuple(index.get(linear @ a) for a in parts)
     if None in images:
         raise ValueError(f"matrix does not normalise the holonomy group: {linear}")
-    return images
+    return images, tuple(m.rows for m in products)
 
 
 def build_group(
@@ -499,7 +509,7 @@ def build_group(
             if not d.is_unimodular() or d.nrows != dimension:
                 raise GroupValidationError("normaliser generator is not unimodular n x n")
             try:
-                kept.append((d, d.int_inverse(), _conjugation(linears, d)))
+                kept.append((d, d.int_inverse(), _conjugation(linears, d)[0]))
             except ValueError:
                 raise GroupValidationError(
                     f"supplied matrix does not normalise the holonomy group: {d}"

@@ -11,6 +11,9 @@ of one D (:func:`_linear_part_set`); :func:`spectrum`,
 cosets F.D of the normaliser (:func:`_normaliser_cosets`, :func:`_with_sigmas`).
 An automorphism and its inverse have the same Reidemeister number, so the
 first two test one coset of each pair F.D, F.D^-1 (:func:`_one_per_pair`).
+The products A.D come from the walk or, for a caller's D, from its one
+conjugation (:func:`~crysturn.groups._checked_conjugation`): this module
+forms no matrix product.
 """
 
 from __future__ import annotations
@@ -20,17 +23,12 @@ import operator
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .automorphisms import (
-    Automorphism,
-    Scaled,
-    _translation_images,
-    _translation_part,
-    conjugation_permutation,
-)
+from .automorphisms import Automorphism, Scaled, _translation_images, _translation_part
 from .groups import (
     ClosureCapExceeded,
     CrystGroup,
     Step,
+    _checked_conjugation,
     _coset_walk,
     # perfbench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
     # checks that its tracer wraps this binding; nothing here calls it
@@ -58,19 +56,7 @@ def is_always_infinite(group: CrystGroup, linear: IntMatrix) -> bool:
     exact iff, so a False answer guarantees finite Reidemeister numbers for
     every valid translation part.
     """
-    conjugation_permutation(group, linear)  # raises unless linear normalises
-    return _twisted_blocks(_products(group.matrix_parts, linear)) is None
-
-
-def _products(parts: Sequence[IntMatrix], linear: IntMatrix) -> Iterator[Rows]:
-    """The rows of D, then of A.D for the other matrices A of ``parts``, in
-    order (the identity comes first), each by ``@``, since one D would not
-    repay the row plans of the walk (:func:`~crysturn.groups._coset_walk`).
-    Lazy, so a determinant test stops multiplying at its first singular
-    block."""
-    yield linear.rows
-    for a in parts[1:]:
-        yield (a @ linear).rows
+    return _twisted_blocks(_checked_conjugation(group, linear)[1]) is None
 
 
 def _twisted_blocks(products: Iterable[Rows]) -> Optional[Twisted]:
@@ -79,8 +65,8 @@ def _twisted_blocks(products: Iterable[Rows]) -> Optional[Twisted]:
     formed; the determinants are the points the identity of F fixes in the
     Burnside count (see :func:`_fixing_pairs`).
 
-    None as soon as one of them is singular, so a lazy ``products`` stops
-    there.
+    None as soon as one of them is singular.  The products come from the
+    walk or from the one conjugation of a caller's D.
     """
     twisted = []
     for product in products:
@@ -213,12 +199,12 @@ def reidemeister_number(phi: Automorphism) -> ReidCount:
     Infinity when some I - A.D is singular (:func:`_twisted_blocks`);
     otherwise Burnside's count over the holonomy group,
     :func:`_fixing_pairs` for what D decides and :func:`_burnside_count`
-    for the translation part.  The image translations are the ones the
-    :class:`Automorphism` validated (``phi.images``); they are not checked
-    again.
+    for the translation part.  The products A.D and image translations are
+    the ones the :class:`Automorphism` kept (``phi.products``,
+    ``phi.images``); no product is formed and nothing is checked again.
     """
     group = phi.group
-    twisted = _twisted_blocks(_products(group.matrix_parts, phi.linear))
+    twisted = _twisted_blocks(phi.products)
     if twisted is None:
         return INFINITE
     return _burnside_count(group, phi.images, *_fixing_pairs(group, phi.sigma, twisted))
@@ -233,8 +219,8 @@ def reidemeister_set(group: CrystGroup, linear: IntMatrix) -> frozenset[ReidCoun
     :func:`~crysturn.automorphisms.base_translations`, which give every
     automorphism with this linear part up to inner ones.
     """
-    sigma = conjugation_permutation(group, linear)
-    twisted = _twisted_blocks(_products(group.matrix_parts, linear))
+    sigma, products = _checked_conjugation(group, linear)
+    twisted = _twisted_blocks(products)
     d = _translation_part(group, linear, sigma)
     if d is None:
         return frozenset()

@@ -98,6 +98,41 @@ class TestLoadGroup:
         with pytest.raises(GroupFileError):
             parse_group_document(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "document root must be an object"),
+        ({"dimension": 0, "generators": []}, "dimension must be a positive integer"),
+        ({"dimension": 1}, "generators must be present (possibly empty list)"),
+        (
+            {"dimension": 1, "generators": [{"matrix": [[1]]}]},
+            "generator 0: expected translation and matrix keys",
+        ),
+        (
+            {"dimension": 2, "generators": [{"translation": ["0"], "matrix": [[1, 0], [0, 1]]}]},
+            "generator 0: translation must have 2 entries",
+        ),
+        (
+            {"dimension": 2, "generators": [{"translation": ["0", "0"], "matrix": [[1, 0]]}]},
+            "generator 0: expected 2x2 integer rows",
+        ),
+        (
+            {"dimension": 1, "generators": [], "normalizer_generators": [[[True]]]},
+            "normalizer generator 0: expected 1x1 integer rows",
+        ),
+        (
+            {"dimension": 1, "generators": [], "normalizer_generators": {}},
+            "normalizer_generators must be a list of matrices",
+        ),
+        (
+            {"dimension": 1, "generators": [], "expected": {"spectrum": "{1}", "values": 1}},
+            "expected block accepts only spectrum and r_infinity",
+        ),
+    ], ids=["root", "dimension", "generators", "generator-keys", "translation-length",
+            "generator-matrix", "normaliser-matrix", "normaliser-list", "expected-keys"])
+    def test_rejection_names_its_reason(self, doc, message):
+        with pytest.raises(GroupFileError) as raised:
+            parse_group_document(json.dumps(doc))
+        assert str(raised.value) == message
+
     def test_non_canonical_translation_warns(self):
         doc = {
             "dimension": 2,

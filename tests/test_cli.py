@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,27 @@ class TestValidate:
             "invalid group data: cocycle closure violated: two inequivalent "
             "translations share a matrix part ((0) vs (1/2))\n"
         )
+
+    def test_root_not_an_object_is_bad_data(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_BAD_DATA and out == ""
+        assert err == "invalid group data: document root must be an object\n"
+
+    def test_unreadable_file_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # the tests may run as root, whom file permissions do not stop, so
+        # the read itself is made to fail
+        path = tmp_path / "ok.json"
+        path.write_text('{"dimension": 1, "generators": []}', encoding="utf-8")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: cannot read {cli._shown(str(path))}: Permission denied\n"
 
     def test_non_string_name_is_bad_data(self, capsys, tmp_path):
         path = tmp_path / "named.json"

@@ -27,6 +27,7 @@ from crysturn.groups import (
     AffineMap,
     ClosureCapExceeded,
     CrystGroup,
+    _checked_conjugation,
     _coset_walk,
     build_group,
     conjugation_permutation,
@@ -635,6 +636,27 @@ class TestSigmaComposition:
             leaders = [IntMatrix.identity(group.dimension), *(leader for leader, _, _ in cosets)]
             assert leaders == _first_per_coset(group, closure.elements), name
 
+    def test_caller_products_in_holonomy_order(self):
+        # a caller's D is conjugated once, and the products A_i.D it keeps,
+        # in holonomy order, are the ones the determinant test reads: the
+        # normaliser generators of every catalog group, and every coset
+        # leader of the finite-normaliser catalog groups and the two
+        # dimension-6 products, each the linear part of an automorphism
+        catalog = builtin_catalog()
+        drawn = [(group, group.normaliser_gens) for group in map(catalog.group, catalog.names())]
+        drawn += [(group, [d for d, _, _ in _normaliser_cosets(group)[0]])
+                  for group in _pair_groups().values()]
+        checked = 0
+        for group, linear_parts in drawn:
+            for linear in linear_parts:
+                expected = tuple((a @ linear).rows for a in group.matrix_parts)
+                sigma, products = _checked_conjugation(group, linear)
+                assert products == expected, (group, linear)
+                phi = Automorphism(group, find_translation_part(group, linear), linear)
+                assert phi.products == expected and phi.sigma == sigma, (group, linear)
+                checked += 1
+        assert checked == 510
+
     def test_kept_letters_match_conjugation(self):
         # build_group keeps (D, D^-1, sigma_D) for each normaliser generator;
         # the walks read sigma_D, and sigma_D^-1 for the inverse letter
@@ -908,8 +930,10 @@ class TestSharedWork:
 
     @staticmethod
     def count_conjugations(monkeypatch) -> list:
-        """Record the matrix of every conjugation_permutation call from here on."""
-        real = crysturn.automorphisms.conjugation_permutation
+        """Record the matrix of every conjugation of a caller's matrix from
+        here on: the checked conjugation that conjugation_permutation,
+        Automorphism and the entry points of ``reidemeister`` call."""
+        real = crysturn.groups._checked_conjugation
         calls = []
 
         def counting(group, linear):
@@ -917,13 +941,15 @@ class TestSharedWork:
             return real(group, linear)
 
         for module in (crysturn.groups, crysturn.automorphisms, crysturn.reidemeister):
-            if getattr(module, "conjugation_permutation", None) is real:
-                monkeypatch.setattr(module, "conjugation_permutation", counting)
+            if getattr(module, "_checked_conjugation", None) is real:
+                monkeypatch.setattr(module, "_checked_conjugation", counting)
         return calls
 
     def test_one_conjugation_per_linear_part(self, monkeypatch):
         # 4/9/2/1/1 has |F| = 6 and 12 base translations; a set used to make
-        # 2 conjugations and 174 products, conjugating again per translation
+        # 2 conjugations and 174 products, conjugating again per translation,
+        # then 17, when the determinant test formed the products A.D != D
+        # again, and a number 5
         group = builtin_catalog().group("4/9/2/1/1")
         d_mat = IntMatrix.from_rows([[1, -1, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
         phi = Automorphism(group, find_translation_part(group, d_mat), d_mat)
@@ -931,10 +957,11 @@ class TestSharedWork:
         products = count_matmul(monkeypatch)
         assert reidemeister_set(group, d_mat) == {8}
         assert conjugations == [d_mat]
-        assert len(products) <= 3 * group.order
+        assert len(products) == 2 * group.order
         conjugations.clear()
+        products.clear()
         assert reidemeister_number(phi) == 8
-        assert conjugations == []
+        assert conjugations == [] and products == []
 
     def test_entry_points_invert_nothing(self, monkeypatch):
         # each of them inverted the caller's matrix once, to conjugate by it;
@@ -1037,6 +1064,8 @@ class TestSharedWork:
         # second pass.  The other 19 forms in ``groups`` are the
         # Bieberbach tests, one per holonomy element A != I; each group keeps
         # its verdict, so the second pass makes none (it made the 19 again).
+        # 1189 products when the Bieberbach tests multiplied out the powers of
+        # each A that the multiplication table holds.
         catalog = Catalog({name: _fresh_entry(name) for name in builtin_catalog().names()})
         for name in catalog.names():
             catalog.group(name)
@@ -1060,7 +1089,7 @@ class TestSharedWork:
         assert all(report.passed for report in check_catalog(catalog))
         assert conjugations == []
         assert inverses == []
-        assert len(products) <= 1189
+        assert len(products) <= 1167
         assert len(applies) <= 704
         assert len(snfs) <= 64
         assert len(group_snfs) <= 19 + 18 and len(forms) <= 18
