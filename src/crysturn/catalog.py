@@ -272,8 +272,10 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
     ``r_infinity: false`` is confirmed by a word-search witness, and every
     Reidemeister number computed from sampled witnesses must be a member of
     the annotated (symbolic) spectrum; the full symbolic value is not
-    re-derived here.  Without normaliser data the annotations cannot be
-    checked and the entry fails.
+    re-derived here.  A sample in the coset F.D^-1 of an earlier sample's
+    D (D times its leader lies in F) has D's Reidemeister set, since
+    R(phi^-1) = R(phi), and is not counted again.  Without normaliser data
+    the annotations cannot be checked and the entry fails.
     """
     details: list[str] = []
     ok = True
@@ -333,8 +335,13 @@ def check_entry(entry: CatalogEntry) -> EntryReport:
             inside = bool(samples)
             if not samples:
                 details.append("no sample automorphisms found for spectrum membership check")
-            for sample in samples:
-                for value in _linear_part_set(group, *sample):
+            sets: list[frozenset[int]] = []
+            for j, sample in enumerate(samples):
+                # an earlier sample whose coset is F.leader^-1, if any
+                inverse = (i for i in range(j) if samples[i][0] @ sample[0] in group.matrix_parts)
+                i = next(inverse, None)
+                sets.append(_linear_part_set(group, *sample) if i is None else sets[i])
+                for value in sets[j]:
                     if not desc.contains(value):
                         inside = False
                         details.append(

@@ -105,8 +105,9 @@ def _coset_walk(
     leader and ``new`` lists the rows of its products A_i.t_y, in holonomy
     order; otherwise ``new`` is None.  One dict of all products, keyed by
     their rows, tells each later letter.leader where it lands, so a coset
-    costs |letters| + |F| - 1 products.  Every left factor is fixed for the
-    whole walk, so each letter and holonomy matrix becomes a row plan once
+    costs |letters| + |F| - 1 products, but for coset 0: its leader is I,
+    so its letter products are the letters.  Every left factor is fixed for
+    the whole walk, so each letter and holonomy matrix becomes a row plan once
     (:func:`~crysturn.linalg._row_plan`) and each product is formed from a
     plan and raw rows (:func:`~crysturn.linalg._plan_product`); no product
     is wrapped as an :class:`~crysturn.linalg.IntMatrix`.  The leader is the
@@ -128,7 +129,7 @@ def _coset_walk(
         if depths[x] == max_depth:
             break
         for k, plan in enumerate(letter_plans):
-            cand = _plan_product(plan, leader)
+            cand = _plan_product(plan, leader) if x else letters[k].rows  # leader 0 is I
             landing = found.get(cand)
             if landing is not None:
                 yield x, k, *landing, None

@@ -8,7 +8,9 @@ product of raw rows by a fixed left factor's row plan, made once per walk
 determinants (:func:`_bareiss`) and the Smith normal form, which does
 every other integer solve, the inverse (:meth:`IntMatrix.int_inverse`)
 included, and whose transforms are carried only onto what the caller reads
-(:func:`smith_normal_form`).
+(:func:`smith_normal_form`).  Its elimination runs in place on raw row
+lists (:func:`_smith_rows`), which the fixing pairs of a Burnside count
+call directly.
 ``BENCHMARK_ONLY`` in ``tests/test_benchmark_names.py`` lists the functions
 here that only scripts and the benchmark call.
 """
@@ -353,7 +355,8 @@ def smith_normal_form(
     entries) placed to the right of m, and the column operations on the
     rows ``below`` (of m.ncols entries) placed under it, so ``p`` is
     P.[right] and ``q`` is [below].Q, or None where nothing is carried.
-    Each defaults to the identity, which gives P and Q themselves.
+    Each defaults to the identity, which gives P and Q themselves.  The
+    rows [m | right] over ``below`` are eliminated by :func:`_smith_rows`.
     """
     nrows, ncols = m.shape
     if right is None:
@@ -363,39 +366,61 @@ def smith_normal_form(
     # rows 0..nrows-1 are [m | right]; the rest are the rows below
     a = [[*row, *x] for row, x in zip(m.rows, zip(*right))] if right else list(map(list, m.rows))
     a += map(list, below)
+    factors = _smith_rows(a, nrows, ncols)
 
-    def find_pivot(t):
+    def wrap(rows):
+        rows = tuple(map(tuple, rows))
+        return IntMatrix._unchecked(rows) if rows and rows[0] else None
+
+    return SnfDecomposition(
+        p=wrap(row[ncols:] for row in a[:nrows]), q=wrap(a[nrows:]), invariant_factors=factors
+    )
+
+
+def _smith_rows(a: list[list[int]], nrows: int, ncols: int) -> tuple[int, ...]:
+    """The invariant factors of the first ``nrows`` rows of ``a`` over their
+    first ``ncols`` columns, eliminated in place on ``a``, a list of row
+    lists, by the rule of :func:`smith_normal_form`.
+
+    A row operation acts on the whole row, so the columns a row carries
+    past ``ncols`` end as P times them; a column operation acts on every
+    row, so the rows past ``nrows`` end as themselves times Q.  Row i of
+    the first ``nrows`` ends with the i-th factor at position i.
+    """
+    t = 0
+    while t < nrows and t < ncols:
         # The row-major first entry of least absolute value in the remaining
         # submatrix; none is smaller than 1, so the first 1 ends the search.
-        pivot, best = None, math.inf
+        best = 0
         for i in range(t, nrows):
+            row = a[i]
             for j in range(t, ncols):
-                x = abs(a[i][j])
-                if x and x < best:
-                    if x == 1:
-                        return i, j
-                    pivot, best = (i, j), x
-        return pivot
-
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = find_pivot(t)
-        if pivot is None:
+                x = row[j]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if x < best or not best:
+                        p, q, best = i, j, x
+                        if x == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        i, j = pivot
-        a[t], a[i] = a[i], a[t]
-        if j != t:
+        a[t], a[p] = a[p], a[t]
+        if q != t:
             for row in a:
-                row[t], row[j] = row[j], row[t]
+                row[t], row[q] = row[q], row[t]
         top = a[t]
         d = top[t]
 
         stable = True
         for i in range(t + 1, nrows):
-            k = a[i][t] // d
+            row = a[i]
+            k = row[t] // d
             if k:  # row_i -= k * row_t
-                a[i] = [x - k * y for x, y in zip(a[i], top)]
-            if a[i][t]:
+                a[i] = row = [x - k * y for x, y in zip(row, top)]
+            if row[t]:
                 stable = False
         for j in range(t + 1, ncols):
             k = top[j] // d
@@ -417,16 +442,7 @@ def smith_normal_form(
         if d < 0:
             a[t] = [-x for x in top]
         t += 1
-
-    def wrap(rows):
-        rows = tuple(map(tuple, rows))
-        return IntMatrix._unchecked(rows) if rows and rows[0] else None
-
-    return SnfDecomposition(
-        p=wrap(row[ncols:] for row in a[:nrows]),
-        q=wrap(a[nrows:]),
-        invariant_factors=tuple(a[i][i] for i in range(t)),
-    )
+    return tuple(a[i][i] for i in range(t))
 
 
 def mod2_solution_count(b_mat: IntMatrix, b_vec: Sequence[Scalar]) -> int:

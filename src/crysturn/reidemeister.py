@@ -13,7 +13,8 @@ An automorphism and its inverse have the same Reidemeister number, so the
 first two test one coset of each pair F.D, F.D^-1 (:func:`_one_per_pair`).
 The products A.D come from the walk or, for a caller's D, from its one
 conjugation (:func:`~crysturn.groups._checked_conjugation`): this module
-forms no matrix product.
+forms no matrix product.  Each fixing pair's Smith block is eliminated as
+raw rows (:func:`_fixing_pairs`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .groups import (
     # checks that its tracer wraps this binding; nothing here calls it
     matrix_group_closure,  # noqa: F401
 )
-from .linalg import IntMatrix, Rows, _det_identity_minus, _Record, smith_normal_form
+from .linalg import IntMatrix, Rows, _det_identity_minus, _Record, _smith_rows
 
 INFINITE = math.inf
 ReidCount = Union[int, float]
@@ -105,7 +106,7 @@ def _fixing_pairs(
       |det(I - A.D)| points each; these pairs are not visited.
     * L contains (I - A.D)Z^n, which is Z^n when |det(I - A.D)| = 1: one
       point, into the constant, with no Smith normal form.
-    * Each other fixing pair gets one Smith normal form, of the rows
+    * Each other fixing pair gets one Smith elimination of the block
       [C - I | I - A.D], formed for it alone (C - I once per C).  Index 1
       means L = Z^n, which holds every offset: one point, into the
       constant.  Any other pair is live: with P.[C - I | I - A.D].Q =
@@ -116,19 +117,22 @@ def _fixing_pairs(
     of a pair is c_{A,C} = c0 - A.z_C with c0 = a_C + (C - I).a_A - A.a_E,
     which depends on D alone.  Twisted conjugation keeps the lattice coset
     only if c0 is an integer vector, asserted here once per fixing pair
-    with C != I.  The Smith normal form carries [A | c0] and forms neither
-    P nor Q.
+    with C != I.  Row i of a block is written as the raw row
+    [(C - I)_i | (I - A.D)_i | A_i | c0_i] and the rows are eliminated in
+    place (:func:`~crysturn.linalg._smith_rows`): the row operations carry
+    [A | c0] along, so row i ends as [S_i | (P.A)_i | (P.c0)_i], read off
+    it as it stands.  No matrix, transform or transposition is formed.
     """
     constant = sum(det for _, det in twisted)
     mult = group.mult_table
     parts, scaled = group.matrix_parts, group.scaled_translations
-    g = group.denominator
+    g, n = group.denominator, group.dimension
     live = []
     # the pairs with C = I are in the constant; a_I = 0 and sigma(I) = I,
     # so they keep the lattice coset
     for c_idx, (c_linear, a_c) in enumerate(zip(parts[1:], scaled[1:]), start=1):
         e_idx = sigma[c_idx]
-        shift = None  # the rows of C - I, formed for C's first Smith normal form
+        shift = None  # the rows of C - I, formed for C's first Smith block
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
@@ -144,23 +148,19 @@ def _fixing_pairs(
                     tuple(x - (i == j) for j, x in enumerate(row))
                     for i, row in enumerate(c_linear.rows)
                 ]
-            block = tuple(
-                s + tuple((i == j) - x for j, x in enumerate(row))
-                for i, (s, row) in enumerate(zip(shift, product))
-            )
-            snf = smith_normal_form(
-                IntMatrix._unchecked(block),
-                right=(*zip(*a_linear.rows), tuple(x // g for x in c0)),
-                below=(),
-            )
-            weight = math.prod(snf.invariant_factors)
+            block = [
+                [*s, *map(operator.neg, row), *a_row, c // g]
+                for s, row, a_row, c in zip(shift, product, a_linear.rows, c0)
+            ]
+            for i, row in enumerate(block):
+                row[n + i] += 1  # -A.D to I - A.D
+            factors = _smith_rows(block, n, 2 * n)
+            weight = math.prod(factors)
             if weight == 1:
                 constant += 1
                 continue
             rows = tuple(
-                (p_row[:-1], p_row[-1], s)
-                for p_row, s in zip(snf.p.rows, snf.invariant_factors)
-                if s > 1
+                (tuple(row[2 * n : -1]), row[-1], s) for row, s in zip(block, factors) if s > 1
             )
             live.append((c_idx, weight, rows))
     return constant, live

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
+import crysturn.catalog
 import crysturn.reidemeister
 from crysturn.catalog import (
+    _WORD_LENGTH,
     CatalogEntry,
     GroupFileError,
     builtin_catalog,
@@ -21,6 +24,7 @@ from crysturn.catalog import (
     save_group,
 )
 from crysturn.linalg import IntMatrix, vector
+from crysturn.reidemeister import _linear_part_set, _witness_cosets
 from oracles import representative, structure_violation
 
 
@@ -335,6 +339,34 @@ class TestCheckEntry:
         report = check_entry(CatalogEntry(name="no-normaliser", document=doc))
         assert not report.passed
         assert any("normalizer_generators" in d for d in report.details)
+
+    @pytest.mark.parametrize(
+        "name", ["2/1/1/1/1", "2/1/2/1/1", "3/1/1/1/1", "3/2/1/1/1", "3/2/1/2/1", "4/9/2/1/1"]
+    )
+    def test_inverse_samples_share_one_set(self, monkeypatch, name):
+        # two of the three word-search samples lie in inverse cosets F.D,
+        # F.D^-1, so R(phi^-1) = R(phi) gives the later one the earlier
+        # one's Reidemeister set, and only two sets are counted
+        entry = builtin_catalog().entry(name)
+        group = entry.group()
+        samples = list(islice(_witness_cosets(group, _WORD_LENGTH), 3))
+        (i, j), = [
+            (i, j)
+            for j in range(len(samples))
+            for i in range(j)
+            if samples[i][0] @ samples[j][0] in group.matrix_parts
+        ]
+        assert _linear_part_set(group, *samples[j]) == _linear_part_set(group, *samples[i])
+        counted = []
+        real = crysturn.catalog._linear_part_set
+
+        def counting(group, linear, *rest):
+            counted.append(linear)
+            return real(group, linear, *rest)
+
+        monkeypatch.setattr(crysturn.catalog, "_linear_part_set", counting)
+        assert check_entry(entry).passed
+        assert counted == [leader for k, (leader, *_) in enumerate(samples) if k != j]
 
 
 class TestAnswersScript:

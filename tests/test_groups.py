@@ -539,11 +539,13 @@ class TestFinitenessCertificate:
         with pytest.raises(ClosureCapExceeded, match="trace 3"):
             matrix_group_closure([IntMatrix.from_rows([[2, 1], [1, 1]])])
 
-    @pytest.mark.parametrize("corner, products", [(1, 1), (-1, 2)])
+    @pytest.mark.parametrize("corner, products", [(1, 0), (-1, 1)])
     def test_shear_is_caught_at_once(self, monkeypatch, corner, products):
         # trace n without being I means a Jordan block, so infinite order:
         # a dimension-8 shear is caught at once and diag(-1, shear), trace 6,
-        # at its square, where the size bound alone allows 696729600 elements
+        # at its square, where the size bound alone allows 696729600 elements.
+        # The walk takes each letter itself as its product with the leader I,
+        # so the shear costs no product and the square one (1 and 2 before).
         g = [[int(i == j) for j in range(8)] for i in range(8)]
         g[0][0], g[1][2] = corner, 1
         calls = count_matmul(monkeypatch)

@@ -12,6 +12,7 @@ from crysturn.linalg import (
     _det_identity_minus,
     _plan_product,
     _row_plan,
+    _smith_rows,
     coset_representatives,
     mod2_solution_count,
     rational_inverse,
@@ -208,13 +209,22 @@ class TestSmithNormalForm:
         # which are themselves carried identities, so they are checked first
         m, right, below = system
         full = smith_normal_form(m)
-        assert full.p @ m @ full.q == smith_diagonal(full, m)
+        diagonal = smith_diagonal(full, m)
+        assert full.p @ m @ full.q == diagonal
         carried = smith_normal_form(m, right=right, below=below)
         assert carried.invariant_factors == full.invariant_factors
         expect_p = naive_matmul(full.p, IntMatrix.from_rows(zip(*right))) if right else None
         expect_q = naive_matmul(IntMatrix.from_rows(below), full.q) if below else None
         assert (carried.p and carried.p.rows) == expect_p
         assert (carried.q and carried.q.rows) == expect_q
+        # the in-place elimination on raw rows [m | X] over Y, as the
+        # fixing pairs call it, leaves S, P.X and Y.Q in those rows
+        x_rows = tuple(zip(*right)) or ((),) * m.nrows
+        rows = [[*row, *x] for row, x in zip(m.rows, x_rows)] + [list(y) for y in below]
+        assert _smith_rows(rows, m.nrows, m.ncols) == full.invariant_factors
+        assert tuple(tuple(row[: m.ncols]) for row in rows[: m.nrows]) == diagonal.rows
+        assert tuple(tuple(row[m.ncols :]) for row in rows[: m.nrows]) == (expect_p or x_rows)
+        assert tuple(map(tuple, rows[m.nrows :])) == (expect_q or ())
 
     @given(int_matrices(square=True))
     @settings(max_examples=200)

@@ -856,14 +856,19 @@ class TestSharedWork:
         # form, and a solve makes no Smith normal form of its own (each used
         # to make one, of the stack I - A_sigma(i) for its D).
         rows = []
-        real = crysturn.linalg.smith_normal_form
+        real, real_rows = crysturn.linalg.smith_normal_form, crysturn.linalg._smith_rows
 
         def counting(m, *args, **kwargs):
             rows.append(m.nrows)
             return real(m, *args, **kwargs)
 
-        for module in (crysturn.linalg, crysturn.groups, crysturn.reidemeister):
+        def counting_rows(a, nrows, ncols):
+            rows.append(nrows)
+            return real_rows(a, nrows, ncols)
+
+        for module in (crysturn.linalg, crysturn.groups):
             monkeypatch.setattr(module, "smith_normal_form", counting)
+        monkeypatch.setattr(crysturn.reidemeister, "_smith_rows", counting_rows)
         for i, name in enumerate(builtin_catalog().names()):
             group = _fresh_entry(name).group()
             stack = group.dimension * len(group.generator_indices)
@@ -910,15 +915,20 @@ class TestSharedWork:
         )
 
         calls = []
-        real = crysturn.linalg.smith_normal_form
+        real, real_rows = crysturn.linalg.smith_normal_form, crysturn.linalg._smith_rows
 
         def counting(m, *args, **kwargs):
             calls.append(m)
             return real(m, *args, **kwargs)
 
-        modules = (crysturn.linalg, crysturn.groups, crysturn.reidemeister)
-        for module in modules:
+        def counting_rows(a, nrows, ncols):
+            calls.append(a)
+            return real_rows(a, nrows, ncols)
+
+        for module in (crysturn.linalg, crysturn.groups):
             monkeypatch.setattr(module, "smith_normal_form", counting)
+        # the fixing pairs eliminate their blocks as raw rows
+        monkeypatch.setattr(crysturn.reidemeister, "_smith_rows", counting_rows)
         assert "base_numerators" not in vars(group)
         assert reidemeister_set(group, d_mat) == {8}
         # the generator form, which the translation solve and the base
@@ -1065,7 +1075,13 @@ class TestSharedWork:
         # Bieberbach tests, one per holonomy element A != I; each group keeps
         # its verdict, so the second pass makes none (it made the 19 again).
         # 1189 products when the Bieberbach tests multiplied out the powers of
-        # each A that the multiplication table holds.
+        # each A that the multiplication table holds.  1167 products, 697
+        # applies, 64 Smith normal forms (all of them eliminations of fixing
+        # pairs) and 92 Burnside counts when every word-search sample of an
+        # entry with an infinite normaliser had its own Reidemeister set (on
+        # six entries two of the three lie in inverse cosets, found now by
+        # one product per pair of samples) and when every walk multiplied its
+        # letters by the leader I of F (101 products).
         catalog = Catalog({name: _fresh_entry(name) for name in builtin_catalog().names()})
         for name in catalog.names():
             catalog.group(name)
@@ -1073,8 +1089,10 @@ class TestSharedWork:
         products = count_matmul(monkeypatch)
         inverses = self.count_calls(monkeypatch, IntMatrix.int_inverse, (IntMatrix,))
         applies = self.count_calls(monkeypatch, IntMatrix.apply, (IntMatrix,))
-        snfs = self.count_calls(
-            monkeypatch, crysturn.linalg.smith_normal_form, (crysturn.linalg, crysturn.reidemeister)
+        snfs = self.count_calls(monkeypatch, crysturn.linalg.smith_normal_form, (crysturn.linalg,))
+        # the fixing pairs' eliminations, on raw rows, count as forms here
+        pair_forms = self.count_calls(
+            monkeypatch, crysturn.linalg._smith_rows, (crysturn.reidemeister,)
         )
         group_snfs = self.count_calls(
             monkeypatch, crysturn.groups.smith_normal_form, (crysturn.groups,)
@@ -1089,20 +1107,20 @@ class TestSharedWork:
         assert all(report.passed for report in check_catalog(catalog))
         assert conjugations == []
         assert inverses == []
-        assert len(products) <= 1167
-        assert len(applies) <= 704
-        assert len(snfs) <= 64
+        assert len(products) <= 1093
+        assert len(applies) <= 597
+        assert len(snfs) + len(pair_forms) <= 50
         assert len(group_snfs) <= 19 + 18 and len(forms) <= 18
-        assert len(snfs) + len(group_snfs) <= 101
+        assert len(snfs) + len(pair_forms) + len(group_snfs) <= 87
         assert len(subtractions) <= 24
         assert len(numerators) <= 6 and len(sweeps) <= 6
-        assert len(counts) <= 92
-        for calls in (snfs, group_snfs, subtractions, forms, numerators, sweeps):
+        assert len(counts) <= 71
+        for calls in (snfs, pair_forms, group_snfs, subtractions, forms, numerators, sweeps):
             calls.clear()
         assert all(report.passed for report in check_catalog(catalog))
         assert forms == numerators == sweeps == []
         assert group_snfs == subtractions == []
-        assert len(snfs) <= 64
+        assert len(snfs) + len(pair_forms) <= 50
 
     def test_set_without_live_pair_reads_no_base_translation(self):
         # both passing cosets of 3/3/1/1/1 have no live pair, so each set is
@@ -1147,15 +1165,17 @@ class TestSharedWork:
 
     def test_walk_forms_each_coset_once(self, monkeypatch):
         # 3/3/1/1/1: 12 cosets of |F| = 4 under 3 generators.  Each coset
-        # takes 3 letter products to leave it and each new one 3 products A.D:
-        # 69, where the element closure made 48 x 3 = 144 and its cosets 36 more
+        # but F takes 3 letter products to leave it, F's being the letters
+        # themselves, and each new one 3 products A.D: 66, 69 when the letters
+        # were multiplied by the leader I of F, where the element closure
+        # made 48 x 3 = 144 and its cosets 36 more
         group = builtin_catalog().group("3/3/1/1/1")
         letters = sorted(set(group.normaliser_gens), key=lambda m: m.rows)
         products = count_matmul(monkeypatch)
         walk = list(crysturn.reidemeister._coset_walk(group.matrix_parts, letters))
         new = [step for step in walk if step[-1] is not None]
         assert len(letters) == 3 and len(walk) == 12 * 3 and len(new) == 11
-        assert len(products) == 12 * 3 + 11 * 3
+        assert len(products) == 11 * 3 + 11 * 3
 
 
 @functools.lru_cache(maxsize=None)
