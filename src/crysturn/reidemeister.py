@@ -107,17 +107,17 @@ def _fixing_pairs(
     * L contains (I - A.D)Z^n, which is Z^n when |det(I - A.D)| = 1: one
       point, into the constant, with no Smith normal form.
     * Each other fixing pair gets one Smith elimination of the block
-      [C - I | I - A.D], formed for it alone (C - I once per C).  Index 1
-      means L = Z^n, which holds every offset: one point, into the
-      constant.  Any other pair is live: with P.[C - I | I - A.D].Q =
-      diag(s_i), it keeps ((P.A)_i, (P.c0)_i, s_i) for each s_i > 1.
+      [C - I | I - A.D], formed for it alone.  Index 1 means L = Z^n,
+      which holds every offset: one point, into the constant.  Any other
+      pair is live: with P.[C - I | I - A.D].Q = diag(s_i), it keeps
+      ((P.A)_i, (P.c0)_i, s_i) for each s_i > 1.
 
     The image translation of (a_C, C) is a_E + z_C with z_C in Z^n
     (:func:`~crysturn.automorphisms._translation_images`), so the offset
     of a pair is c_{A,C} = c0 - A.z_C with c0 = a_C + (C - I).a_A - A.a_E,
     which depends on D alone.  Twisted conjugation keeps the lattice coset
     only if c0 is an integer vector, asserted here once per fixing pair
-    with C != I.  Row i of a block is written as the raw row
+    with C != I; c0 is summed from the raw rows of C and A.  Row i of a block is written as the raw row
     [(C - I)_i | (I - A.D)_i | A_i | c0_i] and the rows are eliminated in
     place (:func:`~crysturn.linalg._smith_rows`): the row operations carry
     [A | c0] along, so row i ends as [S_i | (P.A)_i | (P.c0)_i], read off
@@ -132,27 +132,26 @@ def _fixing_pairs(
     # so they keep the lattice coset
     for c_idx, (c_linear, a_c) in enumerate(zip(parts[1:], scaled[1:]), start=1):
         e_idx = sigma[c_idx]
-        shift = None  # the rows of C - I, formed for C's first Smith block
+        c_rows, a_e = c_linear.rows, scaled[e_idx]
         for a_idx, (a_linear, a_a) in enumerate(zip(parts, scaled)):
             if mult[c_idx][a_idx] != mult[a_idx][e_idx]:
                 continue
-            terms = zip(a_c, c_linear.apply(a_a), a_a, a_linear.apply(scaled[e_idx]))
-            c0 = tuple(x + y - z - w for x, y, z, w in terms)  # scaled by g
+            a_rows = a_linear.rows
+            c0 = [  # scaled by g
+                x + sum(map(operator.mul, c_row, a_a)) - y - sum(map(operator.mul, a_row, a_e))
+                for x, c_row, y, a_row in zip(a_c, c_rows, a_a, a_rows)
+            ]
             assert not any(x % g for x in c0), "twisted conjugation must keep the lattice coset"
             product, det = twisted[a_idx]
             if det == 1:
                 constant += 1
                 continue
-            if shift is None:
-                shift = [
-                    tuple(x - (i == j) for j, x in enumerate(row))
-                    for i, row in enumerate(c_linear.rows)
-                ]
             block = [
-                [*s, *map(operator.neg, row), *a_row, c // g]
-                for s, row, a_row, c in zip(shift, product, a_linear.rows, c0)
+                [*c_row, *map(operator.neg, row), *a_row, c // g]
+                for c_row, row, a_row, c in zip(c_rows, product, a_rows, c0)
             ]
             for i, row in enumerate(block):
+                row[i] -= 1  # C to C - I
                 row[n + i] += 1  # -A.D to I - A.D
             factors = _smith_rows(block, n, 2 * n)
             weight = math.prod(factors)
