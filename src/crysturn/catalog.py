@@ -42,7 +42,7 @@ from .groups import (
 from .linalg import IntMatrix, _Record, vector
 from .reidemeister import _linear_part_set, _witness_cosets, spectrum
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")  # an exact rational, by fullmatch
 _ALLOWED_KEYS = {"name", "dimension", "labels", "generators", "normalizer_generators", "expected"}
 _ALLOWED_LABELS = {"bbnwz", "it", "carat"}
 _ALLOWED_EXPECTED = {"spectrum", "r_infinity"}
@@ -110,7 +110,7 @@ def _document_group(doc) -> CrystGroup:
             raise GroupFileError(f"generator {i}: translation must have {dimension} entries")
         entries = []
         for x in trans_raw:
-            if not isinstance(x, str) or not _RATIONAL_RE.match(x):
+            if not isinstance(x, str) or not _RATIONAL_RE.fullmatch(x):
                 raise GroupFileError(
                     f"generator {i}: translation entries must be exact rational strings, got {x!r}"
                 )

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .automorphisms import Automorphism, base_translations, find_translation_part
 from .catalog import (
+    _RATIONAL_RE,
     GroupFileError,
     builtin_catalog,
     check_catalog,
@@ -103,10 +104,16 @@ def _parse_matrix_arg(raw: str) -> IntMatrix:
 
 
 def _parse_vector_arg(raw: str):
-    try:
-        return vector(part.strip() for part in raw.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliUsageError(f"cannot parse vector {_shown(raw)}: {_shown(str(exc), quote=False)}")
+    """Comma-separated exact rationals, each checked against the grammar of
+    a group file's translation entries before ``Fraction`` reads it, which
+    would expand an exponent such as ``1e10000000`` digit by digit."""
+    parts = [part.strip() for part in raw.split(",")]
+    for part in parts:
+        if not _RATIONAL_RE.fullmatch(part):
+            raise CliUsageError(
+                f"cannot parse vector {_shown(raw)}: {_shown(part)} is not an exact rational"
+            )
+    return vector(parts)
 
 
 _ABSENT = "absent"

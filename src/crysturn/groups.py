@@ -18,7 +18,8 @@ which its base translations and the translation solve's integer matrix
 (``CrystGroup.solve_matrix``) are read from.  A caller's linear part D is
 conjugated once (:func:`_checked_conjugation`), which gives sigma_D and
 keeps the products A.D that the determinant test reads; the Bieberbach
-verdict sums the powers of each A read off the multiplication table.
+verdict sums the powers of each A read off the multiplication table and
+eliminates its raw rows with :func:`~crysturn.linalg._smith_rows`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import (
     _plan_product,
     _Record,
     _row_plan,
+    _smith_rows,
     smith_normal_form,
     vector,
     zero_vector,
@@ -311,17 +313,20 @@ class CrystGroup:
         no product is formed.  On the translations scaled by g
         (``scaled_translations``) that asks whether t = N_A.(g.a), up to
         sign, lies in g.N_A.Z^n: with P.N_A.Q = S, whether (P.t)_i is a
-        multiple of g.s_i for each invariant factor s_i and 0 past the rank.
+        multiple of g.s_i for each invariant factor s_i.  Past the rank
+        (P.t)_i needs no test: P.t = S.Q^-1.(g.a), and S is 0 there.  Row i
+        is written as the raw row [(N_A)_i | t_i] and the rows are
+        eliminated in place (:func:`~crysturn.linalg._smith_rows`), so row
+        i ends as [S_i | (P.t)_i].
         """
-        parts, mult, g = self.matrix_parts, self.mult_table, self.denominator
+        parts, mult, g, n = self.matrix_parts, self.mult_table, self.denominator, self.dimension
         for i, a in enumerate(self.scaled_translations[1:], start=1):
             acc, k = parts[0], i
             while k:
                 acc, k = acc + parts[k], mult[i][k]
-            snf = smith_normal_form(acc, right=(acc.apply(a),), below=())
-            t = [row[0] for row in snf.p.rows]
-            factors = snf.invariant_factors
-            if not any(t[snf.rank :]) and all(x % (g * s) == 0 for x, s in zip(t, factors)):
+            rows = [[*row, t] for row, t in zip(acc.rows, acc.apply(a))]
+            factors = _smith_rows(rows, n, n)
+            if all(row[n] % (g * s) == 0 for row, s in zip(rows, factors)):
                 return False
         return True
 

@@ -5,12 +5,12 @@ see :meth:`IntMatrix.__matmul__`, and results of integer operations skip
 re-validation, see :meth:`IntMatrix._unchecked`), the coset walk's
 product of raw rows by a fixed left factor's row plan, made once per walk
 (:func:`_row_plan`, :func:`_plan_product`), exact rational vectors,
-determinants (:func:`_bareiss`) and the Smith normal form, which does
-every other integer solve, the inverse (:meth:`IntMatrix.int_inverse`)
-included, and whose transforms are carried only onto what the caller reads
-(:func:`smith_normal_form`).  Its elimination runs in place on raw row
-lists (:func:`_smith_rows`), which the fixing pairs of a Burnside count
-call directly.
+determinants (:func:`_bareiss`) and the Smith normal form
+(:func:`smith_normal_form`), which does every other integer solve, the
+inverse (:meth:`IntMatrix.int_inverse`) included.  Its elimination runs in
+place on raw row lists (:func:`_smith_rows`), which the fixing pairs of a
+Burnside count and the Bieberbach test call directly, each with the columns
+it reads carried along.
 ``BENCHMARK_ONLY`` in ``tests/test_benchmark_names.py`` lists the functions
 here that only scripts and the benchmark call.
 """
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from itertools import product as _mixed_radix
 from operator import add as _add, mul as _mul, neg as _neg
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vec = tuple[Fraction, ...]
@@ -103,7 +103,7 @@ class IntMatrix(_Record):
             raise ValueError("ragged rows in matrix")
         object.__setattr__(self, "rows", rows)
 
-    # Written out, not inherited: matrices are the dict keys of every walk.
+    # Written out, not inherited: the conjugation of a D keys a dict by matrices.
     def __eq__(self, other):
         return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
 
@@ -323,15 +323,13 @@ def rat_apply(rows: Sequence[Sequence[Fraction]], v: Sequence[Scalar]) -> Vec:
 class SnfDecomposition(NamedTuple):
     """Smith normal form data.
 
-    The ``invariant_factors`` are positive and each divides the next.  With
-    the default transforms ``p`` and ``q`` are unimodular and p @ matrix @ q
-    has the invariant factors down its diagonal and zeros elsewhere;
-    :func:`smith_normal_form` says what they hold when the caller carries
-    its own.
+    The ``invariant_factors`` are positive and each divides the next;
+    ``p`` and ``q`` are unimodular and p @ matrix @ q has the invariant
+    factors down its diagonal and zeros elsewhere.
     """
 
-    p: Optional[IntMatrix]
-    q: Optional[IntMatrix]
+    p: IntMatrix
+    q: IntMatrix
     invariant_factors: tuple[int, ...]
 
     @property
@@ -339,41 +337,23 @@ class SnfDecomposition(NamedTuple):
         return len(self.invariant_factors)
 
 
-def smith_normal_form(
-    m: IntMatrix,
-    right: Optional[Sequence[Sequence[int]]] = None,
-    below: Optional[Sequence[Sequence[int]]] = None,
-) -> SnfDecomposition:
+def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form P.m.Q = S by elementary row/column ops.
 
     Pivots are chosen with minimal absolute value; a pivot only advances once
     it divides every entry of the remaining submatrix, which yields the
     divisibility chain directly.  Invariant factors are returned positive.
-
-    Transforms are carried only onto what the caller reads.  The row
-    operations also act on the columns ``right`` (vectors of m.nrows
-    entries) placed to the right of m, and the column operations on the
-    rows ``below`` (of m.ncols entries) placed under it, so ``p`` is
-    P.[right] and ``q`` is [below].Q, or None where nothing is carried.
-    Each defaults to the identity, which gives P and Q themselves.  The
-    rows [m | right] over ``below`` are eliminated by :func:`_smith_rows`.
+    The rows [m | I] over I are eliminated by :func:`_smith_rows`, which
+    leaves P on the right and Q below.
     """
     nrows, ncols = m.shape
-    if right is None:
-        right = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    if below is None:
-        below = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    # rows 0..nrows-1 are [m | right]; the rest are the rows below
-    a = [[*row, *x] for row, x in zip(m.rows, zip(*right))] if right else list(map(list, m.rows))
-    a += map(list, below)
+    a = [[*row, *(int(i == j) for j in range(nrows))] for i, row in enumerate(m.rows)]
+    a += ([int(i == j) for j in range(ncols)] for i in range(ncols))
     factors = _smith_rows(a, nrows, ncols)
-
-    def wrap(rows):
-        rows = tuple(map(tuple, rows))
-        return IntMatrix._unchecked(rows) if rows and rows[0] else None
-
     return SnfDecomposition(
-        p=wrap(row[ncols:] for row in a[:nrows]), q=wrap(a[nrows:]), invariant_factors=factors
+        p=IntMatrix._unchecked(tuple(tuple(row[ncols:]) for row in a[:nrows])),
+        q=IntMatrix._unchecked(tuple(map(tuple, a[nrows:]))),
+        invariant_factors=factors,
     )
 
 

@@ -130,8 +130,13 @@ class TestLoadGroup:
             {"dimension": 1, "generators": [], "expected": {"spectrum": "{1}", "values": 1}},
             "expected block accepts only spectrum and r_infinity",
         ),
+        (
+            {"dimension": 1, "generators": [{"translation": ["1/2\n"], "matrix": [[-1]]}]},
+            "generator 0: translation entries must be exact rational strings, got '1/2\\n'",
+        ),
     ], ids=["root", "dimension", "generators", "generator-keys", "translation-length",
-            "generator-matrix", "normaliser-matrix", "normaliser-list", "expected-keys"])
+            "generator-matrix", "normaliser-matrix", "normaliser-list", "expected-keys",
+            "translation-newline"])
     def test_rejection_names_its_reason(self, doc, message):
         with pytest.raises(GroupFileError) as raised:
             parse_group_document(json.dumps(doc))

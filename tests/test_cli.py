@@ -125,6 +125,13 @@ class TestReidnr:
         assert code == EXIT_BAD_DATA
         assert "invalid group data" in err
 
+    @pytest.mark.parametrize("d", ["1e10000000,0", "0.5,0"], ids=["exponent", "decimal"])
+    def test_inexact_translation_is_usage_error(self, capsys, d):
+        # Fraction would expand the exponent digit by digit, for seconds
+        code, out, err = run(capsys, "reidnr", "2/1/2/1/1", "--D", "[[0,-1],[1,-1]]", "--d", d)
+        assert code == EXIT_USAGE and out == ""
+        assert f"{d.split(',')[0]!r} is not an exact rational" in err
+
     def test_bad_matrix_syntax(self, capsys):
         code, _, err = run(capsys, "reidnr", "2/1/2/1/1", "--D", "[[1,2]", "--d", "0,0")
         assert code == EXIT_USAGE

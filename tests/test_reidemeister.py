@@ -858,9 +858,9 @@ class TestSharedWork:
         rows = []
         real, real_rows = crysturn.linalg.smith_normal_form, crysturn.linalg._smith_rows
 
-        def counting(m, *args, **kwargs):
+        def counting(m):
             rows.append(m.nrows)
-            return real(m, *args, **kwargs)
+            return real(m)
 
         def counting_rows(a, nrows, ncols):
             rows.append(nrows)
@@ -918,9 +918,9 @@ class TestSharedWork:
         calls = []
         real, real_rows = crysturn.linalg.smith_normal_form, crysturn.linalg._smith_rows
 
-        def counting(m, *args, **kwargs):
+        def counting(m):
             calls.append(m)
-            return real(m, *args, **kwargs)
+            return real(m)
 
         def counting_rows(a, nrows, ncols):
             calls.append(a)
@@ -1073,8 +1073,10 @@ class TestSharedWork:
         # normal form each in ``groups``, which the solves and the base
         # translations share, and their base offsets, all kept for the
         # second pass.  The other 19 forms in ``groups`` are the
-        # Bieberbach tests, one per holonomy element A != I; each group keeps
-        # its verdict, so the second pass makes none (it made the 19 again).
+        # Bieberbach tests, one per holonomy element A != I, eliminated on
+        # raw rows (they were ``smith_normal_form`` calls when it took the
+        # columns to carry as options); each group keeps its verdict, so the
+        # second pass makes none (it made the 19 again).
         # 1189 products when the Bieberbach tests multiplied out the powers of
         # each A that the multiplication table holds.  1167 products, 697
         # applies, 64 Smith normal forms (all of them eliminations of fixing
@@ -1099,6 +1101,10 @@ class TestSharedWork:
         group_snfs = self.count_calls(
             monkeypatch, crysturn.groups.smith_normal_form, (crysturn.groups,)
         )
+        # the Bieberbach tests' eliminations, on raw rows, count as forms in groups
+        group_rows = self.count_calls(
+            monkeypatch, crysturn.linalg._smith_rows, (crysturn.groups,)
+        )
         subtractions = self.count_calls(monkeypatch, IntMatrix.__sub__, (IntMatrix,))
         forms = self.count_cached(monkeypatch, "generator_form")
         numerators = self.count_cached(monkeypatch, "base_numerators")
@@ -1112,16 +1118,17 @@ class TestSharedWork:
         assert len(products) <= 1093
         assert len(applies) <= 381
         assert len(snfs) + len(pair_forms) <= 50
-        assert len(group_snfs) <= 19 + 18 and len(forms) <= 18
-        assert len(snfs) + len(pair_forms) + len(group_snfs) <= 87
+        assert len(group_snfs) + len(group_rows) <= 19 + 18 and len(forms) <= 18
+        assert len(snfs) + len(pair_forms) + len(group_snfs) + len(group_rows) <= 87
         assert len(subtractions) <= 24
         assert len(numerators) <= 6 and len(sweeps) <= 6
         assert len(counts) <= 71
-        for calls in (snfs, pair_forms, group_snfs, subtractions, forms, numerators, sweeps):
+        for calls in (snfs, pair_forms, group_snfs, group_rows, subtractions, forms, numerators,
+                      sweeps):
             calls.clear()
         assert all(report.passed for report in check_catalog(catalog))
         assert forms == numerators == sweeps == []
-        assert group_snfs == subtractions == []
+        assert group_snfs == group_rows == subtractions == []
         assert len(snfs) + len(pair_forms) <= 50
 
     def test_set_without_live_pair_reads_no_base_translation(self):
